@@ -14,12 +14,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import (And, Exists, Not, PartitionedFormula, PhiType, Structure,
-                   TupleSequence, bound_vars, formula_text, free_vars,
-                   rename_free)
+from .core import (And, Exists, Not, PartitionedFormula, PhiType, SatTable,
+                   Structure, TupleSequence, bound_vars, formula_text,
+                   free_vars, rename_free, subformulas)
 from .detect import find_cover_violation, find_k_independence
 from .indisc import TypeOracle, check_indiscernible
-from .util import BudgetExceeded, PreconditionError
+from .util import BudgetExceeded, PreconditionError, search_budget
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +49,6 @@ def _canonical(g) -> PartitionedFormula:
     mapping = {v: f"v{i}" for i, v in enumerate(fv)}
     return PartitionedFormula(rename_free(g, mapping),
                               tuple(f"v{i}" for i in range(len(fv))), ())
-
-
-def _subformulas(g):
-    yield g
-    if hasattr(g, "left"):
-        yield from _subformulas(g.left)
-        yield from _subformulas(g.right)
-    elif hasattr(g, "sub"):
-        yield from _subformulas(g.sub)
-    elif hasattr(g, "body"):
-        yield from _subformulas(g.body)
 
 
 def delta_star(delta: Sequence[PartitionedFormula], n: int) -> DeltaStar:
@@ -105,7 +94,7 @@ def delta_star(delta: Sequence[PartitionedFormula], n: int) -> DeltaStar:
                 closure = body
                 for v in reversed(zblock):
                     closure = Exists(v, closure)
-                for g in _subformulas(closure):
+                for g in subformulas(closure):
                     add(_canonical(g))
 
     formulas = tuple(sorted(out.values(), key=lambda f: (f.r, f.s, formula_text(f.ast))))
@@ -142,6 +131,8 @@ def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
     Exhaustive over ordered sequences of distinct tuples; max_len defaults to
     the number of distinct tuples of the relevant arity.
     """
+    if max_len is not None and max_len < 2:
+        raise PreconditionError("max_len must be >= 2")
     if star is None:
         star = delta_star(list(delta), n)
     oracle = TypeOracle(M, star.formulas, [], domain)
@@ -150,45 +141,28 @@ def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
     arities = sorted({f.s for f in delta if f.s >= 1})
     for s in arities:
         tuples = sorted(M.tuples(s, domain=domain))
-        fitting = [f for f in delta if f.s == s]
         cap = len(tuples) if max_len is None else min(max_len, len(tuples))
-        if cap < 2:
-            if max_len is not None and max_len < 2:
-                raise PreconditionError("max_len must be >= 2")
-            continue
-        # satisfaction tables, one per formula
-        sat = {}
-        for f in fitting:
-            objs = sorted(M.tuples(f.r, domain=domain))
-            sat[f] = {(c, b): f.holds(M, c, b, domain=domain)
-                      for c in objs for b in tuples}
-        objs_by_f = {f: sorted(M.tuples(f.r, domain=domain)) for f in fitting}
+        bit = {b: 1 << j for j, b in enumerate(tuples)}
+        # per formula: object tuples and their satisfaction rows over `tuples`
+        tables = []
+        for f in delta:
+            if f.s == s:
+                objs = sorted(M.tuples(f.r, domain=domain))
+                tables.append((f, objs, SatTable(M, f, domain).rows(objs, tuples)))
         for length in range(2, cap + 1):
+            sels = list(itertools.combinations(range(length), n))
             for seq in itertools.permutations(tuples, length):
-                if length >= n:
-                    ref = None
-                    ok = True
-                    for sel in itertools.combinations(range(length), n):
-                        concat = tuple(x for i in sel for x in seq[i])
-                        key = oracle.key(concat)
-                        if ref is None:
-                            ref = key
-                        elif key != ref:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                for f in fitting:
-                    table = sat[f]
-                    for c in objs_by_f[f]:
-                        pos = sum(1 for b in seq if table[(c, b)])
+                if oracle.first_split(seq, sels) is not None:
+                    continue
+                mask = sum(bit[b] for b in seq)
+                for f, objs, rows in tables:
+                    for c, row in zip(objs, rows):
+                        pos = (row & mask).bit_count()
                         side = min(pos, length - pos)
                         if side > worst:
                             worst = side
-                            witness = {"sequence": tuple(seq), "formula": f,
+                            witness = {"sequence": seq, "formula": f,
                                        "c": c, "pos": pos, "neg": length - pos}
-    if max_len is not None and max_len < 2:
-        raise PreconditionError("max_len must be >= 2")
     return KappaResult(worst + 1, witness)
 
 
@@ -346,65 +320,47 @@ class PrecReport:
                 "detail": self.detail}
 
 
-def _distinct_sequences(tuples: list, lengths: Iterable[int]):
-    for L in lengths:
-        if L < 1 or L > len(tuples):
-            continue
-        yield from itertools.permutations(tuples, L)
-
-
-def _average_matches(seq, sat_row, A_params, kappa_value, target_sign) -> bool:
-    L = len(seq)
-    for b in A_params:
-        pos = sum(1 for c in seq if sat_row[(c, b)])
-        want = target_sign[b]
-        if (pos >= kappa_value) != want:
-            return False
-        if ((L - pos) >= kappa_value) != (not want):
+def _average_matches(pos_counts: Iterable[int], length: int, kappa_value: int,
+                     target: Sequence[bool]) -> bool:
+    for pos, want in zip(pos_counts, target):
+        if (pos >= kappa_value) != want or ((length - pos) >= kappa_value) == want:
             return False
     return True
 
 
-def _search_average_witness(M: Structure, phi: PartitionedFormula,
-                            source_tuples: list, A_params: list,
+def _search_average_witness(source: list, cols: list[int], target: list[bool],
                             kappa_value: int, lambda_value: int,
-                            target_sign: dict, oracle: TypeOracle, n: int,
-                            sat_row: dict, budget: int = 1_000_000
+                            oracle: TypeOracle, n: int, arity: int
                             ) -> Union[TupleSequence, None, str]:
     """A sequence of distinct tuples from the source (or a constant sequence)
     of length at least lambda that is closure-indiscernible over the empty set
-    and averages to the target. Returns "budget" when the cap is hit."""
+    and averages to the target. `cols[j]` has bit i set iff phi holds on
+    source[i] at the j-th parameter tuple, whose wanted sign is target[j].
+    Returns "budget" when the search budget is spent."""
     min_len = max(lambda_value, 1)
+    limit = search_budget()
     # constant sequences first: they are indiscernible outright
     spent = 0
-    for c in source_tuples:
+    for i, c in enumerate(source):
         spent += 1
-        if spent > budget:
+        if spent > limit:
             return "budget"
-        seq = tuple([c] * min_len)
-        if _average_matches(seq, sat_row, A_params, kappa_value, target_sign):
-            return TupleSequence.of(seq, phi.r)
-    for seq in _distinct_sequences(source_tuples,
-                                   range(min_len, min_len + 3)):
-        spent += 1
-        if spent > budget:
-            return "budget"
-        L = len(seq)
-        if L >= n:
-            ref = None
-            ok = True
-            for sel in itertools.combinations(range(L), n):
-                concat = tuple(x for i in sel for x in seq[i])
-                key = oracle.key(concat)
-                if ref is None:
-                    ref = key
-                elif key != ref:
-                    ok = False
-                    break
-            if not ok:
+        if _average_matches((min_len * ((col >> i) & 1) for col in cols),
+                            min_len, kappa_value, target):
+            return TupleSequence.of([c] * min_len, arity)
+    position = {c: i for i, c in enumerate(source)}
+    for length in range(min_len, min_len + 3):
+        sels = list(itertools.combinations(range(length), n))
+        for seq in itertools.permutations(source, length):
+            spent += 1
+            if spent > limit:
+                return "budget"
+            if oracle.first_split(seq, sels) is not None:
                 continue
-        if _average_matches(seq, sat_row, A_params, kappa_value, target_sign):
-            return TupleSequence.of(seq, phi.r)
+            mask = sum(1 << position[c] for c in seq)
+            if _average_matches(((col & mask).bit_count() for col in cols),
+                                length, kappa_value, target):
+                return TupleSequence.of(seq, arity)
     return None
 
 
@@ -436,43 +392,38 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
                 raise PreconditionError(f"{tag} structure is not good: {got.kind}")
 
     A_match = [b for b in ctx.A if len(b) == phi.s]
+    objs_amb = sorted(itertools.product(sorted(amb), repeat=phi.r))
+    objs_N = sorted(itertools.product(sorted(N_dom), repeat=phi.r))
+    # satisfaction columns: bit i of cols[j] iff phi[objs[i]; A_match[j]]
+    psi = phi.swapped()
+    in_amb = SatTable(M, psi, amb)
+    cols_amb = in_amb.rows(A_match, objs_amb)
+    cols_N = in_amb.rows(A_match, objs_N)
+
     # condition 1
-    cond1 = True
-    for b in itertools.product(sorted(N_dom), repeat=phi.r):
-        for a in A_match:
-            if phi.holds(M, b, a, domain=amb) != phi.holds(M, b, a, domain=N_dom):
-                cond1 = False
-                break
-        if not cond1:
-            break
+    cond1 = cols_N == SatTable(M, psi, N_dom).rows(A_match, objs_N)
 
     # condition 2
     cond2 = True
-    objs_amb = sorted(itertools.product(sorted(amb), repeat=phi.r))
-    objs_N = sorted(itertools.product(sorted(N_dom), repeat=phi.r))
-    for alist in itertools.product(A_match, repeat=k):
-        realized = any(all(phi.holds(M, x, a, domain=amb) for a in alist)
-                       for x in objs_amb)
-        if not realized:
-            continue
-        if not any(all(phi.holds(M, x, a, domain=amb) for a in alist)
-                   for x in objs_N):
+    for alist in itertools.product(range(len(A_match)), repeat=k):
+        sat_amb = (1 << len(objs_amb)) - 1
+        sat_N = (1 << len(objs_N)) - 1
+        for j in alist:
+            sat_amb &= cols_amb[j]
+            sat_N &= cols_N[j]
+        if sat_amb and not sat_N:
             cond2 = False
             break
 
     # condition 3
-    psi = phi.swapped()
     star = delta_star([psi, psi.negated()], n)
     over = A_match if strict_over_A else []
     oracle = TypeOracle(M, star.formulas, over, amb)
-    sat_row = {(c, b): phi.holds(M, c, b, domain=amb)
-               for c in objs_N for b in A_match}
     cond3: Union[bool, str] = True
-    for a in objs_amb:
-        target_sign = {b: phi.holds(M, a, b, domain=amb) for b in A_match}
-        got = _search_average_witness(M, phi, objs_N, A_match, ctx.kappa_K,
-                                      ctx.lambda_K, target_sign, oracle, n,
-                                      sat_row)
+    for i in range(len(objs_amb)):
+        target = [bool((col >> i) & 1) for col in cols_amb]
+        got = _search_average_witness(objs_N, cols_N, target, ctx.kappa_K,
+                                      ctx.lambda_K, oracle, n, phi.r)
         if got == "budget":
             cond3 = "budget"
             break
@@ -546,13 +497,15 @@ def stable_amalgam(config: AmalgamConfig, check_preconditions: bool = True,
     oracle = TypeOracle(M, star.formulas, [], None)
     A_params = sorted(itertools.product(sorted(config.m1), repeat=phi.s))
     objs_m0 = sorted(itertools.product(sorted(config.m0), repeat=phi.r))
-    sat_row = {(c, b): phi.holds(M, c, b) for c in objs_m0 for b in A_params}
+    objs_m2 = sorted(itertools.product(sorted(config.m2), repeat=phi.r))
+    table = SatTable(M, psi)
+    cols_m0 = table.rows(A_params, objs_m0)
+    cols_m2 = table.rows(A_params, objs_m2)
     witnesses = {}
-    for c in sorted(itertools.product(sorted(config.m2), repeat=phi.r)):
-        target_sign = {b: phi.holds(M, c, b) for b in A_params}
-        got = _search_average_witness(M, phi, objs_m0, A_params, ctx.kappa_K,
-                                      ctx.lambda_K, target_sign, oracle, n,
-                                      sat_row)
+    for i, c in enumerate(objs_m2):
+        target = [bool((col >> i) & 1) for col in cols_m2]
+        got = _search_average_witness(objs_m0, cols_m0, target, ctx.kappa_K,
+                                      ctx.lambda_K, oracle, n, phi.r)
         if got == "budget":
             return AmalgamResult("budget", witnesses, c)
         if got is None:

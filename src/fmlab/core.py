@@ -381,6 +381,52 @@ def evaluate(M: Structure, phi: Union[PartitionedFormula, Formula],
     return ev(ast, dict(assignment))
 
 
+class SatTable:
+    """Satisfaction of one partitioned formula in one structure: whether
+    M |= phi[obj; par], with quantifiers over `domain` (the whole universe
+    when None).
+
+    Search-side only: the witness searches, the extraction keys and the
+    classification layer read satisfaction through it, while the `verify_*`
+    checkers and `check_indiscernible` evaluate formulas directly and never
+    touch it, so a fault here cannot hide from the checks.
+    """
+
+    __slots__ = ("M", "phi", "domain", "_memo")
+
+    def __init__(self, M: Structure, phi: PartitionedFormula,
+                 domain: Optional[Iterable[int]] = None):
+        self.M = M
+        self.phi = phi
+        self.domain = domain
+        self._memo: dict[tuple, bool] = {}
+
+    def holds(self, obj: tuple[int, ...], par: tuple[int, ...]) -> bool:
+        """M |= phi[obj; par], evaluated once per (obj, par) and memoised."""
+        try:
+            return self._memo[obj, par]
+        except KeyError:
+            got = self._memo[obj, par] = self.phi.holds(self.M, obj, par, domain=self.domain)
+            return got
+
+    def rows(self, objs: Sequence[tuple[int, ...]],
+             pars: Sequence[tuple[int, ...]]) -> list[int]:
+        """Bitmask rows: bit j of row i is set iff phi[objs[i]; pars[j]] holds.
+
+        Cells are evaluated without touching the memo: a whole table is read
+        once by its caller, so keeping its cells would only cost memory.
+        """
+        phi, M, domain = self.phi, self.M, self.domain
+        out = []
+        for a in objs:
+            v = 0
+            for j, b in enumerate(pars):
+                if phi.holds(M, a, b, domain=domain):
+                    v |= 1 << j
+            out.append(v)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # types
 # ---------------------------------------------------------------------------

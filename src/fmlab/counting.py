@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from typing import Iterable, Optional
 
 from .core import PartitionedFormula, Structure, realized_types
@@ -247,14 +247,15 @@ def compare_powers(base1: int, exp1: int, base2: int, exp2: int) -> int:
     p1, p2 = pow2_form(base1, exp1), pow2_form(base2, exp2)
     if p1 is not None and p2 is not None:
         return (p1 > p2) - (p1 < p2)
-    for prec in (50, 120, 300, 1000):
-        getcontext().prec = prec
-        l1 = Decimal(exp1) * Decimal(base1).ln() / Decimal(2).ln()
-        l2 = Decimal(exp2) * Decimal(base2).ln() / Decimal(2).ln()
-        diff = l1 - l2
-        margin = Decimal(10) ** (max(l1.adjusted(), l2.adjusted(), 0) - prec + 10)
-        if abs(diff) > margin:
-            return 1 if diff > 0 else -1
+    with localcontext() as ctx:
+        for prec in (50, 120, 300, 1000):
+            ctx.prec = prec
+            l1 = Decimal(exp1) * Decimal(base1).ln() / Decimal(2).ln()
+            l2 = Decimal(exp2) * Decimal(base2).ln() / Decimal(2).ln()
+            diff = l1 - l2
+            margin = Decimal(10) ** (max(l1.adjusted(), l2.adjusted(), 0) - prec + 10)
+            if abs(diff) > margin:
+                return 1 if diff > 0 else -1
     raise TooLargeError("could not separate the two powers at precision 1000")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import (Iff, PartitionedFormula, PhiType, Structure,
+from .core import (Iff, PartitionedFormula, PhiType, SatTable, Structure,
                    rename_free, tp)
 from .formats import subset_key
 from .util import (BudgetExceeded, PreconditionError, TooLargeError,
@@ -93,26 +93,6 @@ class SplittingChainFailure:
 
 
 # ---------------------------------------------------------------------------
-# satisfaction matrix (search-side only; verifiers never touch it)
-# ---------------------------------------------------------------------------
-
-
-def _sat_columns(M: Structure, phi: PartitionedFormula,
-                 params: Sequence[tuple[int, ...]],
-                 domain=None) -> tuple[list[tuple[int, ...]], dict]:
-    """For each parameter tuple, a bitmask over object tuples satisfying phi."""
-    objs = sorted(M.tuples(phi.r, domain=domain))
-    cols = {}
-    for b in params:
-        v = 0
-        for i, a in enumerate(objs):
-            if phi.holds(M, a, b, domain=domain):
-                v |= 1 << i
-        cols[b] = v
-    return objs, cols
-
-
-# ---------------------------------------------------------------------------
 # searches
 # ---------------------------------------------------------------------------
 
@@ -131,14 +111,7 @@ def find_k_independence(M: Structure, phi: PartitionedFormula, k: int,
     limit = search_budget(budget)
     objs = sorted(M.tuples(phi.r, domain=domain))
     pars = sorted(M.tuples(phi.s, domain=domain))
-    # trace[a][p] as bitmask rows: bit over parameter index
-    rows = []
-    for a in objs:
-        v = 0
-        for j, b in enumerate(pars):
-            if phi.holds(M, a, b, domain=domain):
-                v |= 1 << j
-        rows.append(v)
+    rows = SatTable(M, phi, domain).rows(objs, pars)
     nodes = 0
     npat = 1 << k
     for idx in itertools.product(range(len(objs)), repeat=k):
@@ -195,14 +168,9 @@ def find_n_order(M: Structure, phi: PartitionedFormula, n: int,
         raise PreconditionError("order search requires l(x) = l(y)")
     limit = search_budget(budget)
     objs = sorted(M.tuples(phi.r, domain=domain))
-    sat = {}
-
-    def holds(a, b):
-        key = (a, b)
-        if key not in sat:
-            sat[key] = phi.holds(M, a, b, domain=domain)
-        return sat[key]
-
+    # lazy: on the 3-block formula rho (verify_order_bound) the search reads
+    # far fewer cells than a full table holds
+    holds = SatTable(M, phi, domain).holds
     nodes = 0
     chosen: list[tuple[int, ...]] = []
 
@@ -252,7 +220,8 @@ def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int,
         raise PreconditionError("weak order search needs nonempty blocks")
     limit = search_budget(budget)
     pars = sorted(M.tuples(phi.s, domain=domain))
-    objs, cols = _sat_columns(M, phi, pars, domain=domain)
+    objs = sorted(M.tuples(phi.r, domain=domain))
+    cols = dict(zip(pars, SatTable(M, phi.swapped(), domain).rows(pars, objs)))
     full = (1 << len(objs)) - 1
     nodes = 0
     for d in itertools.product(pars, repeat=m):
@@ -310,7 +279,8 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
         pars = sorted(M.tuples(phi.s, domain=domain))
     else:
         pars = sorted(tuple(t) for t in params)
-    objs, cols = _sat_columns(M, phi, pars, domain=domain)
+    objs = sorted(M.tuples(phi.r, domain=domain))
+    cols = dict(zip(pars, SatTable(M, phi.swapped(), domain).rows(pars, objs)))
     full = (1 << len(objs)) - 1
     nodes = 0
     cap = min(n_max, len(pars))

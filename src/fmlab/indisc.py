@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .core import (PartitionedFormula, Structure, TupleSequence, tp)
+from .core import PartitionedFormula, SatTable, Structure, TupleSequence, tp
 from .util import PreconditionError, TooLargeError
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,21 @@ class TypeOracle:
             self._cache[concat] = got
         return got
 
+    def first_split(self, seq: Sequence[tuple[int, ...]],
+                    sels: Iterable[tuple[int, ...]]
+                    ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(first, sel): the first selection in `sels` and the earliest one
+        whose concatenation over `seq` has a different type; None when all
+        types agree."""
+        first = ref = None
+        for sel in sels:
+            ty = self.key(tuple(x for i in sel for x in seq[i]))
+            if ref is None:
+                first, ref = sel, ty
+            elif ty != ref:
+                return first, sel
+        return None
+
 
 def check_indiscernible(I, delta: Sequence[PartitionedFormula], m: int,
                         A: Iterable[tuple[int, ...]], M: Structure,
@@ -85,41 +100,19 @@ def check_indiscernible(I, delta: Sequence[PartitionedFormula], m: int,
     if oracle is None:
         oracle = TypeOracle(M, delta, A, domain)
     n = len(seq)
-
-    def type_of(sel: tuple[int, ...]):
-        return oracle.key(seq.concat(sel))
-
-    cert = lambda ok, ce: IndiscernibilityCertificate(
-        seq, mode, tuple(delta), m, tuple(A), ok, ce)
-
-    if mode in ("sequence", "set"):
-        if mode == "sequence":
-            sels = itertools.combinations(range(n), m)
-        else:
-            sels = itertools.permutations(range(n), m)
-        first = None
-        ref = None
-        for sel in sels:
-            ty = type_of(sel)
-            if ref is None:
-                first, ref = sel, ty
-            elif ty != ref:
-                return cert(False, (first, sel))
-        return cert(True, None)
-
-    # end mode
-    for prefix in itertools.combinations(range(n), m - 1):
-        lo = (prefix[-1] + 1) if prefix else 0
-        base_sel = None
-        base_ty = None
-        for j in range(lo, n):
-            sel = prefix + (j,)
-            ty = type_of(sel)
-            if base_ty is None:
-                base_sel, base_ty = sel, ty
-            elif ty != base_ty:
-                return cert(False, (base_sel, sel))
-    return cert(True, None)
+    if mode == "sequence":
+        split = oracle.first_split(seq.tuples, itertools.combinations(range(n), m))
+    elif mode == "set":
+        split = oracle.first_split(seq.tuples, itertools.permutations(range(n), m))
+    else:
+        split = None
+        for prefix in itertools.combinations(range(n), m - 1):
+            lo = (prefix[-1] + 1) if prefix else 0
+            split = oracle.first_split(seq.tuples, (prefix + (j,) for j in range(lo, n)))
+            if split is not None:
+                break
+    return IndiscernibilityCertificate(seq, mode, tuple(delta), m, tuple(A),
+                                       split is None, split)
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +377,17 @@ def greedy_end_extraction(length: int, m: int,
     return chosen, ExtractionTrace(tuple(chosen), tuple(steps))
 
 
-def _formula_key(seq: TupleSequence, phi_holds: Callable, pars: list, m: int):
+def _formula_key(seq: TupleSequence, table: SatTable, pars: list, m: int,
+                 suffix: tuple[int, ...] = ()):
     """Key function comparing the candidate's joint type with every increasing
-    (m-1)-selection of the already chosen positions."""
-    memo: dict[tuple, bool] = {}
-
-    def holds(obj: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        k = (obj, b)
-        got = memo.get(k)
-        if got is None:
-            got = phi_holds(obj, b)
-            memo[k] = got
-        return got
+    (m-1)-selection of the already chosen positions; `suffix` is appended to
+    every object tuple."""
+    holds = table.holds
 
     def key_of(chosen: tuple[int, ...], cand: int):
         out = []
         for sel in itertools.combinations(chosen, m - 1):
-            obj = seq.concat(sel + (cand,))
+            obj = seq.concat(sel + (cand,)) + suffix
             out.append(tuple(holds(obj, b) for b in pars))
         return tuple(out)
 
@@ -427,7 +414,7 @@ def extract_end_indiscernible(I, phi: PartitionedFormula, m: int,
             f"object arity {phi.r} does not cover m={m} entries of arity {seq.tuple_arity}")
     A = sorted(tuple(b) for b in A)
     pars = [()] if phi.s == 0 else [b for b in A if len(b) == phi.s]
-    key_of = _formula_key(seq, lambda obj, b: phi.holds(M, obj, b), pars, m)
+    key_of = _formula_key(seq, SatTable(M, phi), pars, m)
     chosen, trace = greedy_end_extraction(len(seq), m, key_of, target=k)
     if k is not None and len(chosen) < k:
         return ExtractionFailure(m, f"extraction stalled at length {len(chosen)} < {k}")
@@ -471,11 +458,7 @@ def extract_indiscernible(I, phi: PartitionedFormula, m: int,
             return []
         if len(items) < want:
             return ExtractionFailure(level, f"only {len(items)} entries for target {want}")
-
-        def holds(obj: tuple[int, ...], b: tuple[int, ...]) -> bool:
-            return phi.holds(M, obj + suffix, b)
-
-        key_of = _formula_key(local, holds, pars, level)
+        key_of = _formula_key(local, SatTable(M, phi), pars, level, suffix)
         if level == 1:
             chosen, _ = greedy_end_extraction(len(items), 1, key_of, target=want)
             if len(chosen) < want:

@@ -317,3 +317,15 @@ def test_amalgam_precondition_error_names_pair():
                         frozenset({0, 1, 3}), ctx)
     with pytest.raises(PreconditionError, match="M0<M"):
         stable_amalgam(cfg)
+
+
+def test_average_search_obeys_the_search_budget(monkeypatch):
+    M = empty_graph(4)
+    ctx = make_class_context(M, [None], EDGE, 1, 2, 1, [(0,)])
+    full = frozenset(range(4))
+    monkeypatch.setenv("FMLAB_BUDGET", "0")
+    rep = prec_K(M, full, ctx, check_good=False)
+    assert rep.cond3 == "budget"
+    res = stable_amalgam(AmalgamConfig(M, full, full, full, ctx),
+                         check_preconditions=False)
+    assert res.holds == "budget"

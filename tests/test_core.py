@@ -1,12 +1,18 @@
-"""Evaluation, types, and realized-type counting."""
+"""Evaluation, satisfaction tables, types, and realized-type counting."""
+
+import types
 
 import pytest
 
 from fmlab import (EvaluationError, FmlabError, PartitionedFormula,
-                   Structure, closed_under_negation, evaluate,
-                   realized_types, tp)
-from fmlab.core import Atom
+                   Signature, Structure, TypeOracle, check_indiscernible,
+                   closed_under_negation, evaluate, realized_types, tp,
+                   verify_cover_violation, verify_homogeneous,
+                   verify_independence, verify_order, verify_weak_order)
+from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
+                        SatTable)
 from fmlab.formats import parse_formula
+from fmlab.util import SplitMix64
 
 from conftest import (EDGE, GRAPH_SIG, all_graphs, complete_graph, empty_graph,
                       graph, path_graph, seeded_graph)
@@ -158,3 +164,79 @@ def test_evaluation_inside_induced_substructure():
     src = parse_formula("phi(x0; y0) := exists z0. R(z0,x0)", GRAPH_SIG)
     assert src.formula.holds(star, (1,), (0,)) is True
     assert src.formula.holds(star, (1,), (0,), domain=frozenset({1, 2, 3})) is False
+
+
+# ---------------------------------------------------------------------------
+# satisfaction tables against the reference interpreter
+# ---------------------------------------------------------------------------
+
+MIXED_SIG = Signature((("P", 1), ("R", 2), ("T", 3)))
+
+
+def _random_structure(rng):
+    n = 1 + rng.below(6)
+    rels = {}
+    for name, ar in MIXED_SIG.relations:
+        cells = Structure(MIXED_SIG, n, {}).tuples(ar)
+        rels[name] = [t for t in cells if rng.below(3) == 0]
+    return Structure(MIXED_SIG, n, rels)
+
+
+def _random_formula(rng, scope, depth):
+    if depth == 0 or rng.below(4) == 0:
+        name, ar = MIXED_SIG.relations[rng.below(len(MIXED_SIG.relations))]
+        return Atom(name, tuple(scope[rng.below(len(scope))] for _ in range(ar)))
+    pick = rng.below(7)
+    if pick == 0:
+        return Not(_random_formula(rng, scope, depth - 1))
+    if pick <= 4:
+        op = (And, Or, Implies, Iff)[pick - 1]
+        return op(_random_formula(rng, scope, depth - 1),
+                  _random_formula(rng, scope, depth - 1))
+    var = f"z{depth}"  # fresh per nesting depth, so no quantifier shadows another
+    quant = Exists if pick == 5 else Forall
+    return quant(var, _random_formula(rng, scope + [var], depth - 1))
+
+
+def test_sat_table_agrees_with_evaluate():
+    rng = SplitMix64(20261018)
+    for _ in range(60):
+        M = _random_structure(rng)
+        r = 1 + rng.below(2)
+        s = rng.below(3 - r)
+        ov = tuple(f"x{i}" for i in range(r))
+        pv = tuple(f"y{i}" for i in range(s))
+        phi = PartitionedFormula(_random_formula(rng, list(ov + pv), 3), ov, pv)
+        domain = None
+        if rng.bit():
+            domain = frozenset(e for e in M.universe() if rng.bit()) or frozenset({0})
+        for f in (phi, phi.swapped()):
+            objs = list(M.tuples(f.r, domain=domain))
+            pars = list(M.tuples(f.s, domain=domain))
+            expected = [[evaluate(M, f.ast, {**dict(zip(f.object_vars, a)),
+                                             **dict(zip(f.param_vars, b))},
+                                  domain=domain)
+                         for b in pars] for a in objs]
+            table = SatTable(M, f, domain)
+            rows = table.rows(objs, pars)
+            for i, a in enumerate(objs):
+                for j, b in enumerate(pars):
+                    assert bool((rows[i] >> j) & 1) == expected[i][j]
+                    assert table.holds(a, b) == expected[i][j]
+                    assert table.holds(a, b) == expected[i][j]  # memoised
+
+
+def _names(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+def test_checkers_never_read_satisfaction_tables():
+    checkers = [verify_independence, verify_order, verify_weak_order,
+                verify_cover_violation, verify_homogeneous,
+                check_indiscernible, TypeOracle.key, TypeOracle.first_split]
+    for checker in checkers:
+        assert "SatTable" not in _names(checker.__code__), checker.__qualname__

@@ -2,6 +2,7 @@
 the exact big-integer arithmetic behind the headline inequality."""
 
 import itertools
+from decimal import localcontext
 
 import pytest
 
@@ -9,6 +10,7 @@ from fmlab import (PreconditionError, chained_inequality, count_phi_types,
                    exponent_dominates, find_k_independence, find_shattered,
                    no_order_exponent, sauer_bound, verify_independence_bound,
                    verify_order_bound, verify_shattered)
+from fmlab.counting import compare_powers
 from conftest import (EDGE, all_graphs, complete_graph, cycle_graph,
                       empty_graph, path_graph, seeded_graph)
 
@@ -168,6 +170,13 @@ def test_chained_inequality_over_small_grid():
             for t in (1, 2):
                 for m in (2, 3):
                     assert chained_inequality(n, s, t, m), (n, s, t, m)
+
+
+def test_compare_powers_keeps_the_callers_decimal_precision():
+    with localcontext() as ctx:
+        ctx.prec = 28
+        assert compare_powers(3, 100, 5, 70) == -1
+        assert ctx.prec == 28
 
 
 def test_exponent_dominates_both_readings():
