@@ -123,19 +123,23 @@ class KappaResult:
 
 def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
           max_len: Optional[int] = None, domain=None,
-          star: Optional[DeltaStar] = None) -> KappaResult:
+          star: Optional[DeltaStar] = None) -> Union[KappaResult, BudgetExceeded]:
     """Least kappa >= 1 such that along every closure-indiscernible sequence of
     distinct parameter tuples (length up to max_len), every formula instance
     splits the sequence with minority side below kappa.
 
     Exhaustive over ordered sequences of distinct tuples; max_len defaults to
-    the number of distinct tuples of the relevant arity.
+    the number of distinct tuples of the relevant arity. Each candidate
+    sequence is one node of `util.search_budget()`; BudgetExceeded when the
+    budget runs out.
     """
     if max_len is not None and max_len < 2:
         raise PreconditionError("max_len must be >= 2")
     if star is None:
         star = delta_star(list(delta), n)
     oracle = TypeOracle(M, star.formulas, [], domain)
+    limit = search_budget()
+    spent = 0
     worst = 0
     witness = None
     arities = sorted({f.s for f in delta if f.s >= 1})
@@ -152,6 +156,9 @@ def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
         for length in range(2, cap + 1):
             sels = list(itertools.combinations(range(length), n))
             for seq in itertools.permutations(tuples, length):
+                spent += 1
+                if spent > limit:
+                    return BudgetExceeded(spent)
                 if oracle.first_split(seq, sels) is not None:
                     continue
                 mask = sum(bit[b] for b in seq)
@@ -243,7 +250,8 @@ def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
             ) -> Union[GoodnessContext, GoodnessRefutation]:
     """Run the independence searches at width n and the cover searches at depth
     d for all four block-arrangements of phi; when every search is empty,
-    compute kappa and the threshold lambda = max(d * kappa, 2n)."""
+    compute kappa and the threshold lambda = max(d * kappa, 2n). A search or
+    kappa that runs out of budget gives a "budget" refutation."""
     if n < 1 or d < 1:
         raise PreconditionError("n and d must be >= 1")
     delta = goodness_delta(phi)
@@ -260,8 +268,10 @@ def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
             return GoodnessRefutation("budget", f, vio)
         if vio is not None:
             return GoodnessRefutation("cover", f, vio)
-    kv = kappa(M, delta, n, max_len=max_len, domain=domain).value
-    return GoodnessContext(phi, n, d, kv, max(d * kv, 2 * n))
+    got = kappa(M, delta, n, max_len=max_len, domain=domain)
+    if isinstance(got, BudgetExceeded):
+        return GoodnessRefutation("budget", phi, got)
+    return GoodnessContext(phi, n, d, got.value, max(d * got.value, 2 * n))
 
 
 # ---------------------------------------------------------------------------

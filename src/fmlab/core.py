@@ -360,22 +360,22 @@ def evaluate(M: Structure, phi: Union[PartitionedFormula, Formula],
             return (not ev(node.left, env)) or ev(node.right, env)
         if t is Iff:
             return ev(node.left, env) == ev(node.right, env)
-        if t is Exists:
+        if t is Exists or t is Forall:
+            # the quantifier's own value short-circuits: Exists on a true body,
+            # Forall on a false one; the outer binding of var comes back after
+            var, stop = node.var, t is Exists
+            outer = env.get(var)
+            result = not stop
             for e in dom:
-                env[node.var] = e
-                if ev(node.body, env):
-                    del env[node.var]
-                    return True
-            env.pop(node.var, None)
-            return False
-        if t is Forall:
-            for e in dom:
-                env[node.var] = e
-                if not ev(node.body, env):
-                    del env[node.var]
-                    return False
-            env.pop(node.var, None)
-            return True
+                env[var] = e
+                if ev(node.body, env) == stop:
+                    result = stop
+                    break
+            if outer is None:
+                env.pop(var, None)
+            else:
+                env[var] = outer
+            return result
         raise EvaluationError(f"ill-formed formula node: {node!r}")
 
     return ev(ast, dict(assignment))

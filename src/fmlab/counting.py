@@ -15,7 +15,8 @@ from decimal import Decimal, localcontext
 from typing import Iterable, Optional
 
 from .core import PartitionedFormula, Structure, realized_types
-from .detect import build_rho, find_k_independence, find_n_order
+from .detect import (build_rho, find_k_independence, find_n_order,
+                     first_shattered)
 from .util import BudgetExceeded, PreconditionError, TooLargeError
 
 # materialize bound values only up to this many bits
@@ -162,9 +163,10 @@ def find_shattered(family: Iterable[Iterable[int]], k: int,
                    ) -> Optional[ShatterWitness]:
     """First k-subset of the ground set shattered by the family, or None.
 
-    Candidates are enumerated lexicographically; a candidate is accepted only
-    when all 2^k trace cells are inhabited, and the necessary-condition count
-    (at least 2^k distinct traces) is exactly that test, done with bitmasks.
+    Candidates are enumerated lexicographically by `detect.first_shattered`,
+    with the family members as realizers; a candidate is accepted only when
+    all 2^k trace cells are inhabited, and each selector is the first member
+    in its cell.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
@@ -177,33 +179,18 @@ def find_shattered(family: Iterable[Iterable[int]], k: int,
     else:
         ground_list = sorted(set(ground))
     pos = {e: i for i, e in enumerate(ground_list)}
-    masks = []
-    for s in sets:
-        m = 0
+    # one row per ground element: bit idx set iff the element is in sets[idx]
+    rows = [0] * len(ground_list)
+    for idx, s in enumerate(sets):
         for e in s:
             if e in pos:
-                m |= 1 << pos[e]
-        masks.append(m)
-    npat = 1 << k
-    for cand in itertools.combinations(range(len(ground_list)), k):
-        first_for: dict[int, int] = {}
-        for idx, m in enumerate(masks):
-            pat = 0
-            for j, e in enumerate(cand):
-                if (m >> e) & 1:
-                    pat |= 1 << j
-            if pat not in first_for:
-                first_for[pat] = idx
-                if len(first_for) == npat:
-                    break
-        if len(first_for) == npat:
-            alphas = tuple(ground_list[e] for e in cand)
-            selectors = {
-                frozenset(i for i in range(k) if (pat >> i) & 1):
-                    frozenset(sets[first_for[pat]])
-                for pat in range(npat)}
-            return ShatterWitness(alphas, selectors)
-    return None
+                rows[pos[e]] |= 1 << idx
+    got = first_shattered(rows, k, (1 << len(sets)) - 1)
+    if got is None:
+        return None
+    cand, least = got
+    return ShatterWitness(tuple(ground_list[e] for e in cand),
+                          {w: sets[idx] for w, idx in least.items()})
 
 
 def verify_shattered(w: ShatterWitness) -> bool:

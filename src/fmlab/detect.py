@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (Iff, PartitionedFormula, PhiType, SatTable, Structure,
@@ -97,47 +98,84 @@ class SplittingChainFailure:
 # ---------------------------------------------------------------------------
 
 
+def first_shattered(rows: Sequence[int], k: int, full: int,
+                    limit: Optional[int] = None
+                    ) -> Union[tuple[tuple[int, ...], dict[frozenset[int], int]],
+                               None, BudgetExceeded]:
+    """Lexicographically first k-combination of row indices that the
+    realizers shatter, or None.
+
+    Bit j of rows[i] is set iff realizer j lies in member i, and `full` holds
+    every realizer. A combination c is shattered when each of its 2^k cells is
+    nonempty: the cell of w (a set of positions) is `full` intersected with
+    rows[c[p]] for p in w and with its complement for every other p. The
+    result pairs c with the least realizer of each cell, keyed by w. One budget
+    node is one k-combination; past `limit` nodes the search returns
+    BudgetExceeded (no limit when None). The search runs depth-first over
+    prefixes, and a prefix with an empty cell is dropped together with all its
+    extensions, which still count as nodes.
+
+    The one search behind independence, Sauer-Shelah shattering and the
+    r-graph fast paths; the `verify_*` checkers never call it.
+    """
+    if k < 0:
+        raise PreconditionError("k must be >= 0")
+    m = len(rows)
+    tried = 0  # combinations passed, in lexicographic order
+
+    def extend(start: int, chosen: tuple[int, ...], cells: list[int]):
+        # cells[w] for the prefix `chosen`: bit p of w <-> inside rows[chosen[p]]
+        nonlocal tried
+        if len(chosen) == k:
+            tried += 1
+            if limit is not None and tried > limit:
+                return BudgetExceeded(tried)
+            return (chosen, cells) if all(cells) else None  # k = 0, empty full
+        need = k - len(chosen) - 1
+        for i in range(start, m - need):
+            row = rows[i]
+            split = [c & ~row for c in cells] + [c & row for c in cells]
+            if all(split):
+                got = extend(i + 1, chosen + (i,), split)
+                if got is not None:
+                    return got
+            else:
+                tried += comb(m - i - 1, need)
+                if limit is not None and tried > limit:
+                    return BudgetExceeded(limit + 1)
+        return None
+
+    got = extend(0, (), [full])
+    if got is None or isinstance(got, BudgetExceeded):
+        return got
+    combo, cells = got
+    return combo, {frozenset(p for p in range(k) if (w >> p) & 1):
+                   (c & -c).bit_length() - 1 for w, c in enumerate(cells)}
+
+
 def find_k_independence(M: Structure, phi: PartitionedFormula, k: int,
                         budget: Optional[int] = None, domain=None
                         ) -> Union[IndependenceWitness, None, BudgetExceeded]:
     """Lexicographically first independence witness of size k, or None.
 
-    None certifies exhaustion of the whole search space.
+    None certifies exhaustion of the whole search space. Object tuples are
+    tried as k-combinations, one budget node each: any permutation of a
+    witness is a witness, so the first combination is also the first ordered
+    k-tuple.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if phi.r < 1 or phi.s < 1:
         raise PreconditionError("independence search needs nonempty blocks")
-    limit = search_budget(budget)
     objs = sorted(M.tuples(phi.r, domain=domain))
     pars = sorted(M.tuples(phi.s, domain=domain))
-    rows = SatTable(M, phi, domain).rows(objs, pars)
-    nodes = 0
-    npat = 1 << k
-    for idx in itertools.product(range(len(objs)), repeat=k):
-        nodes += 1
-        if nodes > limit:
-            return BudgetExceeded(nodes)
-        if len(set(idx)) != k:
-            continue
-        first_for = {}
-        found = 0
-        for j in range(len(pars)):
-            pat = 0
-            for pos, i in enumerate(idx):
-                if (rows[i] >> j) & 1:
-                    pat |= 1 << pos
-            if pat not in first_for:
-                first_for[pat] = j
-                found += 1
-                if found == npat:
-                    break
-        if found == npat:
-            a = tuple(objs[i] for i in idx)
-            b = {frozenset(i for i in range(k) if (pat >> i) & 1): pars[first_for[pat]]
-                 for pat in range(npat)}
-            return IndependenceWitness(a, b)
-    return None
+    got = first_shattered(SatTable(M, phi, domain).rows(objs, pars), k,
+                          (1 << len(pars)) - 1, search_budget(budget))
+    if got is None or isinstance(got, BudgetExceeded):
+        return got
+    combo, least = got
+    return IndependenceWitness(tuple(objs[i] for i in combo),
+                               {w: pars[j] for w, j in least.items()})
 
 
 def verify_independence(M: Structure, phi: PartitionedFormula,

@@ -294,12 +294,11 @@ def _tokenize(text: str) -> list[_Token]:
 class _FormulaParser:
     """Recursive descent over the token list; precedence ~ > & > | > -> > <->."""
 
-    def __init__(self, tokens: list[_Token], signature: Optional[Signature],
-                 declared: set[str]):
+    def __init__(self, tokens: list[_Token], signature: Optional[Signature]):
         self.toks = tokens
         self.i = 0
         self.signature = signature
-        self.declared = declared
+        self.declared: set[str] = set()
         self.bound: list[str] = []
 
     def peek(self) -> _Token:
@@ -313,6 +312,36 @@ class _FormulaParser:
             raise ParseError(f"expected {kind}", tok.line, tok.col)
         self.i += 1
         return tok
+
+    def parse_declaration(self) -> FormulaSource:
+        """The head `name(x0,...; y0,...) :=`, then the body over its variables."""
+        name = self.take(kind="name").value
+        self.take("(")
+        object_vars = self.head_block(";", _OBJ_VAR,
+                                      "object variables must be x0..x{r-1}")
+        self.take(";")
+        param_vars = self.head_block(")", _PAR_VAR,
+                                     "parameter variables must be y0..y{s-1}")
+        self.take(")")
+        self.take(":=")
+        if not object_vars:
+            tok = self.peek()
+            raise ParseError("at least one object variable is required", tok.line, tok.col)
+        self.declared = set(object_vars) | set(param_vars)
+        formula = PartitionedFormula(self.parse(), tuple(object_vars), tuple(param_vars))
+        return FormulaSource(name, formula)
+
+    def head_block(self, end: str, pattern: re.Pattern, rule: str) -> list[str]:
+        names: list[str] = []
+        while self.peek().value != end:
+            tok = self.take(kind="name")
+            m = pattern.match(tok.value)
+            if not m or int(m.group(1)) != len(names):
+                raise ParseError(f"{rule} in order, got {tok.value!r}", tok.line, tok.col)
+            names.append(tok.value)
+            if self.peek().value == ",":
+                self.take(",")
+        return names
 
     def parse(self) -> Formula:
         f = self.parse_iff()
@@ -404,56 +433,7 @@ class _FormulaParser:
 
 def parse_formula(text: str, signature: Optional[Signature] = None) -> FormulaSource:
     """Parse a declaration `name(x...; y...) := body` into a PartitionedFormula."""
-    tokens = _tokenize(text)
-    toks = tokens
-
-    i = 0
-
-    def take(value=None, kind=None):
-        nonlocal i
-        tok = toks[i]
-        if value is not None and tok.value != value:
-            raise ParseError(f"expected {value!r}", tok.line, tok.col)
-        if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind}", tok.line, tok.col)
-        i += 1
-        return tok
-
-    name = take(kind="name").value
-    take("(")
-    object_vars: list[str] = []
-    param_vars: list[str] = []
-    while toks[i].value != ";":
-        tok = take(kind="name")
-        m = _OBJ_VAR.match(tok.value)
-        if not m or int(m.group(1)) != len(object_vars):
-            raise ParseError(
-                f"object variables must be x0..x{{r-1}} in order, got {tok.value!r}",
-                tok.line, tok.col)
-        object_vars.append(tok.value)
-        if toks[i].value == ",":
-            take(",")
-    take(";")
-    while toks[i].value != ")":
-        tok = take(kind="name")
-        m = _PAR_VAR.match(tok.value)
-        if not m or int(m.group(1)) != len(param_vars):
-            raise ParseError(
-                f"parameter variables must be y0..y{{s-1}} in order, got {tok.value!r}",
-                tok.line, tok.col)
-        param_vars.append(tok.value)
-        if toks[i].value == ",":
-            take(",")
-    take(")")
-    take(":=")
-    if not object_vars:
-        tok = toks[i]
-        raise ParseError("at least one object variable is required", tok.line, tok.col)
-
-    body_parser = _FormulaParser(toks[i:], signature, set(object_vars) | set(param_vars))
-    ast = body_parser.parse()
-    formula = PartitionedFormula(ast, tuple(object_vars), tuple(param_vars))
-    return FormulaSource(name, formula)
+    return _FormulaParser(_tokenize(text), signature).parse_declaration()
 
 
 def serialize_formula(src: FormulaSource) -> str:

@@ -17,7 +17,9 @@ from math import comb, factorial
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import Signature, Structure
-from .indisc import ExtractionFailure, ceil_log2, greedy_end_extraction
+from .detect import first_shattered
+from .indisc import (ExtractionFailure, HypergraphBoundedGrowth,
+                     HypergraphWorstGrowth, ceil_log2, greedy_end_extraction)
 from .util import (FmlabError, PreconditionError, SplitMix64, TooLargeError,
                    mix_seed)
 
@@ -149,24 +151,9 @@ def sample_graph_rows(n: int, rng: SplitMix64,
 def graph_has_k_independence(rows: Sequence[int], n: int, k: int) -> bool:
     """Does any k-set of vertices realize all 2^k adjacency patterns?
 
-    Patterns may be realized by any vertex, including the chosen ones; the
-    check intersects row bitmasks and exits on the first empty cell.
+    Patterns may be realized by any vertex, including the chosen ones.
     """
-    full = (1 << n) - 1
-    for combo in itertools.combinations(range(n), k):
-        ok = True
-        for w in range(1 << k):
-            mask = full
-            for i, v in enumerate(combo):
-                mask &= rows[v] if (w >> i) & 1 else full & ~rows[v]
-                if not mask:
-                    break
-            if not mask:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return first_shattered(rows, k, (1 << n) - 1) is not None
 
 
 @dataclass(frozen=True)
@@ -313,11 +300,11 @@ def hypergraph_F(r: int, variant: str, i: int, n: Optional[int] = None) -> int:
     if i < 0:
         raise PreconditionError("i must be a natural")
     if variant == "worst":
-        return 2 ** comb(i, r - 1)
+        return HypergraphWorstGrowth(r).value(i)
     if variant == "bounded":
         if n is None or n < 1:
             raise PreconditionError("bounded variant needs n >= 1")
-        return 1 if i < r else i ** ((r - 1) * (n - 1))
+        return HypergraphBoundedGrowth(r, n).value(i)
     raise PreconditionError(f"unknown variant {variant!r}")
 
 
@@ -459,8 +446,9 @@ def rgraph_lacks_independence(G: RGraph, n: int) -> bool:
 
     For r >= 3 the all-negative cell is free (a parameter tuple with a repeated
     entry never satisfies the edge relation), so only the 2^n - 1 nonempty
-    pattern cells constrain the search. Verified against the generic search on
-    tiny cases in the test suite.
+    pattern cells constrain the search; for r = 2 it needs an actual
+    non-neighbor. Verified against the generic search on tiny cases in the
+    test suite.
     """
     if G.r < 2:
         raise PreconditionError("needs r >= 2")
@@ -473,27 +461,10 @@ def rgraph_lacks_independence(G: RGraph, n: int) -> bool:
             if v not in p and G.has_edge(p + (v,)):
                 m |= 1 << index[p]
         masks[v] = m
-    full = (1 << len(pairs)) - 1
-    for combo in itertools.combinations(range(G.n), n):
-        ok = True
-        for w in range(1, 1 << n):
-            cell = full
-            for i, v in enumerate(combo):
-                cell &= masks[v] if (w >> i) & 1 else full & ~masks[v]
-                if not cell:
-                    break
-            if not cell:
-                ok = False
-                break
-        if ok and G.r == 2:
-            # for plain graphs the empty cell needs an actual non-neighbor
-            cell = full
-            for v in combo:
-                cell &= full & ~masks[v]
-            ok = bool(cell)
-        if ok:
-            return False
-    return True
+    # for r >= 3 one extra realizer, in no mask, stands for the parameter
+    # tuples with a repeated entry: they only ever fill the all-negative cell
+    extra = 1 if G.r >= 3 else 0
+    return first_shattered(masks, n, (1 << (len(pairs) + extra)) - 1) is None
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import itertools
 
 import pytest
 
-from fmlab import (AmalgamConfig, GoodnessContext, GoodnessRefutation,
-                   PreconditionError, TupleSequence, average_type, delta_star,
+from fmlab import (AmalgamConfig, BudgetExceeded, GoodnessContext,
+                   GoodnessRefutation, PreconditionError, Signature, Structure,
+                   TupleSequence, atom_formula, average_type, delta_star,
                    exchange_check, find_k_independence, is_good, kappa,
                    make_class_context, prec_K, stable_amalgam, symmetry_test,
                    tp)
@@ -329,3 +330,18 @@ def test_average_search_obeys_the_search_budget(monkeypatch):
     res = stable_amalgam(AmalgamConfig(M, full, full, full, ctx),
                          check_preconditions=False)
     assert res.holds == "budget"
+
+
+def test_kappa_obeys_the_search_budget(monkeypatch):
+    # 16 parameter pairs: unbudgeted, the permutations run up to length 16
+    M = Structure(Signature((("R", 3),)), 4, {"R": []})
+    phi = atom_formula("R", ["x0"], ["y0", "y1"])
+    monkeypatch.setenv("FMLAB_BUDGET", "1000")
+    assert kappa(M, [phi, phi.negated()], 1) == BudgetExceeded(1001)
+    # on the empty graph every search of is_good fits in 30 nodes; kappa's
+    # 60 sequences do not
+    monkeypatch.setenv("FMLAB_BUDGET", "30")
+    got = is_good(empty_graph(4), EDGE, 1, 2)
+    assert isinstance(got, GoodnessRefutation)
+    assert (got.kind, got.formula, got.witness) == ("budget", EDGE,
+                                                    BudgetExceeded(31))

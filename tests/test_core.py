@@ -8,7 +8,8 @@ from fmlab import (EvaluationError, FmlabError, PartitionedFormula,
                    Signature, Structure, TypeOracle, check_indiscernible,
                    closed_under_negation, evaluate, realized_types, tp,
                    verify_cover_violation, verify_homogeneous,
-                   verify_independence, verify_order, verify_weak_order)
+                   verify_independence, verify_order, verify_shattered,
+                   verify_weak_order)
 from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
                         SatTable)
 from fmlab.formats import parse_formula
@@ -28,6 +29,15 @@ def test_exists_on_empty_graph_is_false():
     M = empty_graph(3)
     src = parse_formula("phi(x0; y0) := exists z0. R(z0,y0)", GRAPH_SIG)
     assert src.formula.holds(M, (0,), (0,)) is False
+
+
+def test_quantifier_restores_the_outer_binding():
+    # the inner exists re-binds x0; the parent must see x0 = 0 again afterwards
+    M = Structure(Signature((("R", 2),)), 2, {"R": [(0, 1), (1, 1)]})
+    f = And(Exists("x0", Atom("R", ("x0", "x0"))), Atom("R", ("x0", "y0")))
+    assert evaluate(M, f, {"x0": 0, "y0": 1}) is True
+    g = And(Forall("x0", Atom("R", ("x0", "y0"))), Atom("R", ("x0", "y0")))
+    assert evaluate(M, g, {"x0": 0, "y0": 1}) is True
 
 
 def test_exists_witness_on_path():
@@ -236,7 +246,9 @@ def _names(code):
 
 def test_checkers_never_read_satisfaction_tables():
     checkers = [verify_independence, verify_order, verify_weak_order,
-                verify_cover_violation, verify_homogeneous,
+                verify_cover_violation, verify_homogeneous, verify_shattered,
                 check_indiscernible, TypeOracle.key, TypeOracle.first_split]
     for checker in checkers:
-        assert "SatTable" not in _names(checker.__code__), checker.__qualname__
+        names = _names(checker.__code__)
+        assert "SatTable" not in names, checker.__qualname__
+        assert "first_shattered" not in names, checker.__qualname__

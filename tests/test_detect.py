@@ -6,11 +6,12 @@ import pytest
 
 from fmlab import (BudgetExceeded, CoverViolation, IndependenceWitness,
                    SplittingChainFailure, OrderWitness, PreconditionError,
-                   arrow_check, build_rho, find_cover_violation,
-                   find_k_independence, find_n_order, find_weak_m_order,
-                   splitting_order_witness, splits, stirling_threshold, tp,
-                   verify_cover_violation, verify_independence, verify_order,
-                   verify_weak_order)
+                   Signature, SplitMix64, Structure, arrow_check, build_rho,
+                   find_cover_violation, find_k_independence, find_n_order,
+                   find_weak_m_order, parse_formula, splitting_order_witness,
+                   splits, stirling_threshold, tp, verify_cover_violation,
+                   verify_independence, verify_order, verify_weak_order)
+from fmlab.detect import first_shattered
 from fmlab.util import TooLargeError
 
 from conftest import (EDGE, LESS, all_graphs, complete_graph, cycle_graph,
@@ -55,6 +56,97 @@ def test_independence_downward_closed():
             if isinstance(w, IndependenceWitness):
                 assert isinstance(find_k_independence(M, EDGE, k - 1),
                                   IndependenceWitness)
+
+
+def _first_shattered_by_definition(rows, k, full, limit=None):
+    """The kernel's contract read literally: increasing index tuples in
+    lexicographic order, every cell as an explicit list of realizers."""
+    realizers = [j for j in range(full.bit_length()) if (full >> j) & 1]
+    combos = sorted(t for t in itertools.product(range(len(rows)), repeat=k)
+                    if all(t[p] < t[p + 1] for p in range(k - 1)))
+    cells = [frozenset(w) for size in range(k + 1)
+             for w in itertools.combinations(range(k), size)]
+    for tried, combo in enumerate(combos, 1):
+        least = {}
+        for w in cells:
+            hits = [j for j in realizers
+                    if all(bool((rows[combo[p]] >> j) & 1) == (p in w)
+                           for p in range(k))]
+            if not hits:
+                break
+            least[w] = min(hits)
+        else:
+            if limit is not None and tried > limit:
+                return BudgetExceeded(limit + 1)
+            return combo, least
+    if limit is not None and len(combos) > limit:
+        return BudgetExceeded(limit + 1)
+    return None
+
+
+def test_first_shattered_matches_its_definition():
+    rng = SplitMix64(20261018)
+    outcomes = set()
+    for _ in range(400):
+        nrows, nreal, k = rng.below(8), 1 + rng.below(10), rng.below(4)
+        rows = [rng.bits(nreal) for _ in range(nrows)]
+        # realizers outside `full` must never count, even when rows hold them
+        full = (1 << nreal) - 1 if rng.bit() else rng.bits(nreal)
+        for limit in (None, rng.below(len(list(itertools.combinations(
+                range(nrows), k))) + 2)):
+            want = _first_shattered_by_definition(rows, k, full, limit)
+            assert first_shattered(rows, k, full, limit) == want, \
+                (rows, k, full, limit)
+            outcomes.add(type(want).__name__)
+    assert outcomes == {"tuple", "NoneType", "BudgetExceeded"}
+    with pytest.raises(PreconditionError):
+        first_shattered([1], -1, 1)
+
+
+def _first_ordered_witness(M, phi, k):
+    """The first k-tuple in itertools.product order, each cell answered by its
+    least parameter tuple, that verify_independence accepts."""
+    objs = sorted(M.tuples(phi.r))
+    pars = sorted(M.tuples(phi.s))
+    sat = {(a, b): phi.holds(M, a, b) for a in objs for b in pars}
+    cells = [frozenset(w) for size in range(k + 1)
+             for w in itertools.combinations(range(k), size)]
+    for a in itertools.product(objs, repeat=k):
+        b = {}
+        for w in cells:
+            hits = [p for p in pars
+                    if all(sat[a[i], p] == (i in w) for i in range(k))]
+            if not hits:
+                break
+            b[w] = hits[0]
+        else:
+            wit = IndependenceWitness(a, b)
+            if verify_independence(M, phi, wit):
+                return wit
+    return None
+
+
+def test_independence_witness_is_first_in_product_order():
+    sig = Signature((("R", 2),))
+    formulas = [parse_formula(text, sig).formula for text in (
+        "phi(x0; y0) := R(x0,y0)",
+        "phi(x0; y0) := R(y0,x0) & ~R(x0,y0)",
+        "phi(x0; y0,y1) := R(x0,y0) | R(y1,x0)",
+        "phi(x0,x1; y0) := R(x0,y0) & ~R(x1,y0)")]
+    rng = SplitMix64(7)
+    found = 0
+    for _ in range(40):
+        n = 2 + rng.below(3)
+        M = Structure(sig, n, {"R": [(i, j) for i in range(n) for j in range(n)
+                                     if rng.bit()]})
+        for phi in formulas:
+            for k in (1, 2, 3):
+                if phi.r == 2 and k == 3:
+                    continue
+                want = _first_ordered_witness(M, phi, k)
+                assert find_k_independence(M, phi, k) == want
+                found += want is not None
+    assert found > 20
 
 
 # ---------------------------------------------------------------------------
