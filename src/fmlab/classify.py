@@ -121,9 +121,30 @@ class KappaResult:
         return {"kappa": self.value, "witness": w}
 
 
+def _indiscernible_sequences(runs, oracle: TypeOracle, n: int, limit: int):
+    """For each (source, lengths) in `runs`, the ordered sequences of distinct
+    members of source with a length from `lengths`, in lexicographic order of
+    source positions, whose increasing n-selections all have the same type
+    under `oracle`; each comes as (seq, mask), bit i of mask set iff source[i]
+    is in seq. Every candidate tried counts against `limit`; once more than `limit`
+    have been tried, the last item yielded is BudgetExceeded."""
+    tried = 0
+    for source, lengths in runs:
+        bit = {c: 1 << i for i, c in enumerate(source)}
+        for length in lengths:
+            sels = list(itertools.combinations(range(length), n))
+            for seq in itertools.permutations(source, length):
+                tried += 1
+                if tried > limit:
+                    yield BudgetExceeded(tried)
+                    return
+                if oracle.first_split(seq, sels) is None:
+                    yield seq, sum(bit[c] for c in seq)
+
+
 def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
-          max_len: Optional[int] = None, domain=None,
-          star: Optional[DeltaStar] = None) -> Union[KappaResult, BudgetExceeded]:
+          max_len: Optional[int] = None, domain=None
+          ) -> Union[KappaResult, BudgetExceeded]:
     """Least kappa >= 1 such that along every closure-indiscernible sequence of
     distinct parameter tuples (length up to max_len), every formula instance
     splits the sequence with minority side below kappa.
@@ -135,41 +156,32 @@ def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
     """
     if max_len is not None and max_len < 2:
         raise PreconditionError("max_len must be >= 2")
-    if star is None:
-        star = delta_star(list(delta), n)
-    oracle = TypeOracle(M, star.formulas, [], domain)
-    limit = search_budget()
-    spent = 0
-    worst = 0
-    witness = None
-    arities = sorted({f.s for f in delta if f.s >= 1})
-    for s in arities:
+    oracle = TypeOracle(M, delta_star(list(delta), n).formulas, [], domain)
+    runs = []
+    tables = {}  # parameter arity -> (formula, object tuples, satisfaction rows)
+    for s in sorted({f.s for f in delta if f.s >= 1}):
         tuples = sorted(M.tuples(s, domain=domain))
         cap = len(tuples) if max_len is None else min(max_len, len(tuples))
-        bit = {b: 1 << j for j, b in enumerate(tuples)}
-        # per formula: object tuples and their satisfaction rows over `tuples`
-        tables = []
+        runs.append((tuples, range(2, cap + 1)))
+        tables[s] = []
         for f in delta:
             if f.s == s:
                 objs = sorted(M.tuples(f.r, domain=domain))
-                tables.append((f, objs, SatTable(M, f, domain).rows(objs, tuples)))
-        for length in range(2, cap + 1):
-            sels = list(itertools.combinations(range(length), n))
-            for seq in itertools.permutations(tuples, length):
-                spent += 1
-                if spent > limit:
-                    return BudgetExceeded(spent)
-                if oracle.first_split(seq, sels) is not None:
-                    continue
-                mask = sum(bit[b] for b in seq)
-                for f, objs, rows in tables:
-                    for c, row in zip(objs, rows):
-                        pos = (row & mask).bit_count()
-                        side = min(pos, length - pos)
-                        if side > worst:
-                            worst = side
-                            witness = {"sequence": seq, "formula": f,
-                                       "c": c, "pos": pos, "neg": length - pos}
+                tables[s].append((f, objs, SatTable(M, f, domain).rows(objs, tuples)))
+    worst = 0
+    witness = None
+    for got in _indiscernible_sequences(runs, oracle, n, search_budget()):
+        if isinstance(got, BudgetExceeded):
+            return got
+        seq, mask = got
+        for f, objs, rows in tables[len(seq[0])]:
+            for c, row in zip(objs, rows):
+                pos = (row & mask).bit_count()
+                side = min(pos, len(seq) - pos)
+                if side > worst:
+                    worst = side
+                    witness = {"sequence": seq, "formula": f,
+                               "c": c, "pos": pos, "neg": len(seq) - pos}
     return KappaResult(worst + 1, witness)
 
 
@@ -338,45 +350,59 @@ def _average_matches(pos_counts: Iterable[int], length: int, kappa_value: int,
     return True
 
 
-def _search_average_witness(source: list, cols: list[int], target: list[bool],
-                            kappa_value: int, lambda_value: int,
-                            oracle: TypeOracle, n: int, arity: int
-                            ) -> Union[TupleSequence, None, str]:
+def _search_average_witness(ctx: ClassContext, oracle: TypeOracle, source: list,
+                            cols: list[int], target: list[bool]
+                            ) -> Union[TupleSequence, None, BudgetExceeded]:
     """A sequence of distinct tuples from the source (or a constant sequence)
-    of length at least lambda that is closure-indiscernible over the empty set
-    and averages to the target. `cols[j]` has bit i set iff phi holds on
-    source[i] at the j-th parameter tuple, whose wanted sign is target[j].
-    Returns "budget" when the search budget is spent."""
-    min_len = max(lambda_value, 1)
+    of length at least lambda_K that is closure-indiscernible over the empty
+    set and averages (at kappa_K) to the target. `cols[j]` has bit i set iff
+    phi holds on source[i] at the j-th parameter tuple, whose wanted sign is
+    target[j]. Each candidate is one node of `util.search_budget()`."""
+    min_len = max(ctx.lambda_K, 1)
     limit = search_budget()
     # constant sequences first: they are indiscernible outright
-    spent = 0
     for i, c in enumerate(source):
-        spent += 1
-        if spent > limit:
-            return "budget"
+        if i >= limit:
+            return BudgetExceeded(i + 1)
         if _average_matches((min_len * ((col >> i) & 1) for col in cols),
-                            min_len, kappa_value, target):
-            return TupleSequence.of([c] * min_len, arity)
-    position = {c: i for i, c in enumerate(source)}
-    for length in range(min_len, min_len + 3):
-        sels = list(itertools.combinations(range(length), n))
-        for seq in itertools.permutations(source, length):
-            spent += 1
-            if spent > limit:
-                return "budget"
-            if oracle.first_split(seq, sels) is not None:
-                continue
-            mask = sum(1 << position[c] for c in seq)
-            if _average_matches(((col & mask).bit_count() for col in cols),
-                                length, kappa_value, target):
-                return TupleSequence.of(seq, arity)
+                            min_len, ctx.kappa_K, target):
+            return TupleSequence.of([c] * min_len, ctx.phi.r)
+    runs = [(source, range(min_len, min_len + 3))]
+    for got in _indiscernible_sequences(runs, oracle, ctx.n, limit - len(source)):
+        if isinstance(got, BudgetExceeded):
+            return BudgetExceeded(len(source) + got.nodes)
+        seq, mask = got
+        if _average_matches(((col & mask).bit_count() for col in cols),
+                            len(seq), ctx.kappa_K, target):
+            return TupleSequence.of(seq, ctx.phi.r)
     return None
 
 
+def _average_witnesses(M: Structure, ctx: ClassContext, domain,
+                       source: list, source_cols: list[int],
+                       targets: list, target_cols: list[int]):
+    """(holds, witnesses, offender): for each target tuple in turn, an average
+    witness from `source` for its type over the parameter tuples of the
+    satisfaction columns (laid out as in `_search_average_witness`). holds is
+    True when every target has one; otherwise the first target without one is
+    the offender, and holds is False, or "budget" when its search ran out."""
+    psi = ctx.phi.swapped()
+    oracle = TypeOracle(M, delta_star([psi, psi.negated()], ctx.n).formulas, [], domain)
+    witnesses = {}
+    for i, c in enumerate(targets):
+        target = [bool((col >> i) & 1) for col in target_cols]
+        got = _search_average_witness(ctx, oracle, source, source_cols, target)
+        if got is None:
+            return False, witnesses, c
+        if isinstance(got, BudgetExceeded):
+            return "budget", witnesses, c
+        witnesses[c] = got
+    return True, witnesses, None
+
+
 def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
-           ambient: Optional[frozenset] = None, check_good: bool = True,
-           strict_over_A: bool = False) -> PrecReport:
+           ambient: Optional[frozenset] = None, check_good: bool = True
+           ) -> PrecReport:
     """The strong-submodel check between the induced substructure on N_dom and
     the (induced) ambient structure.
 
@@ -384,8 +410,7 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
     Condition 2: any pattern over at most k parameters realized in the ambient
     is realized by a tuple from N. Condition 3: every ambient tuple's type over
     A is the average of a long closure-indiscernible sequence inside N
-    (indiscernible over the empty set by default; `strict_over_A` asks for
-    indiscernibility over A instead).
+    (indiscernible over the empty set).
     """
     phi, n, d, k = ctx.phi, ctx.n, ctx.d, ctx.k
     amb = frozenset(M.universe()) if ambient is None else frozenset(ambient)
@@ -415,7 +440,7 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
 
     # condition 2
     cond2 = True
-    for alist in itertools.product(range(len(A_match)), repeat=k):
+    for alist in itertools.combinations_with_replacement(range(len(A_match)), k):
         sat_amb = (1 << len(objs_amb)) - 1
         sat_N = (1 << len(objs_N)) - 1
         for j in alist:
@@ -426,20 +451,7 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
             break
 
     # condition 3
-    star = delta_star([psi, psi.negated()], n)
-    over = A_match if strict_over_A else []
-    oracle = TypeOracle(M, star.formulas, over, amb)
-    cond3: Union[bool, str] = True
-    for i in range(len(objs_amb)):
-        target = [bool((col >> i) & 1) for col in cols_amb]
-        got = _search_average_witness(objs_N, cols_N, target, ctx.kappa_K,
-                                      ctx.lambda_K, oracle, n, phi.r)
-        if got == "budget":
-            cond3 = "budget"
-            break
-        if got is None:
-            cond3 = False
-            break
+    cond3 = _average_witnesses(M, ctx, amb, objs_N, cols_N, objs_amb, cols_amb)[0]
 
     failing = None
     for idx, c in enumerate((cond1, cond2, cond3), start=1):
@@ -490,7 +502,6 @@ def stable_amalgam(config: AmalgamConfig, check_preconditions: bool = True,
     relation checks, for callers that certified it already.
     """
     M, ctx = config.M, config.ctx
-    phi, n = ctx.phi, ctx.n
     if check_preconditions:
         pairs = [("M0<M", config.m0, None), ("M1<M", config.m1, None),
                  ("M2<M", config.m2, None), ("M0<M1", config.m0, config.m1),
@@ -502,26 +513,13 @@ def stable_amalgam(config: AmalgamConfig, check_preconditions: bool = True,
                 raise PreconditionError(f"precondition {name} fails: {e}")
             if rep.holds is not True:
                 raise PreconditionError(f"precondition {name} fails: {rep}")
-    psi = phi.swapped()
-    star = delta_star([psi, psi.negated()], n)
-    oracle = TypeOracle(M, star.formulas, [], None)
-    A_params = sorted(itertools.product(sorted(config.m1), repeat=phi.s))
-    objs_m0 = sorted(itertools.product(sorted(config.m0), repeat=phi.r))
-    objs_m2 = sorted(itertools.product(sorted(config.m2), repeat=phi.r))
-    table = SatTable(M, psi)
-    cols_m0 = table.rows(A_params, objs_m0)
-    cols_m2 = table.rows(A_params, objs_m2)
-    witnesses = {}
-    for i, c in enumerate(objs_m2):
-        target = [bool((col >> i) & 1) for col in cols_m2]
-        got = _search_average_witness(objs_m0, cols_m0, target, ctx.kappa_K,
-                                      ctx.lambda_K, oracle, n, phi.r)
-        if got == "budget":
-            return AmalgamResult("budget", witnesses, c)
-        if got is None:
-            return AmalgamResult(False, witnesses, c)
-        witnesses[c] = got
-    return AmalgamResult(True, witnesses, None)
+    A_params = sorted(itertools.product(sorted(config.m1), repeat=ctx.phi.s))
+    objs_m0 = sorted(itertools.product(sorted(config.m0), repeat=ctx.phi.r))
+    objs_m2 = sorted(itertools.product(sorted(config.m2), repeat=ctx.phi.r))
+    table = SatTable(M, ctx.phi.swapped())
+    return AmalgamResult(*_average_witnesses(
+        M, ctx, None, objs_m0, table.rows(A_params, objs_m0),
+        objs_m2, table.rows(A_params, objs_m2)))
 
 
 def symmetry_test(config: AmalgamConfig, check_preconditions: bool = True,

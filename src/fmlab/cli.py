@@ -276,7 +276,10 @@ def _cmd_classify(args):
     phi = src.formula
     if args.action == "kappa":
         res = kappa(M, [phi, phi.negated()], args.n, max_len=args.max_len)
-        _emit(args, {"action": "kappa", "result": res})
+        report = {"action": "kappa", "result": res}
+        if isinstance(res, BudgetExceeded):
+            report["outcome"] = _outcome(res)
+        _emit(args, report)
         return 0
     if args.action == "good":
         got = is_good(M, phi, args.n, args.d)

@@ -466,9 +466,6 @@ class PhiType:
         return PhiType(frozenset((f, b, s) for f, b, s in self.entries if b in allowed),
                        self.object_arity)
 
-    def positives(self) -> frozenset[tuple[PartitionedFormula, tuple[int, ...]]]:
-        return frozenset((f, b) for f, b, s in self.entries if s)
-
     def sorted_entries(self) -> list[tuple[PartitionedFormula, tuple[int, ...], bool]]:
         return sorted(self.entries, key=lambda e: (e[0].sort_key(), e[1], e[2]))
 

@@ -251,7 +251,9 @@ def verify_order(M: Structure, phi: PartitionedFormula,
 def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int,
                       budget: Optional[int] = None, domain=None
                       ) -> Union[WeakOrderWitness, None, BudgetExceeded]:
-    """First d-list admitting realizers x_j with phi(x;d_i) exactly for i >= j."""
+    """First d-list admitting realizers x_j with phi(x;d_i) exactly for i >= j.
+    A repeated d_i would force phi and ~phi on one realizer, so only lists of
+    m distinct tuples are tried, in lexicographic order: one budget node each."""
     if m < 1:
         raise PreconditionError("m must be >= 1")
     if phi.r < 1 or phi.s < 1:
@@ -262,12 +264,10 @@ def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int,
     cols = dict(zip(pars, SatTable(M, phi.swapped(), domain).rows(pars, objs)))
     full = (1 << len(objs)) - 1
     nodes = 0
-    for d in itertools.product(pars, repeat=m):
+    for d in itertools.permutations(pars, m):
         nodes += 1
         if nodes > limit:
             return BudgetExceeded(nodes)
-        if len(set(d)) != m:
-            continue  # a repeated d_i forces phi and ~phi on the same tuple
         realizers = []
         ok = True
         for j in range(m):

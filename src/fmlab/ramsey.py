@@ -454,13 +454,11 @@ def rgraph_lacks_independence(G: RGraph, n: int) -> bool:
         raise PreconditionError("needs r >= 2")
     pairs = list(itertools.combinations(range(G.n), G.r - 1))
     index = {p: i for i, p in enumerate(pairs)}
+    # bit of p in masks[v] iff p together with v is an edge
     masks = [0] * G.n
-    for v in range(G.n):
-        m = 0
-        for p in pairs:
-            if v not in p and G.has_edge(p + (v,)):
-                m |= 1 << index[p]
-        masks[v] = m
+    for e in G.edges:
+        for i, v in enumerate(e):
+            masks[v] |= 1 << index[e[:i] + e[i + 1:]]
     # for r >= 3 one extra realizer, in no mask, stands for the parameter
     # tuples with a repeated entry: they only ever fill the all-negative cell
     extra = 1 if G.r >= 3 else 0

@@ -6,11 +6,12 @@ import itertools
 import pytest
 
 from fmlab import (AmalgamConfig, BudgetExceeded, GoodnessContext,
-                   GoodnessRefutation, PreconditionError, Signature, Structure,
-                   TupleSequence, atom_formula, average_type, delta_star,
-                   exchange_check, find_k_independence, is_good, kappa,
-                   make_class_context, prec_K, stable_amalgam, symmetry_test,
-                   tp)
+                   GoodnessRefutation, KappaResult, PreconditionError,
+                   Signature, Structure, TupleSequence, atom_formula,
+                   average_type, check_indiscernible, delta_star,
+                   exchange_check, find_k_independence, goodness_delta,
+                   is_good, kappa, make_class_context, parse_formula, prec_K,
+                   stable_amalgam, symmetry_test, tp)
 from fmlab.core import formula_text
 
 from conftest import (EDGE, complete_graph, empty_graph, graph,
@@ -73,6 +74,52 @@ def test_kappa_bounded_by_width_when_independence_fails():
         for n in (1, 2):
             if find_k_independence(M, EDGE, n) is None:
                 assert kappa(M, DELTA, n).value <= n, (seed, n)
+
+
+def _kappa_by_definition(M, delta, n, max_len):
+    """kappa read off its definition: every ordered sequence of distinct
+    parameter tuples, closure-indiscernible by `check_indiscernible`, counted
+    instance by instance with `PartitionedFormula.holds`."""
+    star = delta_star(delta, n).formulas
+    worst, witness = 0, None
+    for s in sorted({f.s for f in delta if f.s >= 1}):
+        tuples = sorted(M.tuples(s))
+        for length in range(2, min(max_len, len(tuples)) + 1):
+            for seq in itertools.permutations(tuples, length):
+                if (length >= n and not check_indiscernible(
+                        TupleSequence.of(seq, s), star, n, [], M).verified):
+                    continue
+                for f in (f for f in delta if f.s == s):
+                    for c in sorted(M.tuples(f.r)):
+                        pos = sum(1 for b in seq if f.holds(M, c, b))
+                        if min(pos, length - pos) > worst:
+                            worst = min(pos, length - pos)
+                            witness = {"sequence": seq, "formula": f, "c": c,
+                                       "pos": pos, "neg": length - pos}
+    return KappaResult(worst + 1, witness)
+
+
+def test_kappa_matches_its_definition():
+    cases = 0
+    for size in (4, 5):
+        for seed in range(6):
+            M = seeded_graph(size, 700 + 10 * size + seed)
+            for n in (1, 2):
+                for delta in (DELTA, goodness_delta(EDGE)):
+                    assert kappa(M, delta, n, max_len=4) == \
+                        _kappa_by_definition(M, delta, n, 4), (size, seed, n)
+                    cases += 1
+    # two parameter arities share one search; the unsatisfiable s = 1
+    # formula leaves the witness to the second one
+    never = parse_formula("phi(x0; y0) := R(x0,y0) & ~R(x0,y0)").formula
+    pair = parse_formula("phi(x0; y0,y1) := R(x0,y0) & ~R(x0,y1)").formula
+    delta = [never, pair, pair.negated()]
+    for seed in range(4):
+        M = seeded_graph(3, 800 + seed)
+        assert kappa(M, delta, 1, max_len=3) == \
+            _kappa_by_definition(M, delta, 1, 3), seed
+        cases += 1
+    assert cases == 52
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +377,20 @@ def test_average_search_obeys_the_search_budget(monkeypatch):
     res = stable_amalgam(AmalgamConfig(M, full, full, full, ctx),
                          check_preconditions=False)
     assert res.holds == "budget"
+
+
+def test_average_search_counts_constant_and_distinct_candidates(monkeypatch):
+    # the configuration of test_condition3_failure_is_named: lambda_K = 4 and
+    # N has 4 vertices, so a target costs 4 constant sequences plus 4! = 24
+    # permutations before its search is exhausted
+    M = graph(5, [(2, 0), (2, 1), (3, 0)])
+    N = frozenset({0, 1, 2, 4})
+    ctx = make_class_context(M, [None, N], EDGE, 2, 3, 2, [(0,), (1,)])
+    assert ctx.lambda_K == 4
+    monkeypatch.setenv("FMLAB_BUDGET", "28")
+    assert prec_K(M, N, ctx, check_good=False).cond3 is False
+    monkeypatch.setenv("FMLAB_BUDGET", "27")
+    assert prec_K(M, N, ctx, check_good=False).cond3 == "budget"
 
 
 def test_kappa_obeys_the_search_budget(monkeypatch):

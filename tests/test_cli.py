@@ -173,6 +173,20 @@ def test_classify_kappa(empty5_files, capsys):
     assert json.loads(out)["result"]["kappa"] == 1
 
 
+def test_classify_kappa_reports_a_spent_budget(tmp_path, capsys, monkeypatch):
+    s = tmp_path / "empty_r3.fm"
+    s.write_text("signature: R/3\nuniverse: 4\nrelation R:\n")
+    f = tmp_path / "r3.fml"
+    f.write_text("phi(x0; y0,y1) := R(x0,y0,y1)")
+    monkeypatch.setenv("FMLAB_BUDGET", "1000")
+    code, out = run(capsys, ["classify", "kappa", "--structure", str(s),
+                             "--formula", str(f), "--n", "1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["outcome"] == "budget"
+    assert report["result"] == {"nodes": 1001}
+
+
 def test_byte_identical_reports(p3_files, capsys):
     s, f = p3_files
     argvs = [

@@ -252,3 +252,4 @@ def test_checkers_never_read_satisfaction_tables():
         names = _names(checker.__code__)
         assert "SatTable" not in names, checker.__qualname__
         assert "first_shattered" not in names, checker.__qualname__
+        assert "_indiscernible_sequences" not in names, checker.__qualname__

@@ -237,13 +237,15 @@ def test_structured_3graphs_extract_verified_triples():
 
 
 def test_lacks_independence_fast_path_matches_generic():
-    phi = atom_formula("R", ["x0"], ["y0", "y1"])
-    for seed in range(30):
-        rng = SplitMix64(seed)
-        edges = [e for e in itertools.combinations(range(5), 3) if rng.bit()]
-        G = RGraph.of(5, 3, edges)
-        generic = find_k_independence(G.to_structure(), phi, 2) is None
-        assert rgraph_lacks_independence(G, 2) == generic
+    for r in (2, 3, 4):
+        phi = atom_formula("R", ["x0"], [f"y{i}" for i in range(r - 1)])
+        for seed in range(25):
+            rng = SplitMix64(100 * r + seed)
+            edges = [e for e in itertools.combinations(range(5), r) if rng.bit()]
+            G = RGraph.of(5, r, edges)
+            for k in (1, 2, 3):
+                generic = find_k_independence(G.to_structure(), phi, k) is None
+                assert rgraph_lacks_independence(G, k) == generic, (r, seed, k)
 
 
 def test_extraction_failure_is_reported_not_faked():
