@@ -9,6 +9,7 @@ parameter tuples keep their meaning across a whole configuration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -51,7 +52,11 @@ def _canonical(g) -> PartitionedFormula:
                               tuple(f"v{i}" for i in range(len(fv))), ())
 
 
-def delta_star(delta: Sequence[PartitionedFormula], n: int) -> DeltaStar:
+# distinct (delta, n) closure sets kept by delta_star
+_DELTA_STAR_CACHE = 128
+
+
+def delta_star(delta: Iterable[PartitionedFormula], n: int) -> DeltaStar:
     """The closure set: for each formula, each width up to n and each sign
     pattern, the realizability formula "some object shows exactly this pattern
     on these parameter blocks", together with all subformulas.
@@ -60,9 +65,18 @@ def delta_star(delta: Sequence[PartitionedFormula], n: int) -> DeltaStar:
     with no parameter block, which is what lets them compare concatenated
     selections over the empty parameter set. Subformulas are canonicalized by
     renaming free variables in sorted order, so duplicates collapse.
+
+    The closure set is pure syntax in (delta, n), so results are memoised per
+    (tuple(delta), n), keyed by value, and one immutable DeltaStar is shared
+    by every caller that asks for the same key.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
+    return _delta_star(tuple(delta), n)
+
+
+@functools.lru_cache(maxsize=_DELTA_STAR_CACHE)
+def _delta_star(delta: tuple[PartitionedFormula, ...], n: int) -> DeltaStar:
     out: dict[tuple, PartitionedFormula] = {}
 
     def add(pf: PartitionedFormula):
@@ -98,7 +112,7 @@ def delta_star(delta: Sequence[PartitionedFormula], n: int) -> DeltaStar:
                     add(_canonical(g))
 
     formulas = tuple(sorted(out.values(), key=lambda f: (f.r, f.s, formula_text(f.ast))))
-    return DeltaStar(tuple(delta), n, formulas)
+    return DeltaStar(delta, n, formulas)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +344,7 @@ def make_class_context(M: Structure, domains: Sequence[Optional[frozenset]],
 @dataclass(frozen=True)
 class PrecReport:
     cond1: bool
-    cond2: bool
+    cond2: Union[bool, str]
     cond3: Union[bool, str]
     holds: Union[bool, str]
     failing_condition: Optional[int]
@@ -411,6 +425,12 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
     is realized by a tuple from N. Condition 3: every ambient tuple's type over
     A is the average of a long closure-indiscernible sequence inside N
     (indiscernible over the empty set).
+
+    Conditions 2 and 3 obey `util.search_budget()` (condition 2 counts one
+    node per multiset of k parameter indices, condition 3 one per candidate
+    sequence) and read "budget" when it runs out. `holds` is False when some
+    condition is False, which `failing_condition` names; otherwise it is
+    "budget" when a condition ran out, else True.
     """
     phi, n, d, k = ctx.phi, ctx.n, ctx.d, ctx.k
     amb = frozenset(M.universe()) if ambient is None else frozenset(ambient)
@@ -438,9 +458,14 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
     # condition 1
     cond1 = cols_N == SatTable(M, psi, N_dom).rows(A_match, objs_N)
 
-    # condition 2
-    cond2 = True
-    for alist in itertools.combinations_with_replacement(range(len(A_match)), k):
+    # condition 2: one budget node per multiset of parameter indices
+    cond2: Union[bool, str] = True
+    limit = search_budget()
+    multisets = itertools.combinations_with_replacement(range(len(A_match)), k)
+    for tried, alist in enumerate(multisets, start=1):
+        if tried > limit:
+            cond2 = "budget"
+            break
         sat_amb = (1 << len(objs_amb)) - 1
         sat_N = (1 << len(objs_N)) - 1
         for j in alist:
@@ -453,15 +478,12 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
     # condition 3
     cond3 = _average_witnesses(M, ctx, amb, objs_N, cols_N, objs_amb, cols_amb)[0]
 
-    failing = None
-    for idx, c in enumerate((cond1, cond2, cond3), start=1):
-        if c is False:
-            failing = idx
-            break
-    if cond3 == "budget" and failing is None:
-        holds: Union[bool, str] = "budget"
+    conds = (cond1, cond2, cond3)
+    failing = next((i for i, c in enumerate(conds, start=1) if c is False), None)
+    if failing is not None:
+        holds: Union[bool, str] = False
     else:
-        holds = cond1 and cond2 and (cond3 is True)
+        holds = "budget" if "budget" in conds else True
     return PrecReport(cond1, cond2, cond3, holds, failing)
 
 

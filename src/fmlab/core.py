@@ -116,6 +116,10 @@ class Atom:
     rel: str
     args: tuple[str, ...]
 
+    def __post_init__(self):
+        # a tuple keeps the formula hashable when built from a list
+        object.__setattr__(self, "args", tuple(self.args))
+
 
 @dataclass(frozen=True)
 class Not:
@@ -259,6 +263,9 @@ class PartitionedFormula:
     param_vars: tuple[str, ...]
 
     def __post_init__(self):
+        # tuples keep the formula hashable when built from lists
+        object.__setattr__(self, "object_vars", tuple(self.object_vars))
+        object.__setattr__(self, "param_vars", tuple(self.param_vars))
         ov, pv = set(self.object_vars), set(self.param_vars)
         if len(ov) != len(self.object_vars) or len(pv) != len(self.param_vars):
             raise FmlabError("repeated variable in a block")

@@ -349,16 +349,22 @@ class ExtractionFailure:
 
 
 def greedy_end_extraction(length: int, m: int,
-                          key_of: Callable[[tuple[int, ...], int], object],
+                          key_of: Callable[[list[tuple[int, ...]], int], object],
                           target: Optional[int] = None
                           ) -> tuple[list[int], ExtractionTrace]:
     """Largest-class greedy over positions 0..length-1.
 
     The first m-1 positions are kept as the prefix; from step m-1 on, the
-    candidate pool is split by `key_of(chosen_positions, candidate)`, the
-    largest class survives (ties to the class holding the smallest position),
-    and its least position is chosen. Runs until the pool empties or `target`
-    positions are chosen.
+    candidate pool is split by the candidates' keys on every increasing
+    (m-1)-selection of the chosen positions, the largest class survives (ties
+    to the class holding the smallest position), and its least position is
+    chosen. Runs until the pool empties or `target` positions are chosen.
+
+    The surviving pool already agrees on every selection without the newest
+    chosen position, so `key_of(sels, candidate)` is passed only the
+    selections that can split it: the prefix itself at the first step, then
+    those ending in the newest position (none when m = 1). It returns the
+    candidate's key over exactly `sels`, in order.
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -366,30 +372,32 @@ def greedy_end_extraction(length: int, m: int,
     chosen: list[int] = list(range(min(m - 1, upto)))
     pool = list(range(m - 1, length))
     steps: list[tuple[int, int, int]] = []
+    sels = list(itertools.combinations(chosen, m - 1))
     while pool and len(chosen) < (length if target is None else target):
         classes: dict[object, list[int]] = {}
         for cand in pool:
-            classes.setdefault(key_of(tuple(chosen), cand), []).append(cand)
+            classes.setdefault(key_of(sels, cand), []).append(cand)
         best = max(classes.values(), key=lambda c: (len(c), -c[0]))
         steps.append((len(chosen), len(classes), len(best)))
-        chosen.append(best[0])
+        new = best[0]
+        sels = ([s + (new,) for s in itertools.combinations(chosen, m - 2)]
+                if m >= 2 else [])
+        chosen.append(new)
         pool = best[1:]
     return chosen, ExtractionTrace(tuple(chosen), tuple(steps))
 
 
-def _formula_key(seq: TupleSequence, table: SatTable, pars: list, m: int,
+def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
                  suffix: tuple[int, ...] = ()):
-    """Key function comparing the candidate's joint type with every increasing
-    (m-1)-selection of the already chosen positions; `suffix` is appended to
-    every object tuple."""
+    """Key function giving the candidate's satisfaction row at each selection
+    of chosen positions passed in; `suffix` is appended to every object
+    tuple."""
     holds = table.holds
+    concat = seq.concat
 
-    def key_of(chosen: tuple[int, ...], cand: int):
-        out = []
-        for sel in itertools.combinations(chosen, m - 1):
-            obj = seq.concat(sel + (cand,)) + suffix
-            out.append(tuple(holds(obj, b) for b in pars))
-        return tuple(out)
+    def key_of(sels: list[tuple[int, ...]], cand: int):
+        return tuple(tuple(holds(concat(sel + (cand,)) + suffix, b) for b in pars)
+                     for sel in sels)
 
     return key_of
 
@@ -414,7 +422,7 @@ def extract_end_indiscernible(I, phi: PartitionedFormula, m: int,
             f"object arity {phi.r} does not cover m={m} entries of arity {seq.tuple_arity}")
     A = sorted(tuple(b) for b in A)
     pars = [()] if phi.s == 0 else [b for b in A if len(b) == phi.s]
-    key_of = _formula_key(seq, SatTable(M, phi), pars, m)
+    key_of = _formula_key(seq, SatTable(M, phi), pars)
     chosen, trace = greedy_end_extraction(len(seq), m, key_of, target=k)
     if k is not None and len(chosen) < k:
         return ExtractionFailure(m, f"extraction stalled at length {len(chosen)} < {k}")
@@ -458,7 +466,7 @@ def extract_indiscernible(I, phi: PartitionedFormula, m: int,
             return []
         if len(items) < want:
             return ExtractionFailure(level, f"only {len(items)} entries for target {want}")
-        key_of = _formula_key(local, SatTable(M, phi), pars, level, suffix)
+        key_of = _formula_key(local, SatTable(M, phi), pars, suffix)
         if level == 1:
             chosen, _ = greedy_end_extraction(len(items), 1, key_of, target=want)
             if len(chosen) < want:

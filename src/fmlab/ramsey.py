@@ -414,9 +414,8 @@ def extract_homogeneous(G: RGraph, n: int, k: int
     if G.r == 2:
         return _halving_chain(G, range(G.n), k)
 
-    def key_of(chosen: tuple[int, ...], cand: int):
-        return tuple(G.has_edge(sel + (cand,))
-                     for sel in itertools.combinations(chosen, G.r - 1))
+    def key_of(sels: list[tuple[int, ...]], cand: int):
+        return tuple(G.has_edge(sel + (cand,)) for sel in sels)
 
     chosen, _ = greedy_end_extraction(G.n, G.r, key_of, target=None)
     if len(chosen) < G.r:

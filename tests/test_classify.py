@@ -48,6 +48,30 @@ def test_closure_growth():
     assert sizes[1] >= 4 + 2
 
 
+def test_closure_is_the_same_for_any_iterable_of_one_delta():
+    got = [delta_star(DELTA, 2), delta_star(tuple(DELTA), 2),
+           delta_star((f for f in DELTA), 2)]
+    assert got[0] == got[1] == got[2]
+    assert got[0].base == tuple(DELTA)
+
+
+def test_closure_follows_a_mutated_delta_list():
+    # the memo is keyed by the formulas, not by the caller's list object
+    delta = [EDGE]
+    first = delta_star(delta, 1)
+    delta.append(EDGE.negated())
+    second = delta_star(delta, 1)
+    assert second.base == (EDGE, EDGE.negated())
+    assert second == delta_star([EDGE, EDGE.negated()], 1)
+    assert first.base == (EDGE,) and first != second
+
+
+def test_closure_width_zero_is_rejected_on_every_call():
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            delta_star(DELTA, 0)
+
+
 # ---------------------------------------------------------------------------
 # kappa
 # ---------------------------------------------------------------------------
@@ -406,3 +430,18 @@ def test_kappa_obeys_the_search_budget(monkeypatch):
     assert isinstance(got, GoodnessRefutation)
     assert (got.kind, got.formula, got.witness) == ("budget", EDGE,
                                                     BudgetExceeded(31))
+
+
+def test_condition2_counts_one_node_per_parameter_multiset(monkeypatch):
+    # the configuration of test_condition3_failure_is_named: k = 2 and two
+    # parameters give the 3 multisets (0,0), (0,1), (1,1)
+    M = graph(5, [(2, 0), (2, 1), (3, 0)])
+    N = frozenset({0, 1, 2, 4})
+    ctx = make_class_context(M, [None, N], EDGE, 2, 3, 2, [(0,), (1,)])
+    assert not isinstance(ctx, GoodnessRefutation)
+    monkeypatch.setenv("FMLAB_BUDGET", "2")
+    rep = prec_K(M, N, ctx, check_good=False)
+    assert rep.cond2 == "budget"
+    assert rep.holds == "budget" and rep.failing_condition is None
+    monkeypatch.setenv("FMLAB_BUDGET", "3")
+    assert prec_K(M, N, ctx, check_good=False).cond2 is True

@@ -6,7 +6,8 @@ import pytest
 
 from fmlab import (EvaluationError, FmlabError, PartitionedFormula,
                    Signature, Structure, TypeOracle, check_indiscernible,
-                   closed_under_negation, evaluate, realized_types, tp,
+                   closed_under_negation, delta_star, evaluate, kappa,
+                   realized_types, tp,
                    verify_cover_violation, verify_homogeneous,
                    verify_independence, verify_order, verify_shattered,
                    verify_weak_order)
@@ -253,3 +254,23 @@ def test_checkers_never_read_satisfaction_tables():
         assert "SatTable" not in names, checker.__qualname__
         assert "first_shattered" not in names, checker.__qualname__
         assert "_indiscernible_sequences" not in names, checker.__qualname__
+
+
+def test_formulas_built_from_lists_equal_those_built_from_tuples():
+    # blocks and atom arguments are stored as tuples, so a formula built
+    # from lists hashes, which the memoised closure set relies on
+    def two_step(seq):
+        ast = Exists("z0", And(Atom("R", seq(["x0", "z0"])),
+                               Atom("R", seq(["z0", "y0"]))))
+        return PartitionedFormula(ast, seq(["x0"]), seq(["y0"]))
+
+    as_lists, as_tuples = two_step(list), two_step(tuple)
+    assert hash(as_lists) == hash(as_tuples)
+    assert as_lists == as_tuples
+    assert as_lists.object_vars == ("x0",) and as_lists.param_vars == ("y0",)
+    assert as_lists.ast.body.left.args == ("x0", "z0")
+    lists, tuples = [as_lists, as_lists.negated()], [as_tuples, as_tuples.negated()]
+    for n in (1, 2):
+        assert delta_star(lists, n) == delta_star(tuples, n)
+    M = seeded_graph(4, 17)
+    assert kappa(M, lists, 1) == kappa(M, tuples, 1)

@@ -5,11 +5,13 @@ import itertools
 import pytest
 
 from fmlab import (BoundParams, ConstantGrowth, ExtractionFailure,
+                   ExtractionTrace,
                    HypergraphBoundedGrowth, HypergraphWorstGrowth,
                    PolynomialGrowth, PreconditionError, TupleSequence,
                    WorstCaseGrowth, beth, check_indiscernible, extraction_length_estimates,
                    extract_end_indiscernible, extract_indiscernible, f_star,
                    g_func)
+from fmlab.indisc import greedy_end_extraction
 from fmlab.util import SplitMix64, TooLargeError, mix_seed
 
 from conftest import (EDGE, EDGE_PAIR, complete_graph, digraph,
@@ -178,6 +180,48 @@ def test_extraction_trace_invariants():
     kept = [s for _, _, s in trace.steps]
     assert kept == sorted(kept, reverse=True)
     assert all(kept[i] > kept[i + 1] for i in range(len(kept) - 1))
+
+
+def _greedy_with_full_keys(length, m, colour, target):
+    """The greedy extraction as defined: every step keys each candidate by its
+    colour on every increasing (m-1)-selection of all chosen positions."""
+    upto = length if target is None else min(target, length)
+    chosen = list(range(min(m - 1, upto)))
+    pool = list(range(m - 1, length))
+    steps = []
+    while pool and len(chosen) < (length if target is None else target):
+        classes = {}
+        for cand in pool:
+            key = tuple(colour[sel + (cand,)]
+                        for sel in itertools.combinations(chosen, m - 1))
+            classes.setdefault(key, []).append(cand)
+        best = max(classes.values(), key=lambda c: (len(c), -c[0]))
+        steps.append((len(chosen), len(classes), len(best)))
+        chosen.append(best[0])
+        pool = best[1:]
+    return chosen, ExtractionTrace(tuple(chosen), tuple(steps))
+
+
+def test_incremental_greedy_matches_full_keys():
+    # seeded colourings of increasing position m-tuples; the greedy passes
+    # only the selections that can split the surviving pool
+    rng = SplitMix64(5150)
+    cases = 0
+    for m in (1, 2, 3, 4):
+        for _ in range(40):
+            length = rng.below(15)
+            colours = 1 + rng.below(3)
+            colour = {t: rng.below(colours)
+                      for t in itertools.combinations(range(length), m)}
+            target = None if rng.bit() else rng.below(length + 2)
+
+            def key_of(sels, cand):
+                return tuple(colour[sel + (cand,)] for sel in sels)
+
+            assert greedy_end_extraction(length, m, key_of, target) == \
+                _greedy_with_full_keys(length, m, colour, target), (m, length, target)
+            cases += 1
+    assert cases == 160
 
 
 def test_complete_graph_full_extraction():
