@@ -206,18 +206,17 @@ def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
 
 def average_type(I, delta: Sequence[PartitionedFormula],
                  A: Iterable[tuple[int, ...]], M: Structure, kappa_value: int,
-                 n: Optional[int] = None, check: bool = True) -> PhiType:
+                 n: Optional[int] = None) -> PhiType:
     """The average: instance (f, b) is in the type iff f holds on at least
     kappa_value members of I.
 
-    With n given (and check on), I is first verified to be indiscernible for
-    the closure set of delta over the empty set; the error carries the
-    counterexample.
+    With n given, I is first verified to be indiscernible for the closure set
+    of delta over the empty set; the error carries the counterexample.
     """
     seq = I if isinstance(I, TupleSequence) else TupleSequence.of(I)
     if kappa_value < 1:
         raise PreconditionError("kappa must be >= 1")
-    if check and n is not None and len(seq) >= n:
+    if n is not None and len(seq) >= n:
         star = delta_star(list(delta), n)
         cert = check_indiscernible(seq, star.formulas, n, [], M, mode="sequence")
         if not cert.verified:
@@ -261,9 +260,8 @@ class GoodnessRefutation:
     witness: object
 
     def to_report(self):
-        from .formats import _reportable
-        return {"good": False, "kind": self.kind, "formula": self.formula.text(),
-                "witness": _reportable(self.witness) if self.witness is not None else None}
+        return {"good": False, "kind": self.kind, "formula": self.formula,
+                "witness": self.witness}
 
 
 def goodness_delta(phi: PartitionedFormula) -> list[PartitionedFormula]:
@@ -272,18 +270,21 @@ def goodness_delta(phi: PartitionedFormula) -> list[PartitionedFormula]:
 
 
 def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
-            domain=None, max_len: Optional[int] = None
-            ) -> Union[GoodnessContext, GoodnessRefutation]:
+            domain=None) -> Union[GoodnessContext, GoodnessRefutation]:
     """Run the independence searches at width n and the cover searches at depth
     d for all four block-arrangements of phi; when every search is empty,
     compute kappa and the threshold lambda = max(d * kappa, 2n). A search or
-    kappa that runs out of budget gives a "budget" refutation."""
+    kappa that runs out of budget gives a "budget" refutation.
+
+    The negated arrangements get no independence search: a set is independent
+    for ~f exactly when it is for f (each pattern complemented), at the same
+    node count, so after the searches for phi and psi theirs find nothing."""
     if n < 1 or d < 1:
         raise PreconditionError("n and d must be >= 1")
     delta = goodness_delta(phi)
     size = len(frozenset(M.universe() if domain is None else domain))
-    for f in delta:
-        wit = find_k_independence(M, f, n, domain=domain)
+    for i, f in enumerate(delta):
+        wit = find_k_independence(M, f, n, domain=domain) if i < 2 else None
         if isinstance(wit, BudgetExceeded):
             return GoodnessRefutation("budget", f, wit)
         if wit is not None:
@@ -294,7 +295,7 @@ def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
             return GoodnessRefutation("budget", f, vio)
         if vio is not None:
             return GoodnessRefutation("cover", f, vio)
-    got = kappa(M, delta, n, max_len=max_len, domain=domain)
+    got = kappa(M, delta, n, domain=domain)
     if isinstance(got, BudgetExceeded):
         return GoodnessRefutation("budget", phi, got)
     return GoodnessContext(phi, n, d, got.value, max(d * got.value, 2 * n))
@@ -349,11 +350,6 @@ class PrecReport:
     holds: Union[bool, str]
     failing_condition: Optional[int]
     detail: str = ""
-
-    def to_report(self):
-        return {"cond1": self.cond1, "cond2": self.cond2, "cond3": self.cond3,
-                "holds": self.holds, "failing_condition": self.failing_condition,
-                "detail": self.detail}
 
 
 def _average_matches(pos_counts: Iterable[int], length: int, kappa_value: int,
@@ -546,10 +542,13 @@ def stable_amalgam(config: AmalgamConfig, check_preconditions: bool = True,
 
 def symmetry_test(config: AmalgamConfig, check_preconditions: bool = True,
                   check_good: bool = True) -> dict:
-    """Run the amalgamation check in both orientations and compare."""
+    """Run the amalgamation check in both orientations and compare.
+
+    Swapping M1 and M2 leaves the five precondition pairs the same, so they
+    are checked once, by the forward run."""
     forward = stable_amalgam(config, check_preconditions, check_good)
     swapped = AmalgamConfig(config.M, config.m0, config.m2, config.m1, config.ctx)
-    backward = stable_amalgam(swapped, check_preconditions, check_good)
+    backward = stable_amalgam(swapped, False, check_good)
     return {"forward": forward.holds, "backward": backward.holds,
             "symmetric": forward.holds == backward.holds,
             "forward_result": forward, "backward_result": backward}

@@ -45,6 +45,13 @@ def _load_formula(path, signature):
         return parse_formula(fh.read(), signature)
 
 
+def _named(sections, name, kind):
+    """The section of a structure file called `name`, or a usage error."""
+    if name not in sections:
+        raise FmlabError(f"no {kind} named {name!r} in the structure file")
+    return sections[name]
+
+
 def _tuple_arg(text):
     return tuple(int(x) for x in text.split(",") if x != "")
 
@@ -130,8 +137,8 @@ def _cmd_detect(args):
         if res is not None and not isinstance(res, BudgetExceeded):
             report["witness"] = res
     else:  # splitting
-        A = sorted(doc.sets[args.params_set])
-        B = sorted(doc.sets[args.base_set]) if args.base_set else []
+        A = sorted(_named(doc.sets, args.params_set, "set"))
+        B = sorted(_named(doc.sets, args.base_set, "set")) if args.base_set else []
         delta = [phi, phi.negated()]
         p = tp(delta, _tuple_arg(args.object), A, M)
         ok, wit = splits(p, B, delta, delta, M)
@@ -156,7 +163,8 @@ def _cmd_types(args):
     M = doc.structure
     src = _load_formula(args.formula, M.signature)
     phi = src.formula
-    A = sorted(doc.sets[args.set]) if args.set else sorted(M.tuples(phi.s))
+    A = (sorted(_named(doc.sets, args.set, "set")) if args.set
+         else sorted(M.tuples(phi.s)))
     if args.action == "count":
         report = {"action": "count", "count": count_phi_types(M, phi, A),
                   "params": len(A)}
@@ -187,6 +195,8 @@ def _cmd_indisc(args):
                       "value": extraction_length_estimates(args.case, args.m, args.k,
                                               args.p_or_n, args.s, args.t)}
         else:
+            if args.k is None:
+                raise FmlabError(f"--fn {args.fn} needs --k")
             params = BoundParams(_growth(args), args.alpha, args.r, args.m, args.k)
             if args.fn == "fstar":
                 report = {"fn": "fstar", "value": f_star(params, args.j)}
@@ -198,8 +208,8 @@ def _cmd_indisc(args):
     M = doc.structure
     src = _load_formula(args.formula, M.signature)
     phi = src.formula
-    I = doc.seqs[args.seq]
-    A = sorted(doc.sets[args.set]) if args.set else []
+    I = _named(doc.seqs, args.seq, "seq")
+    A = sorted(_named(doc.sets, args.set, "set")) if args.set else []
     if args.action == "check":
         cert = check_indiscernible(I, [phi, phi.negated()], args.m, A, M,
                                    mode=args.mode)
@@ -265,7 +275,7 @@ def _cmd_experiment(args):
 
 def _cmd_classify(args):
     if args.action == "delta-star":
-        src = parse_formula(open(args.formula, encoding="utf-8").read())
+        src = _load_formula(args.formula, None)
         star = delta_star([src.formula, src.formula.negated()], args.n)
         _emit(args, {"action": "delta-star", "size": len(star.formulas),
                      "formulas": [f.text() for f in star.formulas]})
@@ -286,15 +296,19 @@ def _cmd_classify(args):
         _emit(args, {"action": "good", "result": got})
         return 0 if not isinstance(got, GoodnessRefutation) else 1
     if args.action == "average":
-        I = doc.seqs[args.seq]
-        A = sorted(doc.sets[args.set])
+        I = _named(doc.seqs, args.seq, "seq")
+        A = sorted(_named(doc.sets, args.set, "set"))
         av = average_type(I, [phi, phi.negated()], A, M, args.kappa, n=args.n)
         _emit(args, {"action": "average",
                      "entries": [[f.text(), list(b), s]
                                  for f, b, s in av.sorted_entries()]})
         return 0
-    A = sorted(doc.sets[args.set])
-    domains = [frozenset(doc.submodels[name]) for name in args.submodels.split(",")]
+    A = sorted(_named(doc.sets, args.set, "set"))
+    domains = [frozenset(_named(doc.submodels, name, "submodel"))
+               for name in args.submodels.split(",")]
+    if args.action in ("amalgam", "symmetry") and len(domains) < 3:
+        raise FmlabError(f"classify {args.action} needs three submodels, "
+                         f"got {len(domains)}")
     ctx = make_class_context(M, [None] + domains, phi, args.n, args.d, args.k, A)
     if isinstance(ctx, GoodnessRefutation):
         _emit(args, {"action": args.action, "error": "class is not good",

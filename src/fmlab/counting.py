@@ -37,13 +37,6 @@ class BoundReport:
     hypothesis_ok: bool
     note: str = ""
 
-    def to_report(self):
-        return {"lhs": self.lhs, "rhs": self.rhs,
-                "rhs_factor": self.rhs_factor, "rhs_base": self.rhs_base,
-                "rhs_exponent": self.rhs_exponent, "params": self.params,
-                "holds": self.holds, "hypothesis_ok": self.hypothesis_ok,
-                "note": self.note}
-
 
 @dataclass(frozen=True)
 class ShatterWitness:

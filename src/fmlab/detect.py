@@ -44,9 +44,6 @@ class OrderWitness:
 
     a: tuple[tuple[int, ...], ...]
 
-    def to_report(self):
-        return {"a": [list(t) for t in self.a]}
-
 
 @dataclass(frozen=True)
 class WeakOrderWitness:
@@ -54,10 +51,6 @@ class WeakOrderWitness:
 
     d: tuple[tuple[int, ...], ...]
     realizers: tuple[tuple[int, ...], ...]
-
-    def to_report(self):
-        return {"d": [list(t) for t in self.d],
-                "realizers": [list(t) for t in self.realizers]}
 
 
 @dataclass(frozen=True)
@@ -67,18 +60,12 @@ class CoverViolation:
     n: int
     b: tuple[tuple[int, ...], ...]
 
-    def to_report(self):
-        return {"n": self.n, "b": [list(t) for t in self.b]}
-
 
 @dataclass(frozen=True)
 class SplitWitness:
     formula: PartitionedFormula
     b: tuple[int, ...]
     c: tuple[int, ...]
-
-    def to_report(self):
-        return {"formula": self.formula.text(), "b": list(self.b), "c": list(self.c)}
 
 
 @dataclass(frozen=True)
@@ -88,9 +75,6 @@ class SplittingChainFailure:
     hypothesis: str
     i: int
     detail: str
-
-    def to_report(self):
-        return {"hypothesis": self.hypothesis, "i": self.i, "detail": self.detail}
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +138,7 @@ def first_shattered(rows: Sequence[int], k: int, full: int,
 
 
 def find_k_independence(M: Structure, phi: PartitionedFormula, k: int,
-                        budget: Optional[int] = None, domain=None
+                        domain=None
                         ) -> Union[IndependenceWitness, None, BudgetExceeded]:
     """Lexicographically first independence witness of size k, or None.
 
@@ -170,7 +154,7 @@ def find_k_independence(M: Structure, phi: PartitionedFormula, k: int,
     objs = sorted(M.tuples(phi.r, domain=domain))
     pars = sorted(M.tuples(phi.s, domain=domain))
     got = first_shattered(SatTable(M, phi, domain).rows(objs, pars), k,
-                          (1 << len(pars)) - 1, search_budget(budget))
+                          (1 << len(pars)) - 1, search_budget())
     if got is None or isinstance(got, BudgetExceeded):
         return got
     combo, least = got
@@ -196,15 +180,14 @@ def _powerset(items) -> Iterable[tuple]:
         yield from itertools.combinations(items, r)
 
 
-def find_n_order(M: Structure, phi: PartitionedFormula, n: int,
-                 budget: Optional[int] = None, domain=None
+def find_n_order(M: Structure, phi: PartitionedFormula, n: int, domain=None
                  ) -> Union[OrderWitness, None, BudgetExceeded]:
     """First n-tuple ordering itself under phi, by depth-first lexicographic search."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
     if phi.r != phi.s:
         raise PreconditionError("order search requires l(x) = l(y)")
-    limit = search_budget(budget)
+    limit = search_budget()
     objs = sorted(M.tuples(phi.r, domain=domain))
     # lazy: on the 3-block formula rho (verify_order_bound) the search reads
     # far fewer cells than a full table holds
@@ -248,8 +231,7 @@ def verify_order(M: Structure, phi: PartitionedFormula,
     return True
 
 
-def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int,
-                      budget: Optional[int] = None, domain=None
+def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int, domain=None
                       ) -> Union[WeakOrderWitness, None, BudgetExceeded]:
     """First d-list admitting realizers x_j with phi(x;d_i) exactly for i >= j.
     A repeated d_i would force phi and ~phi on one realizer, so only lists of
@@ -258,7 +240,7 @@ def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int,
         raise PreconditionError("m must be >= 1")
     if phi.r < 1 or phi.s < 1:
         raise PreconditionError("weak order search needs nonempty blocks")
-    limit = search_budget(budget)
+    limit = search_budget()
     pars = sorted(M.tuples(phi.s, domain=domain))
     objs = sorted(M.tuples(phi.r, domain=domain))
     cols = dict(zip(pars, SatTable(M, phi.swapped(), domain).rows(pars, objs)))
@@ -299,7 +281,7 @@ def verify_weak_order(M: Structure, phi: PartitionedFormula,
 
 def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: int,
                          params: Optional[Iterable[tuple[int, ...]]] = None,
-                         budget: Optional[int] = None, domain=None
+                         domain=None
                          ) -> Union[CoverViolation, None, BudgetExceeded]:
     """A family b_0..b_{n-1} (d <= n <= n_max) whose proper <d subfamilies are all
     satisfiable while the whole family is not. None certifies no such family
@@ -312,7 +294,7 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
         raise PreconditionError("d must be >= 1")
     if n_max < d:
         raise PreconditionError("n_max must be >= d")
-    limit = search_budget(budget)
+    limit = search_budget()
     if params is None:
         pars = sorted(M.tuples(phi.s, domain=domain))
     else:

@@ -9,11 +9,12 @@ which compares types directly and shares no code with the greedy search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import PartitionedFormula, SatTable, Structure, TupleSequence, tp
-from .util import PreconditionError, TooLargeError
+from .util import SIZE_GUARD_BITS, PreconditionError, TooLargeError
 
 # ---------------------------------------------------------------------------
 # indiscernibility checking
@@ -79,8 +80,7 @@ class TypeOracle:
 def check_indiscernible(I, delta: Sequence[PartitionedFormula], m: int,
                         A: Iterable[tuple[int, ...]], M: Structure,
                         mode: str = "sequence",
-                        domain: Optional[frozenset[int]] = None,
-                        oracle: Optional[TypeOracle] = None
+                        domain: Optional[frozenset[int]] = None
                         ) -> IndiscernibilityCertificate:
     """Decide whether I is (delta, m)-indiscernible over A.
 
@@ -97,8 +97,7 @@ def check_indiscernible(I, delta: Sequence[PartitionedFormula], m: int,
     if len(seq) < m:
         raise PreconditionError(f"sequence of length {len(seq)} cannot host m={m} selections")
     A = sorted(tuple(b) for b in A)
-    if oracle is None:
-        oracle = TypeOracle(M, delta, A, domain)
+    oracle = TypeOracle(M, delta, A, domain)
     n = len(seq)
     if mode == "sequence":
         split = oracle.first_split(seq.tuples, itertools.combinations(range(n), m))
@@ -120,13 +119,31 @@ def check_indiscernible(I, delta: Sequence[PartitionedFormula], m: int,
 # ---------------------------------------------------------------------------
 
 
+def _power(base: int, exp: int) -> int:
+    """base ** exp, refused before it is built when it has more bits than the
+    size guard allows."""
+    if base > 1 and min(exp, SIZE_GUARD_BITS) * math.log2(base) >= SIZE_GUARD_BITS:
+        raise TooLargeError("growth value exceeds the size guard")
+    return base ** exp
+
+
+def bound_step(v: int, factor: int, what: str) -> int:
+    """1 + v * factor, refused when it has more bits than the size guard
+    allows; the product is not built when its operands alone settle that."""
+    if v.bit_length() + factor.bit_length() - 1 <= SIZE_GUARD_BITS:
+        v = 1 + v * factor
+        if v.bit_length() <= SIZE_GUARD_BITS:
+            return v
+    raise TooLargeError(f"{what} exceeds the size guard")
+
+
 @dataclass(frozen=True)
 class WorstCaseGrowth:
     """F(i) = 2^(i^m): no assumption on how many types a parameter set allows."""
     m: int
 
     def value(self, i: int) -> int:
-        return 2 ** (i ** self.m)
+        return _power(2, _power(i, self.m))
 
 
 @dataclass(frozen=True)
@@ -135,7 +152,7 @@ class PolynomialGrowth:
     p: int
 
     def value(self, i: int) -> int:
-        return i ** self.p
+        return _power(i, self.p)
 
 
 @dataclass(frozen=True)
@@ -144,8 +161,7 @@ class HypergraphWorstGrowth:
     r: int
 
     def value(self, i: int) -> int:
-        from math import comb
-        return 2 ** comb(i, self.r - 1)
+        return _power(2, math.comb(i, self.r - 1))
 
 
 @dataclass(frozen=True)
@@ -157,7 +173,7 @@ class HypergraphBoundedGrowth:
     def value(self, i: int) -> int:
         if i < self.r:
             return 1
-        return i ** ((self.r - 1) * (self.n - 1))
+        return _power(i, (self.r - 1) * (self.n - 1))
 
 
 @dataclass(frozen=True)
@@ -193,7 +209,8 @@ def f_star(params: BoundParams, j: int) -> int:
     """The staged recursion F*(0)=1, F*(j+1) = 1 + F*(j) * F(alpha + m*r*j) while
     j < k-2-m, switching to F*(j+1) = 1 + F*(j) on the final m stages.
 
-    Exact integers throughout; j must satisfy 0 <= j <= k-2.
+    Exact integers throughout; j must satisfy 0 <= j <= k-2. TooLargeError
+    when a value passes the size guard.
     """
     k, m = params.k, params.m
     if not (0 <= j <= k - 2):
@@ -201,7 +218,8 @@ def f_star(params: BoundParams, j: int) -> int:
     v = 1
     for jj in range(j):
         if jj < k - 2 - m:
-            v = 1 + v * params.F.value(params.alpha + m * params.r * jj)
+            f = params.F.value(params.alpha + m * params.r * jj)
+            v = bound_step(v, f, "F*")
         else:
             v = 1 + v
     return v
@@ -227,9 +245,7 @@ def _end_need(F: GrowthFunction, alpha: int, r: int, m: int, K: int,
     req = 1
     for j in range(K - 2, m - 2, -1):
         divisor = max(F.value(alpha + offset + m * r * j), 1)
-        req = divisor * req + 1
-        if req.bit_length() > 4_000_000:
-            raise TooLargeError("length bound exceeds the size guard")
+        req = bound_step(req, divisor, "length bound")
     return (m - 1) + req
 
 
@@ -343,9 +359,6 @@ class ExtractionTrace:
 class ExtractionFailure:
     level: int
     reason: str
-
-    def to_report(self):
-        return {"level": self.level, "reason": self.reason}
 
 
 def greedy_end_extraction(length: int, m: int,

@@ -19,9 +19,10 @@ from typing import Iterable, Optional, Sequence, Union
 from .core import Signature, Structure
 from .detect import first_shattered
 from .indisc import (ExtractionFailure, HypergraphBoundedGrowth,
-                     HypergraphWorstGrowth, ceil_log2, greedy_end_extraction)
-from .util import (FmlabError, PreconditionError, SplitMix64, TooLargeError,
-                   mix_seed)
+                     HypergraphWorstGrowth, bound_step, ceil_log2,
+                     greedy_end_extraction)
+from .util import (SIZE_GUARD_BITS, FmlabError, PreconditionError, SplitMix64,
+                   TooLargeError, mix_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -128,21 +129,16 @@ def lambda_nk(n: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sample_graph_rows(n: int, rng: SplitMix64,
-                      edge_probability: Fraction = Fraction(1, 2)) -> list[int]:
+def sample_graph_rows(n: int, rng: SplitMix64) -> list[int]:
     """Adjacency bitmask rows of a random graph.
 
     Edges are decided in row-major upper-triangle order (0,1), (0,2), ...,
-    (n-2,n-1): one stream bit per edge at probability 1/2, otherwise one
-    64-bit draw compared against p * 2^64.
+    (n-2,n-1), one stream bit each.
     """
     rows = [0] * n
-    fair = edge_probability == Fraction(1, 2)
-    threshold = int(edge_probability * (1 << 64))
     for i in range(n):
         for j in range(i + 1, n):
-            bit = rng.bit() if fair else int(rng.next_u64() < threshold)
-            if bit:
+            if rng.bit():
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return rows
@@ -162,13 +158,10 @@ class ExperimentConfig:
     k: int
     trials: int
     seed: int
-    edge_probability: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
-        if not (0 < self.edge_probability < 1):
-            raise PreconditionError("edge probability must be strictly between 0 and 1")
 
 
 def independence_probability_mc(config: ExperimentConfig) -> dict:
@@ -184,7 +177,7 @@ def independence_probability_mc(config: ExperimentConfig) -> dict:
     hits = 0
     for t in range(config.trials):
         rng = SplitMix64(mix_seed(config.seed, t))
-        rows = sample_graph_rows(n, rng, config.edge_probability)
+        rows = sample_graph_rows(n, rng)
         if graph_has_k_independence(rows, n, k):
             hits += 1
     p = hits / config.trials
@@ -318,9 +311,7 @@ def hypergraph_fstar(r: int, variant: str, k: int, n: Optional[int] = None) -> i
         raise PreconditionError("k must be a natural")
     v = 1
     for t in range(k):
-        v = 1 + v * hypergraph_F(r, variant, r * t, n=n)
-        if v.bit_length() > 4_000_000:
-            raise TooLargeError("envelope exceeds the size guard")
+        v = bound_step(v, hypergraph_F(r, variant, r * t, n=n), "envelope")
     return v
 
 
@@ -331,7 +322,7 @@ def E_bound(p: int, j: int, x: int) -> int:
     v = x
     for _ in range(j):
         bits = (v + 1).bit_length() * p * (v + 1)
-        if bits > 4_000_000:
+        if bits > SIZE_GUARD_BITS:
             raise TooLargeError("iterate exceeds the size guard")
         v = (v + 1) ** (p * (v + 1))
     return v

@@ -22,6 +22,10 @@ class TooLargeError(FmlabError):
     """Raised when an exact computation would exceed the configured size guard."""
 
 
+# the size guard: the most bits a value of the exact bound calculators may have
+SIZE_GUARD_BITS = 4_000_000
+
+
 @dataclass(frozen=True)
 class BudgetExceeded:
     """Returned (never raised) by exhaustive searches that ran out of budget.
@@ -36,14 +40,9 @@ class BudgetExceeded:
 DEFAULT_BUDGET = 20_000_000
 
 
-def search_budget(override: int | None = None) -> int:
-    """Resolve the node budget for exhaustive searches.
-
-    Priority: explicit argument, then FMLAB_BUDGET environment variable,
-    then the package default.
-    """
-    if override is not None:
-        return override
+def search_budget() -> int:
+    """The node budget of every exhaustive search: the FMLAB_BUDGET
+    environment variable when set, else the package default."""
     env = os.environ.get("FMLAB_BUDGET")
     if env is not None:
         try:

@@ -5,13 +5,14 @@ import itertools
 
 import pytest
 
+import fmlab.classify
 from fmlab import (AmalgamConfig, BudgetExceeded, GoodnessContext,
                    GoodnessRefutation, KappaResult, PreconditionError,
                    Signature, Structure, TupleSequence, atom_formula,
                    average_type, check_indiscernible, delta_star,
-                   exchange_check, find_k_independence, goodness_delta,
-                   is_good, kappa, make_class_context, parse_formula, prec_K,
-                   stable_amalgam, symmetry_test, tp)
+                   exchange_check, find_cover_violation, find_k_independence,
+                   goodness_delta, is_good, kappa, make_class_context,
+                   parse_formula, prec_K, stable_amalgam, symmetry_test, tp)
 from fmlab.core import formula_text
 
 from conftest import (EDGE, complete_graph, empty_graph, graph,
@@ -208,6 +209,50 @@ def test_average_completeness_on_good_structures():
 # ---------------------------------------------------------------------------
 
 
+def _is_good_searching_every_arrangement(M, phi, n, d, domain):
+    """is_good with an independence search for all four arrangements."""
+    delta = goodness_delta(phi)
+    size = len(frozenset(M.universe() if domain is None else domain))
+    for f in delta:
+        for kind, got in (
+                ("independence", find_k_independence(M, f, n, domain=domain)),
+                ("cover", find_cover_violation(M, f, d, max(size ** f.s, d),
+                                               domain=domain))):
+            if isinstance(got, BudgetExceeded):
+                return GoodnessRefutation("budget", f, got)
+            if got is not None:
+                return GoodnessRefutation(kind, f, got)
+    got = kappa(M, delta, n, domain=domain)
+    if isinstance(got, BudgetExceeded):
+        return GoodnessRefutation("budget", phi, got)
+    return GoodnessContext(phi, n, d, got.value, max(d * got.value, 2 * n))
+
+
+def test_negated_arrangements_need_no_independence_search(monkeypatch):
+    kinds = set()
+    for budget in ("3", "20", None):
+        if budget is None:
+            monkeypatch.delenv("FMLAB_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("FMLAB_BUDGET", budget)
+        for size, seed in itertools.product((4, 5), range(15)):
+            M = seeded_graph(size, 7000 + seed)
+            for domain in (None, frozenset({0, 1, 3})):
+                for n, d in ((1, 2), (2, 2), (2, 3)):
+                    for f in goodness_delta(EDGE)[:2]:
+                        plain = find_k_independence(M, f, n, domain=domain)
+                        negated = find_k_independence(M, f.negated(), n,
+                                                      domain=domain)
+                        assert (plain is None) == (negated is None)
+                        if isinstance(plain, BudgetExceeded):
+                            assert negated == plain
+                    got = is_good(M, EDGE, n, d, domain=domain)
+                    assert got == _is_good_searching_every_arrangement(
+                        M, EDGE, n, d, domain)
+                    kinds.add(getattr(got, "kind", "good"))
+    assert kinds == {"good", "independence", "cover", "budget"}
+
+
 def test_empty_graph_is_good():
     got = is_good(empty_graph(4), EDGE, 1, 2)
     assert isinstance(got, GoodnessContext)
@@ -365,6 +410,26 @@ def test_empty_graph_amalgamation_symmetric():
     got = symmetry_test(cfg)
     assert got["forward"] is True and got["backward"] is True
     assert got["symmetric"]
+
+
+def test_symmetry_checks_the_preconditions_once(monkeypatch):
+    M = empty_graph(6)
+    ctx = make_class_context(M, [None, frozenset({0, 1, 2}),
+                                 frozenset({0, 1, 2, 3}),
+                                 frozenset({0, 1, 2, 4})],
+                             EDGE, 1, 2, 1, [(0,)])
+    cfg = AmalgamConfig(M, frozenset({0, 1, 2}), frozenset({0, 1, 2, 3}),
+                        frozenset({0, 1, 2, 4}), ctx)
+    calls = []
+
+    def counting_prec_K(*args, **kwargs):
+        calls.append(args[1])
+        return prec_K(*args, **kwargs)
+
+    monkeypatch.setattr(fmlab.classify, "prec_K", counting_prec_K)
+    got = symmetry_test(cfg)
+    assert got["symmetric"] and got["forward"] is True
+    assert len(calls) == 5
 
 
 def test_exchange_on_empty_graph():

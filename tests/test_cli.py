@@ -1,6 +1,9 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
+import gc
 import json
+import time
+import warnings
 
 import pytest
 
@@ -185,6 +188,62 @@ def test_classify_kappa_reports_a_spent_budget(tmp_path, capsys, monkeypatch):
     report = json.loads(out)
     assert report["outcome"] == "budget"
     assert report["result"] == {"nodes": 1001}
+
+
+@pytest.mark.parametrize("command,options", [
+    (["types", "count"], ["--set", "B"]),
+    (["detect"], ["--property", "splitting", "--params-set", "B"]),
+    (["detect"], ["--property", "splitting", "--base-set", "B"]),
+    (["indisc", "check"], ["--seq", "J"]),
+    (["classify", "prec"], ["--submodels", "M9"]),
+])
+def test_unknown_section_name_is_usage_error(empty5_files, capsys, command,
+                                             options):
+    s, f = empty5_files
+    code = main(command + ["--structure", s, "--formula", f] + options)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: no ") and "named" in err
+
+
+@pytest.mark.parametrize("action", ["amalgam", "symmetry"])
+def test_amalgamation_with_two_submodels_is_usage_error(empty5_files, capsys,
+                                                        action):
+    s, f = empty5_files
+    code = main(["classify", action, "--structure", s, "--formula", f,
+                 "--submodels", "M0,M1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: classify " + action)
+
+
+def test_bound_without_target_length_is_usage_error(capsys):
+    code = main(["indisc", "bounds", "--fn", "fstar", "--j", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --fn fstar needs --k\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--fn", "fstar", "--growth", "worst", "--growth-m", "3", "--r", "5",
+     "--alpha", "10", "--k", "100", "--j", "98"],
+    ["--fn", "g", "--growth", "worst", "--growth-m", "3", "--alpha", "5000",
+     "--k", "10", "--i", "1", "--x", "5"],
+])
+def test_oversized_bound_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code = main(["indisc", "bounds"] + argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "exceeds the size guard" in capsys.readouterr().err
+
+
+def test_delta_star_closes_the_formula_file(p3_files, capsys):
+    _, f = p3_files
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["classify", "delta-star", "--formula", f, "--n", "1"])
+        gc.collect()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_byte_identical_reports(p3_files, capsys):

@@ -42,9 +42,10 @@ def test_four_cycle_lacks_pairwise_independence():
     assert find_k_independence(cycle_graph(4), EDGE, 2) is None
 
 
-def test_independence_budget_marker():
+def test_independence_budget_marker(monkeypatch):
+    monkeypatch.setenv("FMLAB_BUDGET", "5")
     M = seeded_graph(6, 1)
-    res = find_k_independence(M, EDGE, 3, budget=5)
+    res = find_k_independence(M, EDGE, 3)
     assert isinstance(res, BudgetExceeded)
 
 
@@ -377,6 +378,25 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("FMLAB_BUDGET", "not-a-number")
     with pytest.raises(Exception, match="FMLAB_BUDGET"):
         find_k_independence(M, EDGE, 3)
+
+
+def test_the_environment_is_the_only_budget():
+    import dataclasses
+    import inspect
+
+    import fmlab
+    for name, obj in vars(fmlab).items():
+        if inspect.isfunction(obj):
+            assert "budget" not in inspect.signature(obj).parameters, name
+    assert not inspect.signature(fmlab.search_budget).parameters
+    # options that no caller set
+    for fn, option in ((fmlab.check_indiscernible, "oracle"),
+                       (fmlab.average_type, "check"),
+                       (fmlab.is_good, "max_len"),
+                       (fmlab.sample_graph_rows, "edge_probability")):
+        assert option not in inspect.signature(fn).parameters, fn.__name__
+    assert "edge_probability" not in {
+        f.name for f in dataclasses.fields(fmlab.ExperimentConfig)}
 
 
 def test_every_witness_reverifies():

@@ -176,3 +176,74 @@ def test_empty_report():
 
 def test_rational_report():
     assert emit_report({"q": coupon_q(2, 2)}) == '{"q":"1/2"}'
+
+
+def test_report_bytes_of_every_result_record():
+    from fmlab import (AmalgamResult, BoundReport, BudgetExceeded,
+                       ClassContext, CoverViolation, ExtractionFailure,
+                       ExtractionTrace, GoodnessContext, GoodnessRefutation,
+                       IndependenceWitness, IndiscernibilityCertificate,
+                       KappaResult, OrderWitness, PrecReport, ShatterWitness,
+                       SplittingChainFailure, SplitWitness, TupleSequence,
+                       WeakOrderWitness)
+    from conftest import EDGE, EDGE_PAIR
+    cover = CoverViolation(3, ((0,), (1,), (2,)))
+    formula = '"formula":"phi(x0; y0) := R(x0,y0)"'
+    cases = [
+        (OrderWitness(((0,), (1,), (2,))), '{"a":[[0],[1],[2]]}'),
+        (WeakOrderWitness(((1,), (2,)), ((0,), (3,))),
+         '{"d":[[1],[2]],"realizers":[[0],[3]]}'),
+        (cover, '{"b":[[0],[1],[2]],"n":3}'),
+        (SplitWitness(EDGE, (0,), (2,)), '{"b":[0],"c":[2],' + formula + '}'),
+        (SplittingChainFailure("splitting", 1, "p|A_2 does not split over B=[0]"),
+         '{"detail":"p|A_2 does not split over B=[0]","hypothesis":"splitting","i":1}'),
+        (ExtractionFailure(2, "stalled at length 1 < 3"),
+         '{"level":2,"reason":"stalled at length 1 < 3"}'),
+        (BoundReport(lhs=5, rhs=None, rhs_factor=2, rhs_base=4, rhs_exponent=256,
+                     params={"n": 1, "r": 1, "s": 1, "t": 0, "|A|": 4},
+                     holds=True, hypothesis_ok=False, note="hypothesis fails"),
+         '{"holds":true,"hypothesis_ok":false,"lhs":5,"note":"hypothesis fails",'
+         '"params":{"n":1,"r":1,"s":1,"t":0,"|A|":4},"rhs":null,"rhs_base":4,'
+         '"rhs_exponent":256,"rhs_factor":2}'),
+        (PrecReport(True, "budget", False, False, 3),
+         '{"cond1":true,"cond2":"budget","cond3":false,"detail":"",'
+         '"failing_condition":3,"holds":false}'),
+        (GoodnessRefutation("independence", EDGE, None),
+         '{' + formula + ',"good":false,"kind":"independence","witness":null}'),
+        (GoodnessRefutation("budget", EDGE.swapped(), BudgetExceeded(1001)),
+         '{"formula":"phi(y0; x0) := R(x0,y0)","good":false,"kind":"budget",'
+         '"witness":{"nodes":1001}}'),
+        (GoodnessRefutation("cover", EDGE.negated(), cover),
+         '{"formula":"phi(x0; y0) := ~R(x0,y0)","good":false,"kind":"cover",'
+         '"witness":{"b":[[0],[1],[2]],"n":3}}'),
+        (IndependenceWitness(((0,), (1,)),
+                             {frozenset(): (2,), frozenset({0}): (1,),
+                              frozenset({1}): (0,), frozenset({0, 1}): (3,)}),
+         '{"a":[[0],[1]],"b":{"{0,1}":[3],"{0}":[1],"{1}":[0],"{}":[2]}}'),
+        (ShatterWitness((0, 2), {frozenset(): frozenset(),
+                                 frozenset({0}): frozenset({0, 1}),
+                                 frozenset({1}): frozenset({2}),
+                                 frozenset({0, 1}): frozenset({0, 2})}),
+         '{"alphas":[0,2],"selectors":{"{0,1}":[0,2],"{0}":[0,1],"{1}":[2],"{}":[]}}'),
+        (KappaResult(1, None), '{"kappa":1,"witness":null}'),
+        (KappaResult(2, {"sequence": ((0,), (1,), (2,)), "formula": EDGE,
+                         "c": (3,), "pos": 2, "neg": 1}),
+         '{"kappa":2,"witness":{"c":[3],' + formula
+         + ',"neg":1,"pos":2,"sequence":[[0],[1],[2]]}}'),
+        (GoodnessContext(EDGE, 1, 2, 1, 2),
+         '{"d":2,"good":true,"kappa":1,"lambda":2,"n":1}'),
+        (ClassContext(EDGE, 1, 2, 1, ((0,), (1,)), 1, 2),
+         '{"A":[[0],[1]],"d":2,"k":1,"kappa_K":1,"lambda_K":2,"n":1}'),
+        (AmalgamResult("budget", {(0,): TupleSequence.of([(1,), (1,)], 1)}, (2,)),
+         '{"holds":"budget","offender":[2],"witnesses":{"[0]":[[1],[1]]}}'),
+        (IndiscernibilityCertificate(TupleSequence.of([(0,), (1,), (2,)], 1),
+                                     "set", (EDGE_PAIR,), 2, (), False,
+                                     ((0, 1), (1, 0))),
+         '{"counterexample":[[0,1],[1,0]],"length":3,"m":2,"mode":"set",'
+         '"verified":false}'),
+        (ExtractionTrace((0, 1, 3), ((0, 2, 3), (1, 1, 2))),
+         '{"chosen":[0,1,3],"steps":[{"classes":2,"j":0,"kept":3},'
+         '{"classes":1,"j":1,"kept":2}]}'),
+    ]
+    for value, want in cases:
+        assert emit_report(value) == want, type(value).__name__

@@ -131,6 +131,42 @@ def test_g_identity_and_monotone():
         g_func(params, 1, -1)
 
 
+def test_size_guard_keeps_every_value_below_it():
+    # sha256 of the hex values (or "too large") of the exact recurrences on a
+    # fixed grid; values up to 1.25M bits, two of them past the guard
+    import hashlib
+    from fmlab import E_bound, hypergraph_fstar
+
+    def outcome(fn, *args):
+        try:
+            return hex(fn(*args))
+        except TooLargeError:
+            return "too large"
+
+    growths = [WorstCaseGrowth(1), WorstCaseGrowth(2), PolynomialGrowth(3),
+               ConstantGrowth(2), HypergraphWorstGrowth(3),
+               HypergraphBoundedGrowth(3, 2)]
+    vals = []
+    for F in growths:
+        for alpha, r, m in itertools.product((0, 2), (1, 2), (1, 2)):
+            params = BoundParams(F, alpha, r, m, 9)
+            vals += [outcome(f_star, params, j) for j in range(8)]
+            vals += [outcome(g_func, params, 1, x) for x in range(5)]
+            vals.append(outcome(g_func, params, 2, 1))
+            if F in growths[:3] and alpha == 2 and r == 1:
+                vals.append(outcome(g_func, params, 2, 3))
+    vals += [outcome(f_star, BoundParams(WorstCaseGrowth(2), 3, 2, 1, 100), j)
+             for j in (20, 60, 98)]
+    vals += [outcome(hypergraph_fstar, r, "worst", k)
+             for r in (2, 3) for k in range(16)]
+    vals += [outcome(hypergraph_fstar, 3, "bounded", k, 2) for k in range(7)]
+    vals += [outcome(E_bound, p, j, x)
+             for p in (1, 2) for j in (1, 2) for x in range(3)]
+    assert len(vals) == 732 and vals.count("too large") == 2
+    assert hashlib.sha256(repr(vals).encode()).hexdigest() == \
+        "53164a16e2d2ea4397a654d2f4f5d19e06fe8e8301d75915c3ab23fc1026eb36"
+
+
 def test_estimate_cases():
     assert extraction_length_estimates(1, 1, 3)["bound"] == 12
     assert extraction_length_estimates(2, 1, 4, 2)["bound"] == 11
