@@ -166,7 +166,11 @@ def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
     Exhaustive over ordered sequences of distinct tuples; max_len defaults to
     the number of distinct tuples of the relevant arity. Each candidate
     sequence is one node of `util.search_budget()`; BudgetExceeded when the
-    budget runs out.
+    budget runs out. The split counts depend only on the set of members, so
+    each set is counted once per parameter arity, at its first indiscernible
+    ordering: a later ordering has the same counts and cannot beat the worst
+    side found so far, so the value and the witness are those of counting
+    every ordering.
     """
     if max_len is not None and max_len < 2:
         raise PreconditionError("max_len must be >= 2")
@@ -184,11 +188,16 @@ def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
                 tables[s].append((f, objs, SatTable(M, f, domain).rows(objs, tuples)))
     worst = 0
     witness = None
+    counted = set()  # (parameter arity, member mask)
     for got in _indiscernible_sequences(runs, oracle, n, search_budget()):
         if isinstance(got, BudgetExceeded):
             return got
         seq, mask = got
-        for f, objs, rows in tables[len(seq[0])]:
+        key = (len(seq[0]), mask)
+        if key in counted:
+            continue
+        counted.add(key)
+        for f, objs, rows in tables[key[0]]:
             for c, row in zip(objs, rows):
                 pos = (row & mask).bit_count()
                 side = min(pos, len(seq) - pos)
@@ -269,6 +278,10 @@ def goodness_delta(phi: PartitionedFormula) -> list[PartitionedFormula]:
     return [phi, psi, phi.negated(), psi.negated()]
 
 
+# distinct (M, phi, n, d, domain, budget) goodness verdicts kept by is_good
+_IS_GOOD_CACHE = 128
+
+
 def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
             domain=None) -> Union[GoodnessContext, GoodnessRefutation]:
     """Run the independence searches at width n and the cover searches at depth
@@ -278,11 +291,26 @@ def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
 
     The negated arrangements get no independence search: a set is independent
     for ~f exactly when it is for f (each pattern complemented), at the same
-    node count, so after the searches for phi and psi theirs find nothing."""
+    node count, so after the searches for phi and psi theirs find nothing.
+
+    The verdict is pure in its arguments and the budget, so it is memoised by
+    value per (M, phi, n, d, domain as a frozenset, `util.search_budget()`):
+    a list, a set and a frozenset domain share one entry, and a changed
+    FMLAB_BUDGET is never served a verdict reached under another budget. A
+    memoised verdict is shared by every caller and holds no mutable object."""
     if n < 1 or d < 1:
         raise PreconditionError("n and d must be >= 1")
+    return _is_good(M, phi, n, d, None if domain is None else frozenset(domain),
+                    search_budget())
+
+
+@functools.lru_cache(maxsize=_IS_GOOD_CACHE)
+def _is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
+             domain: Optional[frozenset], budget: int
+             ) -> Union[GoodnessContext, GoodnessRefutation]:
+    # `budget` only keys the memo; the searches read the same value themselves
     delta = goodness_delta(phi)
-    size = len(frozenset(M.universe() if domain is None else domain))
+    size = M.universe_size if domain is None else len(domain)
     for i, f in enumerate(delta):
         wit = find_k_independence(M, f, n, domain=domain) if i < 2 else None
         if isinstance(wit, BudgetExceeded):

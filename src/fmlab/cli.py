@@ -36,11 +36,15 @@ from .util import BudgetExceeded, FmlabError
 
 
 def _load_structure(path):
+    if path is None:
+        raise FmlabError("--structure is required for this subcommand")
     with open(path, "r", encoding="utf-8") as fh:
         return parse_structure(fh.read())
 
 
 def _load_formula(path, signature):
+    if path is None:
+        raise FmlabError("--formula is required for this subcommand")
     with open(path, "r", encoding="utf-8") as fh:
         return parse_formula(fh.read(), signature)
 

@@ -48,9 +48,11 @@ class Structure:
     """A finite relational model: universe {0..N-1} plus named tuple sets.
 
     Immutable after construction; all operations on it are pure functions.
+    Two structures are equal, and hash alike, when their signatures, universe
+    sizes and relations are equal, so a structure can key a memo by value.
     """
 
-    __slots__ = ("signature", "universe_size", "relations", "_bitrows")
+    __slots__ = ("signature", "universe_size", "relations", "_bitrows", "_hash")
 
     def __init__(self, signature: Signature, universe_size: int,
                  relations: Mapping[str, Iterable[tuple[int, ...]]]):
@@ -83,9 +85,25 @@ class Structure:
                     rows[i] |= 1 << j
                 bitrows[name] = tuple(rows)
         object.__setattr__(self, "_bitrows", bitrows)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Structure is immutable")
+
+    def _key(self):
+        return (self.signature, self.universe_size,
+                tuple(self.relations[name] for name, _ in self.signature.relations))
+
+    def __eq__(self, other):
+        if not isinstance(other, Structure):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        # computed on first use: hashing every relation is linear in its size
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key()))
+        return self._hash
 
     def __repr__(self):
         rels = ", ".join(f"{n}:{len(self.relations[n])}" for n, _ in self.signature.relations)

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (Iff, PartitionedFormula, PhiType, SatTable, Structure,
                    rename_free, tp)
@@ -31,7 +32,11 @@ class IndependenceWitness:
     """Tuples a_i and b_w with phi[a_i; b_w] iff i in w."""
 
     a: tuple[tuple[int, ...], ...]
-    b: dict[frozenset[int], tuple[int, ...]]
+    b: Mapping[frozenset[int], tuple[int, ...]]
+
+    def __post_init__(self):
+        # read-only, because a memoised verdict shares its witness with every caller
+        object.__setattr__(self, "b", MappingProxyType(dict(self.b)))
 
     def to_report(self):
         return {"a": [list(t) for t in self.a],
@@ -410,7 +415,8 @@ def _tuples_over(elements: Iterable[int], arity: int):
 
 def splitting_order_witness(M: Structure, phi: PartitionedFormula,
                             chain: Sequence[Iterable[int]], p: PhiType, n: int
-                            ) -> Union[OrderWitness, SplittingChainFailure]:
+                            ) -> Union[OrderWitness, SplittingChainFailure,
+                                       BudgetExceeded]:
     """Constructive order witness for rho = build_rho(phi) from a splitting type.
 
     `chain` is an increasing chain of element sets A_0 <= ... <= A_{2n}; `p` is
@@ -421,6 +427,9 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
 
     On success the returned d_i = c_i + a_i + b_i sequence is re-verified as an
     n-order witness for rho before being returned.
+
+    Each subset B examined by the two hypotheses and each candidate c_j is one
+    node of `util.search_budget()`; BudgetExceeded when the budget runs out.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
@@ -435,6 +444,8 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
     bound = 3 * s * n
     delta_phi = [phi, phi.negated()]
     delta_psi = [psi, psi.negated()]
+    limit = search_budget()
+    nodes = 0
 
     # realizer of p itself
     d_real = None
@@ -450,6 +461,9 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
         elems = sorted(sets[i])
         for size in range(0, min(bound, len(elems)) + 1):
             for B in itertools.combinations(elems, size):
+                nodes += 1
+                if nodes > limit:
+                    return BudgetExceeded(nodes)
                 pars = sorted(_tuples_over(B, s))
                 types_M = {tp(delta_phi, a, pars, M) for a in M.tuples(r)}
                 types_next = {tp(delta_phi, a, pars, M)
@@ -465,6 +479,9 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
         restricted = p.restrict(_tuples_over(sets[i + 1], s))
         for size in range(0, min(bound, len(elems)) + 1):
             for B in itertools.combinations(elems, size):
+                nodes += 1
+                if nodes > limit:
+                    return BudgetExceeded(nodes)
                 pars_B = sorted(set(_tuples_over(B, s)) | set(_tuples_over(B, r)))
                 ok, _ = splits(restricted, pars_B, delta_phi, delta_psi, M)
                 if not ok:
@@ -490,6 +507,9 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
         target = tp(delta_phi, d_real, pars_s, M)
         c_j = None
         for cand in _tuples_over(sets[2 * j + 2], r):
+            nodes += 1
+            if nodes > limit:
+                return BudgetExceeded(nodes)
             if tp(delta_phi, cand, pars_s, M) == target:
                 c_j = cand
                 break

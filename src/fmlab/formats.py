@@ -51,17 +51,7 @@ class StructureDocument:
     sets: dict[str, frozenset[tuple[int, ...]]] = field(default_factory=dict)
     seqs: dict[str, TupleSequence] = field(default_factory=dict)
     submodels: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-
-    def __eq__(self, other):
-        if not isinstance(other, StructureDocument):
-            return NotImplemented
-        return (self.structure.signature == other.structure.signature
-                and self.structure.universe_size == other.structure.universe_size
-                and dict(self.structure.relations) == dict(other.structure.relations)
-                and self.sets == other.sets
-                and self.seqs == other.seqs
-                and self.submodels == other.submodels)
+    warnings: list[str] = field(default_factory=list, compare=False)
 
 
 @dataclass(frozen=True)

@@ -205,27 +205,30 @@ class BoundParams:
             raise PreconditionError("bound parameters must be naturals")
 
 
+# the most stages a length-bound calculator evaluates one at a time
+_EVAL_GUARD = 2_000_000
+
+
 def f_star(params: BoundParams, j: int) -> int:
     """The staged recursion F*(0)=1, F*(j+1) = 1 + F*(j) * F(alpha + m*r*j) while
     j < k-2-m, switching to F*(j+1) = 1 + F*(j) on the final m stages.
 
     Exact integers throughout; j must satisfy 0 <= j <= k-2. TooLargeError
-    when a value passes the size guard.
+    when a value passes the size guard, or when more than `_EVAL_GUARD`
+    multiplicative stages would be evaluated; the final additive stages are
+    added in one step.
     """
     k, m = params.k, params.m
     if not (0 <= j <= k - 2):
         raise PreconditionError(f"j must satisfy 0 <= j <= k-2 = {k - 2}")
+    stages = min(j, max(k - 2 - m, 0))
+    if stages > _EVAL_GUARD:
+        raise TooLargeError("F* has too many stages to evaluate")
     v = 1
-    for jj in range(j):
-        if jj < k - 2 - m:
-            f = params.F.value(params.alpha + m * params.r * jj)
-            v = bound_step(v, f, "F*")
-        else:
-            v = 1 + v
-    return v
-
-
-_EVAL_GUARD = 2_000_000
+    for jj in range(stages):
+        f = params.F.value(params.alpha + m * params.r * jj)
+        v = bound_step(v, f, "F*")
+    return v + (j - stages)
 
 
 def _end_need(F: GrowthFunction, alpha: int, r: int, m: int, K: int,

@@ -10,9 +10,10 @@ from fmlab import (AmalgamConfig, BudgetExceeded, GoodnessContext,
                    GoodnessRefutation, KappaResult, PreconditionError,
                    Signature, Structure, TupleSequence, atom_formula,
                    average_type, check_indiscernible, delta_star,
-                   exchange_check, find_cover_violation, find_k_independence,
-                   goodness_delta, is_good, kappa, make_class_context,
-                   parse_formula, prec_K, stable_amalgam, symmetry_test, tp)
+                   emit_report, exchange_check, find_cover_violation,
+                   find_k_independence, goodness_delta, is_good, kappa,
+                   make_class_context, parse_formula, prec_K, stable_amalgam,
+                   symmetry_test, tp)
 from fmlab.core import formula_text
 
 from conftest import (EDGE, complete_graph, empty_graph, graph,
@@ -288,6 +289,45 @@ def test_matching_is_refuted_by_negative_cover():
     got = is_good(M, EDGE, 2, 3)
     assert isinstance(got, GoodnessRefutation)
     assert got.kind == "cover"
+
+
+def test_goodness_memo_honours_a_budget_change(monkeypatch):
+    M = empty_graph(4)
+    for budget in ("3", None, "3", None):
+        if budget is None:
+            monkeypatch.delenv("FMLAB_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("FMLAB_BUDGET", budget)
+        got = is_good(M, EDGE, 1, 2)
+        if budget is None:
+            assert isinstance(got, GoodnessContext)
+        else:
+            assert isinstance(got, GoodnessRefutation) and got.kind == "budget"
+    assert fmlab.classify._is_good.cache_info().hits == 2
+
+
+def test_goodness_memo_is_keyed_by_value():
+    first = graph(5, [(0, 1), (1, 2)])
+    second = Structure(Signature((("R", 2),)), 5,
+                       {"R": [(2, 1), (1, 2), (1, 0), (0, 1), (0, 1)]})
+    assert first is not second
+    a = is_good(first, EDGE, 2, 3, domain=[0, 1, 2, 4])
+    b = is_good(second, EDGE, 2, 3, domain=[4, 2, 1, 0])
+    c = is_good(second, EDGE, 2, 3, domain={0, 1, 2, 4})
+    d = is_good(second, EDGE, 2, 3, domain=frozenset({0, 1, 2, 4}))
+    assert a == b == c == d
+    assert emit_report(a) == emit_report(b)
+    info = fmlab.classify._is_good.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+
+
+def test_memoised_refutation_shares_no_mutable_witness():
+    M = graph(3, [(0, 1)])
+    first = is_good(M, EDGE, 1, 2)
+    assert first.kind == "independence"
+    with pytest.raises(TypeError):
+        first.witness.b[frozenset()] = (2,)
+    assert is_good(M, EDGE, 1, 2) is first
 
 
 # ---------------------------------------------------------------------------

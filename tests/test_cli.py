@@ -222,6 +222,27 @@ def test_bound_without_target_length_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: --fn fstar needs --k\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["classify", "kappa"], ["classify", "good"], ["classify", "average"],
+    ["classify", "prec"], ["classify", "amalgam"], ["classify", "symmetry"],
+    ["indisc", "check"], ["indisc", "extract-end"], ["indisc", "extract"],
+    ["ramsey", "homogeneous"],
+])
+def test_missing_structure_is_usage_error(p3_files, capsys, command):
+    _, f = p3_files
+    formula = [] if command[0] == "ramsey" else ["--formula", f]
+    code = main(command + formula)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --structure is required")
+
+
+def test_missing_formula_is_usage_error(p3_files, capsys):
+    s, _ = p3_files
+    code = main(["indisc", "check", "--structure", s])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --formula is required")
+
+
 @pytest.mark.parametrize("argv", [
     ["--fn", "fstar", "--growth", "worst", "--growth-m", "3", "--r", "5",
      "--alpha", "10", "--k", "100", "--j", "98"],

@@ -169,6 +169,19 @@ def test_structure_rejects_bad_tuples():
         Structure(GRAPH_SIG, 3, {"S": [(0, 1)]})
 
 
+def test_structures_compare_and_hash_by_value():
+    a = graph(4, [(0, 1), (2, 3)])
+    b = Structure(GRAPH_SIG, 4, {"R": [(3, 2), (2, 3), (1, 0), (0, 1)]})
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != graph(4, [(0, 1), (1, 3)])
+    assert a != graph(5, [(0, 1), (2, 3)])
+    assert a != Structure(Signature((("E", 2),)), 4,
+                          {"E": [(0, 1), (1, 0), (2, 3), (3, 2)]})
+    assert a != "not a structure"
+
+
 def test_evaluation_inside_induced_substructure():
     # quantifiers range over the subuniverse only
     star = graph(4, [(0, 1), (0, 2), (0, 3)])

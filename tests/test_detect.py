@@ -320,6 +320,21 @@ def test_constructive_witness_failure_report_names_level():
     assert res.hypothesis == "splitting" and res.i == 0
 
 
+def test_constructive_witness_obeys_the_budget(monkeypatch):
+    M = linear_order(16)
+    A4 = sorted(LEM1_CHAIN[4])
+    p = tp([LESS, LESS.negated()], (7,), [(a,) for a in A4], M)
+    monkeypatch.setenv("FMLAB_BUDGET", "0")
+    assert splitting_order_witness(M, LESS, LEM1_CHAIN, p, 2) == BudgetExceeded(1)
+    # both hypotheses examine the 1 + 4 + 16 + 64 subsets of levels 0-3,
+    # then the construction tries 3 candidates c_j
+    monkeypatch.setenv("FMLAB_BUDGET", "172")
+    assert splitting_order_witness(M, LESS, LEM1_CHAIN, p, 2) == BudgetExceeded(173)
+    monkeypatch.setenv("FMLAB_BUDGET", "173")
+    assert isinstance(splitting_order_witness(M, LESS, LEM1_CHAIN, p, 2),
+                      OrderWitness)
+
+
 def test_constructive_witness_then_weak_order():
     # when the construction succeeds with n and the arrow relation
     # (2n) -> (m+1)^2_2 holds, the weak m-order follows for the base formula

@@ -1,6 +1,7 @@
 """Indiscernibility predicates, greedy extraction, and the length bounds."""
 
 import itertools
+import time
 
 import pytest
 
@@ -129,6 +130,17 @@ def test_g_identity_and_monotone():
     assert vals == sorted(vals)
     with pytest.raises(PreconditionError, match="underflow"):
         g_func(params, 1, -1)
+
+
+def test_f_star_refuses_too_many_stages_at_once():
+    params = BoundParams(ConstantGrowth(1), 0, 1, 1, 10 ** 9)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match="stages"):
+        f_star(params, 10 ** 9 - 2)
+    assert time.perf_counter() - start < 1.0
+    # the final additive stages come in closed form
+    small = BoundParams(ConstantGrowth(1), 0, 1, 3, 12)
+    assert [f_star(small, j) for j in range(11)] == list(range(1, 9)) + [9, 10, 11]
 
 
 def test_size_guard_keeps_every_value_below_it():
