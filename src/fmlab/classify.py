@@ -471,8 +471,8 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
                 raise PreconditionError(f"{tag} structure is not good: {got.kind}")
 
     A_match = [b for b in ctx.A if len(b) == phi.s]
-    objs_amb = sorted(itertools.product(sorted(amb), repeat=phi.r))
-    objs_N = sorted(itertools.product(sorted(N_dom), repeat=phi.r))
+    objs_amb = list(M.tuples(phi.r, domain=amb))
+    objs_N = list(M.tuples(phi.r, domain=N_dom))
     # satisfaction columns: bit i of cols[j] iff phi[objs[i]; A_match[j]]
     psi = phi.swapped()
     in_amb = SatTable(M, psi, amb)
@@ -559,22 +559,21 @@ def stable_amalgam(config: AmalgamConfig, check_preconditions: bool = True,
                 raise PreconditionError(f"precondition {name} fails: {e}")
             if rep.holds is not True:
                 raise PreconditionError(f"precondition {name} fails: {rep}")
-    A_params = sorted(itertools.product(sorted(config.m1), repeat=ctx.phi.s))
-    objs_m0 = sorted(itertools.product(sorted(config.m0), repeat=ctx.phi.r))
-    objs_m2 = sorted(itertools.product(sorted(config.m2), repeat=ctx.phi.r))
+    A_params = list(M.tuples(ctx.phi.s, domain=config.m1))
+    objs_m0 = list(M.tuples(ctx.phi.r, domain=config.m0))
+    objs_m2 = list(M.tuples(ctx.phi.r, domain=config.m2))
     table = SatTable(M, ctx.phi.swapped())
     return AmalgamResult(*_average_witnesses(
         M, ctx, None, objs_m0, table.rows(A_params, objs_m0),
         objs_m2, table.rows(A_params, objs_m2)))
 
 
-def symmetry_test(config: AmalgamConfig, check_preconditions: bool = True,
-                  check_good: bool = True) -> dict:
+def symmetry_test(config: AmalgamConfig, check_good: bool = True) -> dict:
     """Run the amalgamation check in both orientations and compare.
 
     Swapping M1 and M2 leaves the five precondition pairs the same, so they
     are checked once, by the forward run."""
-    forward = stable_amalgam(config, check_preconditions, check_good)
+    forward = stable_amalgam(config, True, check_good)
     swapped = AmalgamConfig(config.M, config.m0, config.m2, config.m1, config.ctx)
     backward = stable_amalgam(swapped, False, check_good)
     return {"forward": forward.holds, "backward": backward.holds,

@@ -1,17 +1,22 @@
 """The fmlab command line: batch analysis of structure files, experiments, and
 report emission.
 
+Each action of types/indisc/ramsey/experiment/classify takes
+--format/--seed/--threads and only the flags its handler reads, spelled in
+full; any other flag is a usage error, and the report's `config` echoes
+exactly those flags.
+
 Exit codes: 0 on success, 1 when an assertion-style subcommand is refuted
 (bound verification fails, a relation check comes back false), 2 on usage or
-parse errors. Reports are deterministic JSON (or CSV/text for tabular output):
-identical argv and seed give byte-identical bytes, regardless of --threads.
+parse errors, or when a report value is longer than Python will print.
+Reports are deterministic JSON (or CSV/text for tabular output): identical
+argv and seed give byte-identical bytes, regardless of --threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .classify import (AmalgamConfig, average_type, delta_star, is_good,
@@ -24,7 +29,8 @@ from .detect import (arrow_check, find_cover_violation,
                      find_k_independence, find_n_order, find_weak_m_order,
                      splits, verify_independence, verify_order,
                      verify_weak_order)
-from .formats import ParseError, emit_report, parse_formula, parse_structure
+from .formats import (ParseError, emit_report, parse_formula, parse_structure,
+                      reportable)
 from .indisc import (BoundParams, ConstantGrowth, PolynomialGrowth,
                      WorstCaseGrowth, beth, check_indiscernible,
                      extraction_length_estimates, extract_end_indiscernible,
@@ -61,10 +67,7 @@ def _tuple_arg(text):
 
 
 def _echo_config(args):
-    skip = {"func", "assertion_key"}
-    return {k: (str(v) if isinstance(v, Fraction) else v)
-            for k, v in sorted(vars(args).items())
-            if k not in skip and not callable(v)}
+    return {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
 
 
 def _emit(args, report, rows=None):
@@ -80,16 +83,9 @@ def _emit(args, report, rows=None):
                 "union_bound"]
         sys.stdout.write(",".join(cols) + "\n")
         for row in rows:
-            out = []
-            for c in cols:
-                v = row.get(c, "")
-                if isinstance(v, Fraction):
-                    out.append(f"{v.numerator}/{v.denominator}")
-                elif isinstance(v, float):
-                    out.append(f"{v:.12g}")
-                else:
-                    out.append(str(v))
-            sys.stdout.write(",".join(out) + "\n")
+            cells = [f"{v:.12g}" if isinstance(v, float) else str(reportable(v))
+                     for v in (row.get(c, "") for c in cols)]
+            sys.stdout.write(",".join(cells) + "\n")
     else:
         for k in sorted(report):
             sys.stdout.write(f"{k}: {emit_report(report[k])}\n")
@@ -345,6 +341,25 @@ def _common(p):
                    help="reserved; results are deterministic regardless")
 
 
+def _int(default):
+    return {"type": int, "default": default}
+
+
+def _group(sub, command, summary, handler, flags, actions):
+    """Add `command` with one subparser per action. Each action takes
+    --format/--seed/--threads and, of the group's `flags`, only those its
+    entry in `actions` names. Flags must be spelled in full, so one the
+    action does not read is a usage error, never an abbreviation of another."""
+    group = sub.add_parser(command, help=summary)
+    asub = group.add_subparsers(dest="action", required=True)
+    for action, names in actions.items():
+        p = asub.add_parser(action, allow_abbrev=False)
+        _common(p)
+        for name in names.split():
+            p.add_argument("--" + name, **flags[name])
+        p.set_defaults(func=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fmlab",
@@ -372,109 +387,76 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-set", default=None)
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("types", help="count realized types, verify the "
-                                     "polynomial bounds, find shattered sets")
-    _common(p)
-    tsub = p.add_subparsers(dest="action", required=True)
-    for name in ("count", "verify-order-bound", "verify-independence-bound",
-                 "shatter"):
-        tp_ = tsub.add_parser(name)
-        _common(tp_)
-        tp_.add_argument("--structure", required=("shatter" != name))
-        tp_.add_argument("--formula", required=("shatter" != name))
-        tp_.add_argument("--set", default=None)
-        tp_.add_argument("--n", type=int, default=1)
-        tp_.add_argument("--k", type=int, default=1)
-        tp_.add_argument("--member", action="append", default=[],
-                         help="family member for shatter, e.g. --member 0,1")
-        tp_.set_defaults(func=_cmd_types, action=name)
-    p.set_defaults(func=_cmd_types)
+    _group(sub, "types", "count realized types, verify the polynomial bounds, "
+           "find shattered sets", _cmd_types, {
+               "structure": {"required": True}, "formula": {"required": True},
+               "set": {"default": None}, "n": _int(1), "k": _int(1),
+               "member": {"action": "append", "default": [],
+                          "help": "family member for shatter, e.g. --member 0,1"},
+           }, {
+               "count": "structure formula set",
+               "verify-order-bound": "structure formula set n",
+               "verify-independence-bound": "structure formula set k",
+               "shatter": "member k",
+           })
 
-    p = sub.add_parser("indisc", help="check indiscernibility, extract "
-                                      "end/full indiscernible subsequences, "
-                                      "evaluate length bounds")
-    isub = p.add_subparsers(dest="action", required=True)
-    for name in ("check", "extract-end", "extract", "bounds"):
-        ip = isub.add_parser(name)
-        _common(ip)
-        ip.add_argument("--structure")
-        ip.add_argument("--formula")
-        ip.add_argument("--seq", default="I")
-        ip.add_argument("--set", default=None)
-        ip.add_argument("--m", type=int, default=1)
-        ip.add_argument("--k", type=int, default=None)
-        ip.add_argument("--mode", choices=["sequence", "set", "end"],
-                        default="sequence")
-        ip.add_argument("--fn", choices=["fstar", "g", "beth", "estimates"],
-                        default="fstar")
-        ip.add_argument("--growth", choices=["worst", "poly", "const"],
-                        default="worst")
-        ip.add_argument("--growth-m", type=int, default=1)
-        ip.add_argument("--growth-p", type=int, default=1)
-        ip.add_argument("--growth-c", type=int, default=2)
-        ip.add_argument("--alpha", type=int, default=0)
-        ip.add_argument("--r", type=int, default=1)
-        ip.add_argument("--j", type=int, default=0)
-        ip.add_argument("--i", type=int, default=0)
-        ip.add_argument("--x", type=int, default=0)
-        ip.add_argument("--case", type=int, default=1)
-        ip.add_argument("--p-or-n", type=int, default=None)
-        ip.add_argument("--s", type=int, default=None)
-        ip.add_argument("--t", type=int, default=None)
-        ip.set_defaults(func=_cmd_indisc, action=name)
+    _group(sub, "indisc", "check indiscernibility, extract end/full "
+           "indiscernible subsequences, evaluate length bounds", _cmd_indisc, {
+               "structure": {}, "formula": {}, "seq": {"default": "I"},
+               "set": {"default": None}, "m": _int(1), "k": _int(None),
+               "mode": {"choices": ["sequence", "set", "end"],
+                        "default": "sequence"},
+               "fn": {"choices": ["fstar", "g", "beth", "estimates"],
+                      "default": "fstar"},
+               "growth": {"choices": ["worst", "poly", "const"],
+                          "default": "worst"},
+               "growth-m": _int(1), "growth-p": _int(1), "growth-c": _int(2),
+               "alpha": _int(0), "r": _int(1), "j": _int(0), "i": _int(0),
+               "x": _int(0), "case": _int(1), "p-or-n": _int(None),
+               "s": _int(None), "t": _int(None),
+           }, {
+               "check": "structure formula seq set m mode",
+               "extract-end": "structure formula seq set m k",
+               "extract": "structure formula seq set m k",
+               "bounds": "fn growth growth-m growth-p growth-c alpha r m k j "
+                         "i x case p-or-n s t",
+           })
 
-    p = sub.add_parser("ramsey", help="arrow relation, homogeneous-set "
-                                      "extraction, bound comparison, E iterates")
-    rsub = p.add_subparsers(dest="action", required=True)
-    for name in ("arrow", "homogeneous", "compare-bounds", "e-bound"):
-        rp = rsub.add_parser(name)
-        _common(rp)
-        rp.add_argument("--structure")
-        rp.add_argument("--relation", default="R")
-        rp.add_argument("--x", type=int, default=0)
-        rp.add_argument("--y", type=int, default=0)
-        rp.add_argument("--a", type=int, default=2)
-        rp.add_argument("--b", type=int, default=2)
-        rp.add_argument("--r", type=int, default=3)
-        rp.add_argument("--n", type=int, default=2)
-        rp.add_argument("--k", type=int, default=3)
-        rp.add_argument("--p", type=int, default=1)
-        rp.add_argument("--j", type=int, default=1)
-        rp.set_defaults(func=_cmd_ramsey, action=name)
+    _group(sub, "ramsey", "arrow relation, homogeneous-set extraction, bound "
+           "comparison, E iterates", _cmd_ramsey, {
+               "structure": {}, "relation": {"default": "R"}, "x": _int(0),
+               "y": _int(0), "a": _int(2), "b": _int(2), "r": _int(3),
+               "n": _int(2), "k": _int(3), "p": _int(1), "j": _int(1),
+           }, {
+               "arrow": "x y a b", "homogeneous": "structure relation n k",
+               "compare-bounds": "r n k", "e-bound": "p j x",
+           })
 
-    p = sub.add_parser("experiment", help="coupon-collector exact values and "
-                                          "seeded random-graph estimates")
-    esub = p.add_subparsers(dest="action", required=True)
-    for name in ("coupon", "independence-mc", "thmg1"):
-        ep = esub.add_parser(name)
-        _common(ep)
-        ep.add_argument("--n", type=int, default=2)
-        ep.add_argument("--m", type=int, default=2)
-        ep.add_argument("--k", type=int, default=2)
-        ep.add_argument("--trials", type=int, default=100)
-        ep.add_argument("--k-list", default="2,3,4")
-        ep.set_defaults(func=_cmd_experiment, action=name)
+    _group(sub, "experiment", "coupon-collector exact values and seeded "
+           "random-graph estimates", _cmd_experiment, {
+               "n": _int(2), "m": _int(2), "k": _int(2), "trials": _int(100),
+               "k-list": {"default": "2,3,4"},
+           }, {
+               "coupon": "n m", "independence-mc": "n k trials",
+               "thmg1": "k-list trials",
+           })
 
-    p = sub.add_parser("classify", help="closure sets, kappa, averages, "
-                                        "goodness, strong submodels, "
-                                        "amalgamation and its symmetry")
-    csub = p.add_subparsers(dest="action", required=True)
-    for name in ("delta-star", "kappa", "average", "good", "prec", "amalgam",
-                 "symmetry"):
-        cp = csub.add_parser(name)
-        _common(cp)
-        cp.add_argument("--structure")
-        cp.add_argument("--formula", required=True)
-        cp.add_argument("--set", default="A")
-        cp.add_argument("--seq", default="I")
-        cp.add_argument("--submodels", default="M0,M1,M2",
-                        help="comma-separated submodel names from the file")
-        cp.add_argument("--n", type=int, default=1)
-        cp.add_argument("--d", type=int, default=2)
-        cp.add_argument("--k", type=int, default=1)
-        cp.add_argument("--kappa", type=int, default=1)
-        cp.add_argument("--max-len", type=int, default=None)
-        cp.set_defaults(func=_cmd_classify, action=name)
+    _group(sub, "classify", "closure sets, kappa, averages, goodness, strong "
+           "submodels, amalgamation and its symmetry", _cmd_classify, {
+               "structure": {}, "formula": {"required": True},
+               "set": {"default": "A"}, "seq": {"default": "I"},
+               "submodels": {"default": "M0,M1,M2", "help": "comma-separated "
+                             "submodel names from the file"},
+               "n": _int(1), "d": _int(2), "k": _int(1), "kappa": _int(1),
+               "max-len": _int(None),
+           }, {
+               "delta-star": "formula n", "kappa": "structure formula n max-len",
+               "average": "structure formula seq set kappa n",
+               "good": "structure formula n d",
+               "prec": "structure formula set submodels n d k",
+               "amalgam": "structure formula set submodels n d k",
+               "symmetry": "structure formula set submodels n d k",
+           })
 
     return ap
 

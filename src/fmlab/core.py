@@ -533,8 +533,7 @@ def tp(delta: Sequence[PartitionedFormula], a: tuple[int, ...],
 
 
 def realized_types(delta: Sequence[PartitionedFormula], A: Iterable[tuple[int, ...]],
-                   M: Structure, object_arity: int,
-                   domain: Optional[frozenset[int]] = None) -> frozenset[PhiType]:
+                   M: Structure, object_arity: int) -> frozenset[PhiType]:
     """S_delta(A, M): the distinct types over A realized by tuples of M.
 
     Only realized types are collected; there is no closure under consistency.
@@ -543,8 +542,8 @@ def realized_types(delta: Sequence[PartitionedFormula], A: Iterable[tuple[int, .
         raise PreconditionError("object arity must be >= 1")
     A = [tuple(b) for b in A]
     out = set()
-    for a in M.tuples(object_arity, domain=domain):
-        out.add(tp(delta, a, A, M, domain=domain))
+    for a in M.tuples(object_arity):
+        out.add(tp(delta, a, A, M))
     return frozenset(out)
 
 

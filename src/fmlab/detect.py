@@ -409,10 +409,6 @@ def build_rho(phi: PartitionedFormula) -> PartitionedFormula:
     return PartitionedFormula(Iff(left, right), obj, par)
 
 
-def _tuples_over(elements: Iterable[int], arity: int):
-    return itertools.product(sorted(elements), repeat=arity)
-
-
 def splitting_order_witness(M: Structure, phi: PartitionedFormula,
                             chain: Sequence[Iterable[int]], p: PhiType, n: int
                             ) -> Union[OrderWitness, SplittingChainFailure,
@@ -464,10 +460,10 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
                 nodes += 1
                 if nodes > limit:
                     return BudgetExceeded(nodes)
-                pars = sorted(_tuples_over(B, s))
+                pars = sorted(M.tuples(s, domain=B))
                 types_M = {tp(delta_phi, a, pars, M) for a in M.tuples(r)}
                 types_next = {tp(delta_phi, a, pars, M)
-                              for a in _tuples_over(sets[i + 1], r)}
+                              for a in M.tuples(r, domain=sets[i + 1])}
                 if not types_M <= types_next:
                     return SplittingChainFailure(
                         "realization", i,
@@ -476,13 +472,14 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
     # hypothesis 2: p|A_{i+1} splits over every small subset of A_i
     for i in range(2 * n):
         elems = sorted(sets[i])
-        restricted = p.restrict(_tuples_over(sets[i + 1], s))
+        restricted = p.restrict(M.tuples(s, domain=sets[i + 1]))
         for size in range(0, min(bound, len(elems)) + 1):
             for B in itertools.combinations(elems, size):
                 nodes += 1
                 if nodes > limit:
                     return BudgetExceeded(nodes)
-                pars_B = sorted(set(_tuples_over(B, s)) | set(_tuples_over(B, r)))
+                pars_B = sorted(set(M.tuples(s, domain=B))
+                                | set(M.tuples(r, domain=B)))
                 ok, _ = splits(restricted, pars_B, delta_phi, delta_psi, M)
                 if not ok:
                     return SplittingChainFailure(
@@ -495,7 +492,7 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
     c_list: list[tuple[int, ...]] = []
     for j in range(n):
         B_j = sorted(set(a_list) | set(b_list) | set(c_list))
-        restricted = p.restrict(_tuples_over(sets[2 * j + 1], s))
+        restricted = p.restrict(M.tuples(s, domain=sets[2 * j + 1]))
         ok, wit = splits(restricted, B_j, delta_phi, delta_psi, M)
         if not ok:
             return SplittingChainFailure("splitting", j,
@@ -506,7 +503,7 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
         pars_s = [t for t in pars if len(t) == s]
         target = tp(delta_phi, d_real, pars_s, M)
         c_j = None
-        for cand in _tuples_over(sets[2 * j + 2], r):
+        for cand in M.tuples(r, domain=sets[2 * j + 2]):
             nodes += 1
             if nodes > limit:
                 return BudgetExceeded(nodes)
@@ -545,11 +542,14 @@ def arrow_check(x: int, y: int, a: int, b: int) -> bool:
         return True  # any y-set has no a-subsets at all
     if x < y:
         return False
-    cells = list(itertools.combinations(range(x), a))
-    ncells = len(cells)
-    total = b ** ncells
-    if total > (1 << 24):
+    if b == 1 or a == 0:
+        return True  # every y-set is monochromatic
+    ncells = comb(x, a)
+    # b >= 2, so past 24 cells the power is past the guard: never build it
+    if ncells > 24 or b ** ncells > (1 << 24):
         raise TooLargeError(f"{b}^{ncells} colorings exceed the exhaustive guard")
+    total = b ** ncells
+    cells = list(itertools.combinations(range(x), a))
     index = {c: i for i, c in enumerate(cells)}
     ysets = list(itertools.combinations(range(x), y))
     masks = []

@@ -26,13 +26,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
 from .core import (And, Atom, Exists, Forall, Formula, Iff, Implies, Not, Or,
                    PartitionedFormula, Signature, Structure, TupleSequence)
-from .util import FmlabError
+from .util import FmlabError, TooLargeError
 
 
 class ParseError(FmlabError):
@@ -435,27 +436,41 @@ def serialize_formula(src: FormulaSource) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _reportable(value: Any) -> Any:
+def _printable(v: int) -> int:
+    """v, or TooLargeError when it is longer than Python will print: more than
+    `sys.get_int_max_str_digits()` digits (0 or absent: no limit). The limit
+    is process-wide, so it is only read, never changed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # below 3 * limit bits, |v| < 8^limit < 10^limit
+    if limit and v.bit_length() > 3 * limit and abs(v) >= 10 ** limit:
+        raise TooLargeError(f"a report value has more than {limit} digits, "
+                            "Python's limit for printing an integer")
+    return v
+
+
+def reportable(value: Any) -> Any:
     """Convert a result value into deterministic JSON-ready data.
 
     Rationals become "num/den" strings; reals are rounded to 12 significant
     digits; sets are sorted; dataclasses become dicts; objects may provide
-    their own to_report().
+    their own to_report(). TooLargeError for an integer too long to print.
     """
     if hasattr(value, "to_report"):
-        return _reportable(value.to_report())
-    if value is None or isinstance(value, (bool, int, str)):
+        return reportable(value.to_report())
+    if value is None or isinstance(value, (bool, str)):
         return value
+    if isinstance(value, int):
+        return _printable(value)
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_printable(value.numerator)}/{_printable(value.denominator)}"
     if isinstance(value, dict):
-        return {str(k): _reportable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): reportable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (set, frozenset)):
-        return [_reportable(v) for v in sorted(value, key=repr)]
+        return [reportable(v) for v in sorted(value, key=repr)]
     if isinstance(value, (list, tuple)):
-        return [_reportable(v) for v in value]
+        return [reportable(v) for v in value]
     if isinstance(value, TupleSequence):
         return [list(t) for t in value]
     if isinstance(value, PartitionedFormula):
@@ -465,14 +480,14 @@ def _reportable(value: Any) -> Any:
                 "relations": {n: sorted(map(list, value.relations[n]))
                               for n, _ in value.signature.relations}}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _reportable(getattr(value, f.name))
+        return {f.name: reportable(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     raise FmlabError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def emit_report(value: Any) -> str:
     """Deterministic JSON text: sorted keys, no floating nondeterminism."""
-    return json.dumps(_reportable(value), sort_keys=True, separators=(",", ":"))
+    return json.dumps(reportable(value), sort_keys=True, separators=(",", ":"))
 
 
 def subset_key(w) -> str:

@@ -79,9 +79,7 @@ class TypeOracle:
 
 def check_indiscernible(I, delta: Sequence[PartitionedFormula], m: int,
                         A: Iterable[tuple[int, ...]], M: Structure,
-                        mode: str = "sequence",
-                        domain: Optional[frozenset[int]] = None
-                        ) -> IndiscernibilityCertificate:
+                        mode: str = "sequence") -> IndiscernibilityCertificate:
     """Decide whether I is (delta, m)-indiscernible over A.
 
     mode "sequence" compares increasing m-selections, "set" compares all
@@ -97,7 +95,7 @@ def check_indiscernible(I, delta: Sequence[PartitionedFormula], m: int,
     if len(seq) < m:
         raise PreconditionError(f"sequence of length {len(seq)} cannot host m={m} selections")
     A = sorted(tuple(b) for b in A)
-    oracle = TypeOracle(M, delta, A, domain)
+    oracle = TypeOracle(M, delta, A)
     n = len(seq)
     if mode == "sequence":
         split = oracle.first_split(seq.tuples, itertools.combinations(range(n), m))
@@ -292,9 +290,7 @@ def beth(i: int, x: int) -> int:
         raise PreconditionError("beth arguments must be naturals")
     v = x
     for _ in range(i):
-        if v > 5_000_000:
-            raise TooLargeError("beth value exceeds the size guard")
-        v = 2 ** v
+        v = _power(2, v)
     return v
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .core import Signature, Structure
 from .detect import first_shattered
-from .indisc import (ExtractionFailure, HypergraphBoundedGrowth,
+from .indisc import (_EVAL_GUARD, ExtractionFailure, HypergraphBoundedGrowth,
                      HypergraphWorstGrowth, bound_step, ceil_log2,
                      greedy_end_extraction)
 from .util import (SIZE_GUARD_BITS, FmlabError, PreconditionError, SplitMix64,
@@ -305,10 +305,13 @@ def hypergraph_fstar(r: int, variant: str, k: int, n: Optional[int] = None) -> i
     """Multiplicative envelope G(0)=1, G(t+1) = 1 + G(t) * F(r t), evaluated at k.
 
     In the worst case it stays below 2^(k^r); in the bounded case below
-    k^((r-1)(n-1)k).
+    k^((r-1)(n-1)k). TooLargeError when a value passes the size guard, or
+    before any stage when k is past `indisc._EVAL_GUARD`.
     """
     if k < 0:
         raise PreconditionError("k must be a natural")
+    if k > _EVAL_GUARD:
+        raise TooLargeError("the envelope has too many stages to evaluate")
     v = 1
     for t in range(k):
         v = bound_step(v, hypergraph_F(r, variant, r * t, n=n), "envelope")

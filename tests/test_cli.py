@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 import time
 import warnings
 
@@ -290,3 +291,85 @@ def test_byte_identical_reports(p3_files, capsys):
         a["config"].pop("threads")
         b["config"].pop("threads")
         assert a == b
+
+
+def _fill(argv, s, f):
+    return [{"S": s, "F": f}.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["indisc", "extract", "--structure", "S", "--formula", "F", "--m", "1",
+     "--mode", "set"],
+    ["classify", "kappa", "--structure", "S", "--formula", "F", "--d", "3"],
+    ["ramsey", "arrow", "--x", "6", "--y", "3", "--k", "3"],
+    ["experiment", "coupon", "--n", "2", "--m", "2", "--trials", "5"],
+    ["types", "count", "--structure", "S", "--formula", "F", "--k", "2"],
+    ["types", "--format", "text", "shatter", "--member", "0", "--k", "1"],
+    # a flag the action does not read is no abbreviation of one it does
+    ["experiment", "thmg1", "--k", "3"],
+    ["ramsey", "homogeneous", "--structure", "S", "--r", "3"],
+])
+def test_flag_the_action_does_not_read_is_usage_error(p3_files, capsys, argv):
+    code = main(_fill(argv, *p3_files))
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["types", "shatter", "--member", "0", "--k", "1"], {"member", "k"}),
+    (["indisc", "bounds", "--fn", "beth", "--i", "1", "--x", "2"],
+     {"fn", "growth", "growth_m", "growth_p", "growth_c", "alpha", "r", "m",
+      "k", "j", "i", "x", "case", "p_or_n", "s", "t"}),
+    (["ramsey", "arrow", "--x", "6", "--y", "3"], {"x", "y", "a", "b"}),
+    (["experiment", "coupon", "--n", "2", "--m", "2"], {"n", "m"}),
+    (["classify", "good", "--structure", "S", "--formula", "F"],
+     {"structure", "formula", "n", "d"}),
+])
+def test_config_echoes_exactly_the_action_flags(empty5_files, capsys, argv,
+                                                flags):
+    code, out = run(capsys, _fill(argv, *empty5_files))
+    assert code == 0
+    assert set(json.loads(out)["config"]) == flags | {
+        "command", "action", "format", "seed", "threads"}
+
+
+def test_each_action_registers_only_its_own_options():
+    import argparse
+    from fmlab.cli import build_parser
+
+    def options(parser):
+        own = [s for a in parser._actions for s in a.option_strings
+               if s not in ("-h", "--help")]
+        subs = [sp for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)
+                for sp in a.choices.values()]
+        return own + [s for sp in subs for s in options(sp)]
+
+    root = build_parser()
+    assert len(options(root)) == 186
+    groups = next(a for a in root._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+    assert [s for a in groups["types"]._actions
+            for s in a.option_strings] == ["-h", "--help"]
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("argv", [
+    ["types", "verify-independence-bound", "--structure", "S", "--formula",
+     "F", "--set", "A", "--k", "10000"],
+    ["experiment", "coupon", "--n", "20000", "--m", "3"],
+    ["indisc", "bounds", "--fn", "beth", "--i", "1", "--x", "20000"],
+])
+def test_report_value_too_long_to_print_is_usage_error(tmp_path, capsys, argv):
+    # 4^9999 has 6,020 digits, 2^20000 has 6,021: past Python's default 4,300
+    s = tmp_path / "s4.fm"
+    s.write_text("signature: R/2\nuniverse: 4\nrelation R: (0,1) (1,0)\n"
+                 "set A: (0) (1) (2) (3)\n")
+    f = tmp_path / "edge.fml"
+    f.write_text(EDGE_FML)
+    code = main(_fill(argv, str(s), str(f)))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "digits" in captured.err

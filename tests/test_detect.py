@@ -1,6 +1,8 @@
 """Witness searches and their independent verifiers."""
 
 import itertools
+import time
+import tracemalloc
 
 import pytest
 
@@ -371,6 +373,30 @@ def test_arrow_single_color_class():
 def test_arrow_size_guard():
     with pytest.raises(TooLargeError):
         arrow_check(30, 4, 2, 2)
+
+
+def test_arrow_size_guard_comes_before_any_allocation():
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(TooLargeError):
+            arrow_check(20000, 3, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+
+
+def test_arrow_with_one_color_or_no_cells_is_decided_at_once():
+    start = time.perf_counter()
+    assert arrow_check(300, 3, 2, 1) is True
+    assert arrow_check(300, 3, 0, 5) is True
+    assert time.perf_counter() - start < 1.0
+    # every y-set is monochromatic, so only x >= y matters
+    for x, y in itertools.product(range(5), repeat=2):
+        assert arrow_check(x, y, 0, 3) is (x >= y)
+        assert arrow_check(x, y, 1, 1) is (x >= y or y < 1)
 
 
 def test_stirling_threshold_matches_rational_inequality():

@@ -1,5 +1,6 @@
 """Structure/formula parsing, serialization round trips, report emission."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from fmlab import (ParseError, coupon_q, emit_report, find_k_independence,
                    parse_formula, parse_structure, serialize_formula,
                    serialize_structure)
 from fmlab.core import And, Iff, Implies, Not, Or
-from fmlab.util import SplitMix64
+from fmlab.util import SplitMix64, TooLargeError
 
 from conftest import GRAPH_SIG, complete_graph
 
@@ -247,3 +248,16 @@ def test_report_bytes_of_every_result_record():
     ]
     for value, want in cases:
         assert emit_report(value) == want, type(value).__name__
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python prints integers of any length")
+def test_report_integers_past_the_digit_limit_are_refused():
+    limit = sys.get_int_max_str_digits()
+    longest = 10 ** limit - 1
+    assert emit_report([longest, -longest]) == f"[{longest},-{longest}]"
+    assert emit_report(Fraction(1, longest)) == f'"1/{longest}"'
+    for value in (10 ** limit, -10 ** limit, Fraction(10 ** limit, 3),
+                  Fraction(1, 10 ** limit), {"nested": [10 ** limit]}):
+        with pytest.raises(TooLargeError):
+            emit_report(value)

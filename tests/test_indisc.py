@@ -13,7 +13,7 @@ from fmlab import (BoundParams, ConstantGrowth, ExtractionFailure,
                    extract_end_indiscernible, extract_indiscernible, f_star,
                    g_func)
 from fmlab.indisc import greedy_end_extraction
-from fmlab.util import SplitMix64, TooLargeError, mix_seed
+from fmlab.util import SIZE_GUARD_BITS, SplitMix64, TooLargeError, mix_seed
 
 from conftest import (EDGE, EDGE_PAIR, complete_graph, digraph,
                       empty_graph, graph, seeded_graph, star_graph)
@@ -121,6 +121,12 @@ def test_beth_values():
     for x in (2, 3, 5):
         assert beth(1, x) < beth(2, x)
         assert beth(2, x) < beth(2, x + 1)
+
+
+def test_beth_obeys_the_size_guard():
+    with pytest.raises(TooLargeError):
+        beth(1, SIZE_GUARD_BITS)
+    assert beth(1, SIZE_GUARD_BITS - 1).bit_length() == SIZE_GUARD_BITS
 
 
 def test_g_identity_and_monotone():

@@ -3,6 +3,7 @@ homogeneous extraction, and the log-level bound comparison."""
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,14 @@ def test_hypergraph_envelopes():
         assert hypergraph_fstar(3, "bounded", k, n=2) <= k ** (2 * k)
     for k in range(1, 5):
         assert hypergraph_fstar(2, "worst", k) <= 2 ** (k ** 2)
+
+
+def test_hypergraph_envelope_refuses_too_many_stages_at_once():
+    # F = 1 at every stage, so only a stage guard can stop the loop
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match="stages"):
+        hypergraph_fstar(3, "bounded", 10 ** 9, n=1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_E_iterates():
