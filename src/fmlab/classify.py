@@ -3,8 +3,10 @@ of pattern formulas, the minority bound kappa, average types over indiscernible
 sequences, goodness, the strong-submodel relation, and stable amalgamation with
 its symmetry test.
 
-Submodels are universe subsets with induced relations; nothing is relabeled, so
-parameter tuples keep their meaning across a whole configuration.
+Submodels are universe subsets with induced relations, and every result names
+elements of the whole structure, so parameter tuples keep their meaning across
+a whole configuration (goodness is decided on a relabelled copy of the
+submodel, and its witnesses are mapped back).
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from typing import Iterable, Optional, Sequence, Union
 from .core import (And, Exists, Not, PartitionedFormula, PhiType, SatTable,
                    Structure, TupleSequence, bound_vars, formula_text,
                    free_vars, rename_free, subformulas)
-from .detect import find_cover_violation, find_k_independence
+from .detect import (CoverViolation, IndependenceWitness, find_cover_violation,
+                     find_k_independence)
 from .indisc import TypeOracle, check_indiscernible
-from .util import BudgetExceeded, PreconditionError, search_budget
+from .util import (BudgetExceeded, EvaluationError, PreconditionError,
+                   search_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +144,15 @@ def _indiscernible_sequences(runs, oracle: TypeOracle, n: int, limit: int):
     members of source with a length from `lengths`, in lexicographic order of
     source positions, whose increasing n-selections all have the same type
     under `oracle`; each comes as (seq, mask), bit i of mask set iff source[i]
-    is in seq. Every candidate tried counts against `limit`; once more than `limit`
-    have been tried, the last item yielded is BudgetExceeded."""
+    is in seq. A member set comes once per source, at its first indiscernible
+    ordering: its later orderings are not checked, because both callers
+    decide on the mask alone. Every candidate tried, checked or not, counts
+    against `limit`; once more than `limit` have been tried, the last item
+    yielded is BudgetExceeded."""
     tried = 0
     for source, lengths in runs:
         bit = {c: 1 << i for i, c in enumerate(source)}
+        yielded = set()  # masks of the member sets yielded from this source
         for length in lengths:
             sels = list(itertools.combinations(range(length), n))
             for seq in itertools.permutations(source, length):
@@ -152,8 +160,10 @@ def _indiscernible_sequences(runs, oracle: TypeOracle, n: int, limit: int):
                 if tried > limit:
                     yield BudgetExceeded(tried)
                     return
-                if oracle.first_split(seq, sels) is None:
-                    yield seq, sum(bit[c] for c in seq)
+                mask = sum(bit[c] for c in seq)
+                if mask not in yielded and oracle.first_split(seq, sels) is None:
+                    yielded.add(mask)
+                    yield seq, mask
 
 
 def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
@@ -168,9 +178,9 @@ def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
     sequence is one node of `util.search_budget()`; BudgetExceeded when the
     budget runs out. The split counts depend only on the set of members, so
     each set is counted once per parameter arity, at its first indiscernible
-    ordering: a later ordering has the same counts and cannot beat the worst
-    side found so far, so the value and the witness are those of counting
-    every ordering.
+    ordering (`_indiscernible_sequences` yields no other): a later ordering
+    has the same counts and cannot beat the worst side found so far, so the
+    value and the witness are those of counting every ordering.
     """
     if max_len is not None and max_len < 2:
         raise PreconditionError("max_len must be >= 2")
@@ -188,16 +198,11 @@ def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
                 tables[s].append((f, objs, SatTable(M, f, domain).rows(objs, tuples)))
     worst = 0
     witness = None
-    counted = set()  # (parameter arity, member mask)
     for got in _indiscernible_sequences(runs, oracle, n, search_budget()):
         if isinstance(got, BudgetExceeded):
             return got
         seq, mask = got
-        key = (len(seq[0]), mask)
-        if key in counted:
-            continue
-        counted.add(key)
-        for f, objs, rows in tables[key[0]]:
+        for f, objs, rows in tables[len(seq[0])]:
             for c, row in zip(objs, rows):
                 pos = (row & mask).bit_count()
                 side = min(pos, len(seq) - pos)
@@ -278,7 +283,7 @@ def goodness_delta(phi: PartitionedFormula) -> list[PartitionedFormula]:
     return [phi, psi, phi.negated(), psi.negated()]
 
 
-# distinct (M, phi, n, d, domain, budget) goodness verdicts kept by is_good
+# distinct (structure, phi, n, d, budget) goodness verdicts kept by is_good
 _IS_GOOD_CACHE = 128
 
 
@@ -293,37 +298,65 @@ def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
     for ~f exactly when it is for f (each pattern complemented), at the same
     node count, so after the searches for phi and psi theirs find nothing.
 
-    The verdict is pure in its arguments and the budget, so it is memoised by
-    value per (M, phi, n, d, domain as a frozenset, `util.search_budget()`):
-    a list, a set and a frozenset domain share one entry, and a changed
+    With a domain, goodness is decided on the substructure induced on it,
+    relabelled by the order-preserving map from 0..|domain|-1 onto
+    sorted(domain), and a refutation's witness tuples are mapped back. Every
+    search here walks tuples over the domain in lexicographic order and
+    quantifies over the domain, so the verdict, the earliest witness, kappa,
+    lambda and a budget marker's node count are those of searching M
+    restricted to the domain.
+
+    The verdict is pure in the structure it is decided on and the budget, so
+    it is memoised by value per (induced substructure, phi, n, d,
+    `util.search_budget()`): members of a class whose induced substructures
+    are the same up to that relabelling share one entry, and a changed
     FMLAB_BUDGET is never served a verdict reached under another budget. A
     memoised verdict is shared by every caller and holds no mutable object."""
     if n < 1 or d < 1:
         raise PreconditionError("n and d must be >= 1")
-    return _is_good(M, phi, n, d, None if domain is None else frozenset(domain),
-                    search_budget())
+    if domain is None:
+        return _is_good(M, phi, n, d, search_budget())
+    dom = sorted(frozenset(domain))
+    for e in dom:
+        if not 0 <= e < M.universe_size:
+            raise EvaluationError(f"element out of range: {e}")
+    pos = {e: i for i, e in enumerate(dom)}
+    sub = Structure(M.signature, len(dom), {
+        name: [tuple(pos[e] for e in t) for t in rel if all(e in pos for e in t)]
+        for name, rel in M.relations.items()})
+    got = _is_good(sub, phi, n, d, search_budget())
+    if isinstance(got, GoodnessContext) or isinstance(got.witness, BudgetExceeded):
+        return got
+
+    def back(t):
+        return tuple(dom[i] for i in t)
+
+    wit = got.witness
+    if isinstance(wit, IndependenceWitness):
+        wit = IndependenceWitness(tuple(map(back, wit.a)),
+                                  {w: back(b) for w, b in wit.b.items()})
+    else:
+        wit = CoverViolation(wit.n, tuple(map(back, wit.b)))
+    return GoodnessRefutation(got.kind, got.formula, wit)
 
 
 @functools.lru_cache(maxsize=_IS_GOOD_CACHE)
-def _is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
-             domain: Optional[frozenset], budget: int
+def _is_good(M: Structure, phi: PartitionedFormula, n: int, d: int, budget: int
              ) -> Union[GoodnessContext, GoodnessRefutation]:
     # `budget` only keys the memo; the searches read the same value themselves
     delta = goodness_delta(phi)
-    size = M.universe_size if domain is None else len(domain)
     for i, f in enumerate(delta):
-        wit = find_k_independence(M, f, n, domain=domain) if i < 2 else None
+        wit = find_k_independence(M, f, n) if i < 2 else None
         if isinstance(wit, BudgetExceeded):
             return GoodnessRefutation("budget", f, wit)
         if wit is not None:
             return GoodnessRefutation("independence", f, wit)
-        n_max = max(size ** f.s, d)
-        vio = find_cover_violation(M, f, d, n_max, domain=domain)
+        vio = find_cover_violation(M, f, d, max(M.universe_size ** f.s, d))
         if isinstance(vio, BudgetExceeded):
             return GoodnessRefutation("budget", f, vio)
         if vio is not None:
             return GoodnessRefutation("cover", f, vio)
-    got = kappa(M, delta, n, domain=domain)
+    got = kappa(M, delta, n)
     if isinstance(got, BudgetExceeded):
         return GoodnessRefutation("budget", phi, got)
     return GoodnessContext(phi, n, d, got.value, max(d * got.value, 2 * n))

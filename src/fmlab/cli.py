@@ -16,6 +16,7 @@ argv and seed give byte-identical bytes, regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -360,7 +361,10 @@ def _group(sub, command, summary, handler, flags, actions):
         p.set_defaults(func=handler)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The `fmlab` parser, built on first use and then shared: parsing leaves
+    it unchanged, and importing the module does not pay for it."""
     ap = argparse.ArgumentParser(
         prog="fmlab",
         description="Analyze finite relational structures: witness searches, "

@@ -69,6 +69,13 @@ def seeded_graph(n, seed):
     return graph(n, edges)
 
 
+def seeded_digraph(n, seed):
+    """Loopless digraph with each arc present by one SplitMix64 bit."""
+    rng = SplitMix64(seed)
+    return digraph(n, [(i, j) for i in range(n) for j in range(n)
+                       if i != j and rng.bit()])
+
+
 EDGE = atom_formula("R", ["x0"], ["y0"])
 EDGE_PAIR = atom_formula("R", ["x0", "x1"], [])
 LESS = atom_formula("L", ["x0"], ["y0"])

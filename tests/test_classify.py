@@ -6,18 +6,19 @@ import itertools
 import pytest
 
 import fmlab.classify
-from fmlab import (AmalgamConfig, BudgetExceeded, GoodnessContext,
-                   GoodnessRefutation, KappaResult, PreconditionError,
+from fmlab import (AmalgamConfig, BudgetExceeded, EvaluationError,
+                   GoodnessContext, GoodnessRefutation, KappaResult, PreconditionError,
                    Signature, Structure, TupleSequence, atom_formula,
                    average_type, check_indiscernible, delta_star,
                    emit_report, exchange_check, find_cover_violation,
                    find_k_independence, goodness_delta, is_good, kappa,
                    make_class_context, parse_formula, prec_K, stable_amalgam,
-                   symmetry_test, tp)
+                   symmetry_test, tp, verify_independence)
+from fmlab.util import SplitMix64
 from fmlab.core import formula_text
 
 from conftest import (EDGE, complete_graph, empty_graph, graph,
-                      seeded_graph, star_graph)
+                      seeded_digraph, seeded_graph, star_graph)
 
 DELTA = [EDGE, EDGE.negated()]
 
@@ -328,6 +329,86 @@ def test_memoised_refutation_shares_no_mutable_witness():
     with pytest.raises(TypeError):
         first.witness.b[frozenset()] = (2,)
     assert is_good(M, EDGE, 1, 2) is first
+
+
+def test_goodness_domain_is_checked_before_any_work():
+    M = empty_graph(4)
+    for domain, bad in (({0, 7}, "7"), ({-1, 0}, "-1"), ({-1, 9}, "-1")):
+        with pytest.raises(EvaluationError, match=f"element out of range: {bad}$"):
+            is_good(M, EDGE, 1, 2, domain=domain)
+    assert fmlab.classify._is_good.cache_info().misses == 0
+    got = is_good(M, EDGE, 1, 2, domain=set())
+    assert isinstance(got, GoodnessContext)
+    assert (got.kappa_value, got.lambda_value) == (1, 2)
+
+
+def test_goodness_memo_is_shared_by_members_of_one_induced_shape():
+    # a path 0-1-2 plus an isolated vertex, once inside each structure
+    first = graph(5, [(0, 1), (1, 2), (3, 4)])
+    second = graph(6, [(1, 3), (3, 4), (0, 5), (2, 4)])
+    a = is_good(first, EDGE, 2, 3, domain={0, 1, 2, 4})
+    b = is_good(second, EDGE, 2, 3, domain={1, 3, 4, 5})
+    assert a == b
+    info = fmlab.classify._is_good.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_a_shared_refutation_names_each_callers_own_elements():
+    # each pair of members induces one shape, so the second member is served
+    # the first one's verdict with the witness mapped into its own domain:
+    # one edge and an isolated vertex (independence at n = 1), and a perfect
+    # matching on four vertices (a cover violation at n = 2, d = 3)
+    shapes = [(1, 2, "independence",
+               [(graph(4, [(0, 1)]), {0, 1, 2}),
+                (graph(6, [(1, 3), (4, 5), (2, 5)]), {1, 3, 4})]),
+              (2, 3, "cover",
+               [(graph(5, [(0, 1), (2, 3), (3, 4)]), {0, 1, 2, 3}),
+                (graph(6, [(0, 2), (3, 5), (1, 2)]), {0, 2, 3, 5})])]
+    for n, d, kind, members in shapes:
+        for M, domain in members:
+            got = is_good(M, EDGE, n, d, domain=domain)
+            assert got.kind == kind
+            assert got == _is_good_searching_every_arrangement(M, EDGE, n, d, domain)
+            if kind == "independence":
+                assert verify_independence(M, got.formula, got.witness)
+                used = {e for t in got.witness.a + tuple(got.witness.b.values())
+                        for e in t}
+            else:
+                used = {e for t in got.witness.b for e in t}
+            assert used <= domain
+    info = fmlab.classify._is_good.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+
+
+def test_goodness_on_a_domain_matches_the_restricted_searches(monkeypatch):
+    # seeded graphs and loopless digraphs, a quantified formula next to the
+    # atom so quantifiers must range over the domain, budget markers included
+    reach = parse_formula(
+        "phi(x0; y0) := exists z0. (R(x0,z0) & ~R(z0,y0))").formula
+    rng = SplitMix64(9)
+    cases = []
+    for size, seed in itertools.product((4, 5), range(6)):
+        for M in (seeded_graph(size, 9100 + seed), seeded_digraph(size, 9200 + seed)):
+            domains = [None, frozenset()]
+            while len(domains) < 5:
+                dom = frozenset(e for e in range(size) if rng.bit())
+                if len(dom) >= 2 and dom not in domains:
+                    domains.append(dom)
+            cases.append((M, domains))
+    kinds = set()
+    for budget in ("3", "20", None):
+        if budget is None:
+            monkeypatch.delenv("FMLAB_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("FMLAB_BUDGET", budget)
+        for M, domains in cases:
+            for domain, phi, (n, d) in itertools.product(
+                    domains, (EDGE, reach), ((1, 2), (2, 3))):
+                got = is_good(M, phi, n, d, domain=domain)
+                assert got == _is_good_searching_every_arrangement(
+                    M, phi, n, d, domain), (M, domain, phi.text(), n, d, budget)
+                kinds.add(getattr(got, "kind", "good"))
+    assert kinds == {"good", "independence", "cover", "budget"}
 
 
 # ---------------------------------------------------------------------------
