@@ -292,6 +292,14 @@ class PartitionedFormula:
         extra = free_vars(self.ast) - ov - pv
         if extra:
             raise FmlabError(f"undeclared free variables: {sorted(extra)}")
+        # the hash walks the whole AST, and types hash their formulas per
+        # entry; kept as a plain attribute, so fields, repr and equality
+        # stay those of the dataclass
+        object.__setattr__(self, "_hash",
+                           hash((self.ast, self.object_vars, self.param_vars)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def r(self) -> int:
@@ -406,47 +414,162 @@ def evaluate(M: Structure, phi: Union[PartitionedFormula, Formula],
     return ev(ast, dict(assignment))
 
 
+def _compile(M: Structure, phi: PartitionedFormula,
+             domain: Optional[Iterable[int]]):
+    """phi as one function run(obj, par) that answers what
+    `phi.holds(M, obj, par, domain=domain)` answers, value or error.
+
+    The formula is walked once. Each free variable and each quantifier gets
+    its own slot of a list environment, so a re-bound variable shadows the
+    outer one. Atom arities and relation lookups are settled here; at call
+    time only values are checked: the block lengths, then each atom argument
+    against the universe, in `evaluate`'s left-to-right short-circuit order.
+    """
+    n = M.universe_size
+    dom = range(n) if domain is None else sorted(domain)
+    sig, bitrows, relations = M.signature, M._bitrows, M.relations
+    arities = dict(sig.relations)
+    r, s = phi.r, phi.s
+    width = r + s
+
+    def out_of_range(val):
+        return EvaluationError(f"element out of range: {val}")
+
+    def atom(node, slots):
+        rel, names = node.rel, node.args
+        idx = [slots.get(v) for v in names]
+        if None in idx or arities.get(rel) != len(names):
+            # replays evaluate's checks in its order, so the same error wins
+            def bad(env):
+                for v, i in zip(names, idx):
+                    if i is None:
+                        raise EvaluationError(f"unbound variable: {v}")
+                    if not 0 <= env[i] < n:
+                        raise out_of_range(env[i])
+                if sig.arity(rel) != len(names):
+                    raise EvaluationError(f"arity mismatch in atom {rel}")
+            return bad
+        rows = bitrows.get(rel)
+        if rows is not None:
+            i, j = idx
+
+            def binary(env):
+                a, b = env[i], env[j]
+                if not 0 <= a < n:
+                    raise out_of_range(a)
+                if not 0 <= b < n:
+                    raise out_of_range(b)
+                return rows[a] >> b & 1 == 1
+            return binary
+        tuples = relations[rel]
+
+        def other(env):
+            args = tuple([env[i] for i in idx])
+            for a in args:
+                if not 0 <= a < n:
+                    raise out_of_range(a)
+            return args in tuples
+        return other
+
+    def comp(node, slots):
+        nonlocal width
+        t = type(node)
+        if t is Atom:
+            return atom(node, slots)
+        if t is Not:
+            sub = comp(node.sub, slots)
+            return lambda env: not sub(env)
+        if t in (And, Or, Implies, Iff):
+            left, right = comp(node.left, slots), comp(node.right, slots)
+            if t is And:
+                return lambda env: left(env) and right(env)
+            if t is Or:
+                return lambda env: left(env) or right(env)
+            if t is Implies:
+                return lambda env: not left(env) or right(env)
+            return lambda env: left(env) == right(env)
+        if t is Exists or t is Forall:
+            slot, width = width, width + 1
+            body = comp(node.body, {**slots, node.var: slot})
+            if t is Exists:
+                def exists(env):
+                    for e in dom:
+                        env[slot] = e
+                        if body(env):
+                            return True
+                    return False
+                return exists
+
+            def forall(env):
+                for e in dom:
+                    env[slot] = e
+                    if not body(env):
+                        return False
+                return True
+            return forall
+
+        def ill_formed(env):
+            raise EvaluationError(f"ill-formed formula node: {node!r}")
+        return ill_formed
+
+    free = {v: i for i, v in enumerate(phi.object_vars + phi.param_vars)}
+    top = comp(phi.ast, free)
+    pad = [0] * (width - r - s)
+
+    def run(obj, par):
+        if len(obj) != r or len(par) != s:
+            raise EvaluationError(
+                f"arity mismatch: expected blocks {r}/{s}, "
+                f"got {len(obj)}/{len(par)}")
+        return top([*obj, *par, *pad])
+    return run
+
+
 class SatTable:
     """Satisfaction of one partitioned formula in one structure: whether
     M |= phi[obj; par], with quantifiers over `domain` (the whole universe
     when None).
 
+    The formula is compiled once, when the table is built, into closures
+    over a slot-indexed environment (`_compile`); every cell runs those
+    closures, never `evaluate`. `holds` memoises its cells in a dict read
+    with `get`, since most reads are first reads.
+
     Search-side only: the witness searches, the extraction keys and the
     classification layer read satisfaction through it, while the `verify_*`
-    checkers and `check_indiscernible` evaluate formulas directly and never
-    touch it, so a fault here cannot hide from the checks.
+    checkers, `check_indiscernible` and `tp` evaluate formulas with
+    `evaluate` and never touch it or the compiler, so a fault here cannot
+    hide from the checks.
     """
 
-    __slots__ = ("M", "phi", "domain", "_memo")
+    __slots__ = ("_run", "_memo")
 
     def __init__(self, M: Structure, phi: PartitionedFormula,
                  domain: Optional[Iterable[int]] = None):
-        self.M = M
-        self.phi = phi
-        self.domain = domain
+        self._run = _compile(M, phi, domain)
         self._memo: dict[tuple, bool] = {}
 
     def holds(self, obj: tuple[int, ...], par: tuple[int, ...]) -> bool:
-        """M |= phi[obj; par], evaluated once per (obj, par) and memoised."""
-        try:
-            return self._memo[obj, par]
-        except KeyError:
-            got = self._memo[obj, par] = self.phi.holds(self.M, obj, par, domain=self.domain)
-            return got
+        """M |= phi[obj; par], computed once per (obj, par) and memoised."""
+        key = (obj, par)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = self._run(obj, par)
+        return got
 
     def rows(self, objs: Sequence[tuple[int, ...]],
              pars: Sequence[tuple[int, ...]]) -> list[int]:
         """Bitmask rows: bit j of row i is set iff phi[objs[i]; pars[j]] holds.
 
-        Cells are evaluated without touching the memo: a whole table is read
+        Cells are computed without touching the memo: a whole table is read
         once by its caller, so keeping its cells would only cost memory.
         """
-        phi, M, domain = self.phi, self.M, self.domain
+        run = self._run
         out = []
         for a in objs:
             v = 0
             for j, b in enumerate(pars):
-                if phi.holds(M, a, b, domain=domain):
+                if run(a, b):
                     v |= 1 << j
             out.append(v)
         return out

@@ -243,11 +243,29 @@ def _end_need(F: GrowthFunction, alpha: int, r: int, m: int, K: int,
         return max(K, 0)
     if K - 2 > _EVAL_GUARD:
         raise TooLargeError("length bound has too many stages to evaluate")
+    if isinstance(F, ConstantGrowth):
+        return (m - 1) + _geometric_need(max(F.c, 1), K - m)
     req = 1
     for j in range(K - 2, m - 2, -1):
         divisor = max(F.value(alpha + offset + m * r * j), 1)
         req = bound_step(req, divisor, "length bound")
     return (m - 1) + req
+
+
+def _geometric_need(d: int, steps: int) -> int:
+    """The loop of `_end_need` at a constant divisor d: req = 1 + req * d,
+    `steps` times from 1, is 1 + d + ... + d^steps. The sum only grows, so
+    the loop passes the size guard exactly when this final value does."""
+    if d == 1:
+        return steps + 1
+    # the sum exceeds d^steps, so an estimate past the guard by more than
+    # its rounding refuses before anything is built
+    if steps * math.log2(d) > SIZE_GUARD_BITS + 1:
+        raise TooLargeError("length bound exceeds the size guard")
+    req = (d ** (steps + 1) - 1) // (d - 1)
+    if req.bit_length() > SIZE_GUARD_BITS:
+        raise TooLargeError("length bound exceeds the size guard")
+    return req
 
 
 def g_func(params: BoundParams, i: int, x: int) -> int:

@@ -258,6 +258,17 @@ def test_oversized_bound_is_refused_at_once(capsys, argv):
     assert "exceeds the size guard" in capsys.readouterr().err
 
 
+def test_constant_growth_bound_is_refused_at_once(capsys):
+    # a million doubling steps, summed in closed form; the value is past
+    # what the report can print
+    start = time.perf_counter()
+    code = main(["indisc", "bounds", "--fn", "g", "--growth", "const",
+                 "--growth-c", "2", "--k", "10", "--i", "1", "--x", "1000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "digits" in capsys.readouterr().err
+
+
 def test_delta_star_closes_the_formula_file(p3_files, capsys):
     _, f = p3_files
     with warnings.catch_warnings(record=True) as caught:

@@ -1,5 +1,6 @@
 """Evaluation, satisfaction tables, types, and realized-type counting."""
 
+import itertools
 import types
 
 import pytest
@@ -230,7 +231,7 @@ def test_sat_table_agrees_with_evaluate():
         s = rng.below(3 - r)
         ov = tuple(f"x{i}" for i in range(r))
         pv = tuple(f"y{i}" for i in range(s))
-        phi = PartitionedFormula(_random_formula(rng, list(ov + pv), 3), ov, pv)
+        phi = PartitionedFormula(_random_formula(rng, list(ov + pv), 4), ov, pv)
         domain = None
         if rng.bit():
             domain = frozenset(e for e in M.universe() if rng.bit()) or frozenset({0})
@@ -250,6 +251,116 @@ def test_sat_table_agrees_with_evaluate():
                     assert table.holds(a, b) == expected[i][j]  # memoised
 
 
+def _outcome(thunk):
+    """The value a call returns, or the type and message of what it raises."""
+    try:
+        return thunk()
+    except FmlabError as e:
+        return type(e), str(e)
+
+
+def _rebinding_formula(rng, scope, depth):
+    """A random formula whose quantifiers may re-bind a free or an enclosing
+    quantified variable, and whose atoms may name an unbound variable, take
+    the wrong number of arguments or name a relation outside MIXED_SIG."""
+    if depth == 0 or rng.below(4) == 0:
+        name, ar = MIXED_SIG.relations[rng.below(len(MIXED_SIG.relations))]
+        pick = rng.below(48)
+        if pick == 0:
+            name = "Q"
+        elif pick == 1:
+            ar += 1 if ar == 1 or rng.bit() else -1
+        pool = scope + ["w0"] if rng.below(48) == 0 else scope
+        return Atom(name, tuple(pool[rng.below(len(pool))] for _ in range(ar)))
+    pick = rng.below(7)
+    if pick == 0:
+        return Not(_rebinding_formula(rng, scope, depth - 1))
+    if pick <= 4:
+        op = (And, Or, Implies, Iff)[pick - 1]
+        return op(_rebinding_formula(rng, scope, depth - 1),
+                  _rebinding_formula(rng, scope, depth - 1))
+    names = sorted(set(scope) | {"z0", "z1"})
+    var = names[rng.below(len(names))]
+    quant = Exists if pick == 5 else Forall
+    return quant(var, _rebinding_formula(rng, scope + [var], depth - 1))
+
+
+def _partitioned(ast, ov, pv):
+    """ast under the blocks ov/pv, even when it names a variable outside
+    both; the constructor refuses those, so one is set in afterwards for
+    evaluation to meet unbound."""
+    phi = PartitionedFormula(Exists("w1", Atom("P", ("w1",))), ov, pv)
+    object.__setattr__(phi, "ast", ast)
+    return phi
+
+
+REBINDING = [
+    # the inner quantifier re-binds a free variable, which the atom after
+    # it must see again
+    And(Exists("x0", Atom("R", ("x0", "x0"))), Atom("R", ("x0", "y0"))),
+    Or(Forall("y0", Atom("R", ("x0", "y0"))), Atom("P", ("y0",))),
+    # a quantifier re-binds an enclosing quantified variable
+    Exists("z0", And(Forall("z0", Atom("R", ("z0", "x0"))),
+                     Atom("R", ("x0", "z0")))),
+    Forall("z0", Implies(Atom("P", ("z0",)),
+                         Exists("x0", Atom("T", ("x0", "z0", "y0"))))),
+    # errors that only a reached atom raises
+    Or(Atom("P", ("x0",)), Atom("R", ("x0",))),
+    And(Atom("P", ("x0",)), Atom("Q", ("x0", "y0"))),
+    Implies(Atom("P", ("y0",)), Atom("R", ("x0", "w0"))),
+    Exists("z0", Atom("T", ("z0", "z0"))),
+]
+
+
+def test_compiled_sat_table_agrees_with_evaluate_on_values_and_errors():
+    # values, and the message of the first error, match the reference
+    # interpreter cell by cell, for rows and for memoised holds, on
+    # out-of-range blocks, out-of-range domains, re-bound variables, unbound
+    # variables, atom arity mismatches and unknown relations
+    rng = SplitMix64(20261019)
+    cases = [(ast, ("x0",), ("y0",)) for ast in REBINDING]
+    for _ in range(120):
+        r = 1 + rng.below(2)
+        s = rng.below(3 - r)
+        ov = tuple(f"x{i}" for i in range(r))
+        pv = tuple(f"y{i}" for i in range(s))
+        cases.append((_rebinding_formula(rng, list(ov + pv), 3), ov, pv))
+    for ast, ov, pv in cases:
+        M = _random_structure(rng)
+        n = M.universe_size
+        domain = (None, frozenset(), frozenset(e for e in M.universe() if rng.bit()),
+                  frozenset(e for e in M.universe() if rng.bit()) | {n})[rng.below(4)]
+        vals = list(M.universe()) + [n, -1]
+        for f in (_partitioned(ast, ov, pv), _partitioned(ast, pv, ov)):
+            objs = list(itertools.product(vals, repeat=f.r))
+            pars = list(itertools.product(vals, repeat=f.s))
+            if rng.bit():
+                objs = [a for a in objs if all(0 <= v < n for v in a)]
+            table = SatTable(M, f, domain)
+            for a in objs:
+                for b in pars:
+                    want = _outcome(lambda: evaluate(
+                        M, f.ast, {**dict(zip(f.object_vars, a)),
+                                   **dict(zip(f.param_vars, b))}, domain=domain))
+                    assert _outcome(lambda: table.holds(a, b)) == want, (ast, a, b)
+                    assert _outcome(lambda: table.holds(a, b)) == want, (ast, a, b)
+
+            def reference_rows():
+                out = []
+                for a in objs:
+                    v = 0
+                    for j, b in enumerate(pars):
+                        if f.holds(M, a, b, domain=domain):
+                            v |= 1 << j
+                    out.append(v)
+                return out
+            assert _outcome(lambda: SatTable(M, f, domain).rows(objs, pars)) == \
+                _outcome(reference_rows), ast
+            for a, b in (((0,) * (f.r + 1), (0,) * f.s), ((0,) * f.r, (0,) * (f.s + 1))):
+                assert _outcome(lambda: table.holds(a, b)) == \
+                    _outcome(lambda: f.holds(M, a, b, domain=domain))
+
+
 def _names(code):
     names = set(code.co_names)
     for const in code.co_consts:
@@ -267,6 +378,32 @@ def test_checkers_never_read_satisfaction_tables():
         assert "SatTable" not in names, checker.__qualname__
         assert "first_shattered" not in names, checker.__qualname__
         assert "_indiscernible_sequences" not in names, checker.__qualname__
+
+
+def _reachable_names(fn, seen):
+    """The names `fn` mentions, and those of every fmlab function it names
+    as a global, transitively."""
+    seen.add(fn)
+    names = _names(fn.__code__)
+    for name in tuple(names):
+        callee = fn.__globals__.get(name)
+        if (isinstance(callee, types.FunctionType) and callee not in seen
+                and callee.__module__.startswith("fmlab")):
+            names |= _reachable_names(callee, seen)
+    return names
+
+
+def test_reference_path_never_reaches_the_compiler():
+    # the reference interpreter, tp and the checkers stay on evaluate, so a
+    # fault in the compiled formulas cannot hide from the checks
+    reference = [evaluate, PartitionedFormula.holds, tp, TypeOracle.key,
+                 TypeOracle.first_split, verify_independence, verify_order,
+                 verify_weak_order, verify_cover_violation, verify_homogeneous,
+                 verify_shattered, check_indiscernible]
+    for fn in reference:
+        names = _reachable_names(fn, set())
+        assert "_compile" not in names, fn.__qualname__
+        assert "SatTable" not in names, fn.__qualname__
 
 
 def test_formulas_built_from_lists_equal_those_built_from_tuples():

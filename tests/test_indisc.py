@@ -12,7 +12,7 @@ from fmlab import (BoundParams, ConstantGrowth, ExtractionFailure,
                    WorstCaseGrowth, beth, check_indiscernible, extraction_length_estimates,
                    extract_end_indiscernible, extract_indiscernible, f_star,
                    g_func)
-from fmlab.indisc import greedy_end_extraction
+from fmlab.indisc import _EVAL_GUARD, _end_need, greedy_end_extraction
 from fmlab.util import SIZE_GUARD_BITS, SplitMix64, TooLargeError, mix_seed
 
 from conftest import (EDGE, EDGE_PAIR, complete_graph, digraph,
@@ -147,6 +147,36 @@ def test_f_star_refuses_too_many_stages_at_once():
     # the final additive stages come in closed form
     small = BoundParams(ConstantGrowth(1), 0, 1, 3, 12)
     assert [f_star(small, j) for j in range(11)] == list(range(1, 9)) + [9, 10, 11]
+
+
+def test_constant_growth_end_need_is_the_loop_in_closed_form():
+    # the step loop req = 1 + req * max(c, 1), once per j = K-2 .. m-1
+    for c in range(6):
+        for m in (1, 2, 3):
+            for K in range(201):
+                req = 1
+                for _ in range(K - m):
+                    req = 1 + req * max(c, 1)
+                want = max(K, 0) if K <= m else (m - 1) + req
+                assert _end_need(ConstantGrowth(c), 2, 1, m, K, 3) == want
+    # refused exactly where the loop's value passes the guard: at c = 4 the
+    # value after s steps has 2s + 1 bits
+    F = ConstantGrowth(4)
+    steps = (SIZE_GUARD_BITS - 1) // 2
+    assert _end_need(F, 0, 1, 1, steps + 1).bit_length() == SIZE_GUARD_BITS - 1
+    with pytest.raises(TooLargeError, match="length bound exceeds the size guard"):
+        _end_need(F, 0, 1, 1, steps + 2)
+
+
+def test_constant_growth_end_need_answers_at_once():
+    # a million doubling steps, which the loop summed with quadratic
+    # big-integer work
+    start = time.perf_counter()
+    got = _end_need(ConstantGrowth(2), 0, 1, 1, 10 ** 6 + 1)
+    assert got == 2 ** (10 ** 6 + 1) - 1
+    with pytest.raises(TooLargeError, match="size guard"):
+        _end_need(ConstantGrowth(5), 0, 1, 1, _EVAL_GUARD + 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_size_guard_keeps_every_value_below_it():
