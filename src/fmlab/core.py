@@ -535,11 +535,12 @@ class SatTable:
     closures, never `evaluate`. `holds` memoises its cells in a dict read
     with `get`, since most reads are first reads.
 
-    Search-side only: the witness searches, the extraction keys and the
-    classification layer read satisfaction through it, while the `verify_*`
-    checkers, `check_indiscernible` and `tp` evaluate formulas with
-    `evaluate` and never touch it or the compiler, so a fault here cannot
-    hide from the checks.
+    Search-side only: the witness searches, the extraction keys, type
+    counting (`count_phi_types`) and the classification layer read
+    satisfaction through it, while the `verify_*` checkers,
+    `check_indiscernible` and `tp` evaluate formulas with `evaluate` and
+    never touch it or the compiler, so a fault here cannot hide from the
+    checks.
     """
 
     __slots__ = ("_run", "_memo")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Iterable, Optional
 
-from .core import PartitionedFormula, Structure, realized_types
+from .core import PartitionedFormula, SatTable, Structure
 from .detect import (build_rho, find_k_independence, find_n_order,
                      first_shattered)
 from .util import BudgetExceeded, PreconditionError, TooLargeError
@@ -53,12 +53,23 @@ class ShatterWitness:
 
 def count_phi_types(M: Structure, phi: PartitionedFormula,
                     A: Iterable[tuple[int, ...]]) -> int:
-    """|S_phi(A, M)| over object tuples of arity l(x)."""
+    """|S_phi(A, M)| over object tuples of arity l(x), counted as the
+    distinct rows of one compiled `SatTable`.
+
+    A [phi, ~phi]-type over A is fixed by phi's sign at each parameter tuple
+    of A of arity l(y) (at the empty tuple when l(y) = 0), so two object
+    tuples realize the same type iff their satisfaction rows over those
+    parameters are equal. Objects are walked in `M.tuples` order and
+    parameters in sorted order, the order `tp` evaluates them in, so a bad
+    parameter raises what `realized_types([phi, ~phi], A, M, l(x))` raises.
+    """
     A = [tuple(b) for b in A]
     if not A:
         raise PreconditionError("A must be nonempty")
-    delta = [phi, phi.negated()]
-    return len(realized_types(delta, A, M, phi.r))
+    if phi.r < 1:
+        raise PreconditionError("object arity must be >= 1")
+    pars = [()] if phi.s == 0 else sorted({b for b in A if len(b) == phi.s})
+    return len(set(SatTable(M, phi).rows(list(M.tuples(phi.r)), pars)))
 
 
 def _leq_power(lhs: int, factor: int, base: int, exponent: int) -> bool:

@@ -362,8 +362,9 @@ def _halving_chain(G: RGraph, vertices: Sequence[int], k: int
         if not rest:
             chain.append((v, None))
             break
-        nb = [u for u in rest if G.has_edge((v, u))]
-        nn = [u for u in rest if not G.has_edge((v, u))]
+        # v = S[0] < u, so (v, u) is already a sorted edge
+        nb = [u for u in rest if (v, u) in G.edges]
+        nn = [u for u in rest if (v, u) not in G.edges]
         if len(nb) > len(nn):
             chain.append((v, 1))
             S = nb
@@ -408,8 +409,11 @@ def extract_homogeneous(G: RGraph, n: int, k: int
     if G.r == 2:
         return _halving_chain(G, range(G.n), k)
 
+    edges = G.edges
+
     def key_of(sels: list[tuple[int, ...]], cand: int):
-        return tuple(G.has_edge(sel + (cand,)) for sel in sels)
+        # positions are chosen in increasing order, so sel + (cand,) is sorted
+        return tuple(sel + (cand,) in edges for sel in sels)
 
     chosen, _ = greedy_end_extraction(G.n, G.r, key_of, target=None)
     if len(chosen) < G.r:
@@ -419,8 +423,7 @@ def extract_homogeneous(G: RGraph, n: int, k: int
     back = {i: u for i, u in enumerate(prefix)}
     link_edges = set()
     for sub in itertools.combinations(range(len(prefix)), G.r - 1):
-        orig = tuple(sorted(back[i] for i in sub)) + (v,)
-        if G.has_edge(orig):
+        if tuple(sorted(back[i] for i in sub)) + (v,) in G.edges:
             link_edges.add(sub)
     sub_graph = RGraph.of(len(prefix), G.r - 1, link_edges)
     rec = extract_homogeneous(sub_graph, n, k - 1)

@@ -3,7 +3,7 @@ and the seeded 3-graph families used by the extraction tests."""
 
 import itertools
 
-from fmlab import RGraph, Signature, Structure, atom_formula
+from fmlab import FmlabError, RGraph, Signature, Structure, atom_formula
 from fmlab.util import SplitMix64, mix_seed
 
 GRAPH_SIG = Signature((("R", 2),))
@@ -74,6 +74,14 @@ def seeded_digraph(n, seed):
     rng = SplitMix64(seed)
     return digraph(n, [(i, j) for i in range(n) for j in range(n)
                        if i != j and rng.bit()])
+
+
+def outcome(thunk):
+    """The value a call returns, or the type and message of what it raises."""
+    try:
+        return thunk()
+    except FmlabError as e:
+        return type(e), str(e)
 
 
 EDGE = atom_formula("R", ["x0"], ["y0"])

@@ -7,10 +7,11 @@ import pytest
 
 from fmlab import (EvaluationError, FmlabError, PartitionedFormula,
                    Signature, Structure, TypeOracle, check_indiscernible,
-                   closed_under_negation, delta_star, evaluate, kappa,
-                   realized_types, tp,
+                   closed_under_negation, count_phi_types, delta_star,
+                   evaluate, kappa, realized_types, tp,
                    verify_cover_violation, verify_homogeneous,
-                   verify_independence, verify_order, verify_shattered,
+                   verify_independence, verify_independence_bound,
+                   verify_order, verify_order_bound, verify_shattered,
                    verify_weak_order)
 from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
                         SatTable)
@@ -18,7 +19,7 @@ from fmlab.formats import parse_formula
 from fmlab.util import SplitMix64
 
 from conftest import (EDGE, GRAPH_SIG, all_graphs, complete_graph, empty_graph,
-                      graph, path_graph, seeded_graph)
+                      graph, outcome, path_graph, seeded_graph)
 
 
 def test_atomic_lookup_on_triangle():
@@ -251,14 +252,6 @@ def test_sat_table_agrees_with_evaluate():
                     assert table.holds(a, b) == expected[i][j]  # memoised
 
 
-def _outcome(thunk):
-    """The value a call returns, or the type and message of what it raises."""
-    try:
-        return thunk()
-    except FmlabError as e:
-        return type(e), str(e)
-
-
 def _rebinding_formula(rng, scope, depth):
     """A random formula whose quantifiers may re-bind a free or an enclosing
     quantified variable, and whose atoms may name an unbound variable, take
@@ -339,11 +332,11 @@ def test_compiled_sat_table_agrees_with_evaluate_on_values_and_errors():
             table = SatTable(M, f, domain)
             for a in objs:
                 for b in pars:
-                    want = _outcome(lambda: evaluate(
+                    want = outcome(lambda: evaluate(
                         M, f.ast, {**dict(zip(f.object_vars, a)),
                                    **dict(zip(f.param_vars, b))}, domain=domain))
-                    assert _outcome(lambda: table.holds(a, b)) == want, (ast, a, b)
-                    assert _outcome(lambda: table.holds(a, b)) == want, (ast, a, b)
+                    assert outcome(lambda: table.holds(a, b)) == want, (ast, a, b)
+                    assert outcome(lambda: table.holds(a, b)) == want, (ast, a, b)
 
             def reference_rows():
                 out = []
@@ -354,11 +347,11 @@ def test_compiled_sat_table_agrees_with_evaluate_on_values_and_errors():
                             v |= 1 << j
                     out.append(v)
                 return out
-            assert _outcome(lambda: SatTable(M, f, domain).rows(objs, pars)) == \
-                _outcome(reference_rows), ast
+            assert outcome(lambda: SatTable(M, f, domain).rows(objs, pars)) == \
+                outcome(reference_rows), ast
             for a, b in (((0,) * (f.r + 1), (0,) * f.s), ((0,) * f.r, (0,) * (f.s + 1))):
-                assert _outcome(lambda: table.holds(a, b)) == \
-                    _outcome(lambda: f.holds(M, a, b, domain=domain))
+                assert outcome(lambda: table.holds(a, b)) == \
+                    outcome(lambda: f.holds(M, a, b, domain=domain))
 
 
 def _names(code):
@@ -404,6 +397,15 @@ def test_reference_path_never_reaches_the_compiler():
         names = _reachable_names(fn, set())
         assert "_compile" not in names, fn.__qualname__
         assert "SatTable" not in names, fn.__qualname__
+
+
+def test_type_counting_never_reaches_the_reference_interpreter():
+    # type counts are compiled rows; realized_types and tp stay the reference
+    for fn in (count_phi_types, verify_independence_bound, verify_order_bound):
+        names = _reachable_names(fn, set())
+        assert "tp" not in names, fn.__qualname__
+        assert "evaluate" not in names, fn.__qualname__
+        assert "realized_types" not in names, fn.__qualname__
 
 
 def test_formulas_built_from_lists_equal_those_built_from_tuples():

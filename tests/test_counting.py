@@ -6,13 +6,17 @@ from decimal import localcontext
 
 import pytest
 
-from fmlab import (PreconditionError, chained_inequality, count_phi_types,
-                   exponent_dominates, find_k_independence, find_shattered,
-                   no_order_exponent, sauer_bound, verify_independence_bound,
-                   verify_order_bound, verify_shattered)
+from fmlab import (PartitionedFormula, PreconditionError, chained_inequality,
+                   count_phi_types, exponent_dominates, find_k_independence,
+                   find_shattered, no_order_exponent, realized_types,
+                   sauer_bound, verify_independence_bound, verify_order_bound,
+                   verify_shattered)
+from fmlab.core import And, Atom, Exists, Not
 from fmlab.counting import compare_powers
+from fmlab.util import SplitMix64
 from conftest import (EDGE, all_graphs, complete_graph, cycle_graph,
-                      empty_graph, path_graph, seeded_graph)
+                      empty_graph, linear_order, outcome, path_graph,
+                      seeded_digraph, seeded_graph)
 
 
 def test_count_types_examples():
@@ -27,6 +31,61 @@ def test_count_monotone_in_parameters():
         small = [(0,), (1,)]
         big = small + [(2,), (3,)]
         assert count_phi_types(M, EDGE, small) <= count_phi_types(M, EDGE, big)
+
+
+def _count_formulas(rel):
+    """The atomic formula, the two-step formula, an r = 2, an s = 2 and an
+    s = 0 formula over the binary relation `rel`."""
+    def R(u, v):
+        return Atom(rel, (u, v))
+    return [
+        PartitionedFormula(R("x0", "y0"), ("x0",), ("y0",)),
+        PartitionedFormula(Exists("z0", And(R("x0", "z0"), R("z0", "y0"))),
+                           ("x0",), ("y0",)),
+        PartitionedFormula(And(R("x0", "y0"), Not(R("x1", "y0"))),
+                           ("x0", "x1"), ("y0",)),
+        PartitionedFormula(And(R("x0", "y0"), R("y1", "x0")), ("x0",), ("y0", "y1")),
+        PartitionedFormula(Exists("z0", R("x0", "z0")), ("x0",), ()),
+    ]
+
+
+def test_count_types_agrees_with_realized_types():
+    # the compiled row count matches the reference type set, value or error,
+    # with duplicates, wrong-arity tuples and out-of-range parameters in A
+    rng = SplitMix64(20261020)
+    for trial in range(90):
+        n = 1 + rng.below(7)
+        kind = trial % 3
+        if kind == 0:
+            M, rel = seeded_graph(n, rng.below(1 << 30)), "R"
+        elif kind == 1:
+            M, rel = linear_order(n), "L"
+        else:
+            M, rel = seeded_digraph(n, rng.below(1 << 30)), "R"
+        for phi in _count_formulas(rel):
+            pool = list(M.tuples(max(phi.s, 1)))
+            wrong = [(n - 1,) * ar for ar in (1, 2, 3) if ar != phi.s][:2]
+            A = [pool[rng.below(len(pool))] for _ in range(1 + rng.below(6))]
+            A += A[:rng.below(3)] + wrong[:rng.below(3)]
+            bad = [(n,) * max(phi.s, 1), (-1,) * max(phi.s, 1)]
+            for params in (A, wrong, A + bad[:1 + rng.below(2)]):
+                want = outcome(lambda: len(realized_types(
+                    [phi, phi.negated()], params, M, phi.r)))
+                assert outcome(lambda: count_phi_types(M, phi, params)) == want, \
+                    (trial, phi, params)
+
+
+def test_count_types_refusals_keep_their_order():
+    M = seeded_graph(4, 3)
+    no_objects = PartitionedFormula(Atom("R", ("y0", "y0")), (), ("y0",))
+    with pytest.raises(PreconditionError, match="^A must be nonempty$"):
+        count_phi_types(M, EDGE, [])
+    with pytest.raises(PreconditionError, match="^A must be nonempty$"):
+        count_phi_types(M, no_objects, [])
+    want = outcome(lambda: realized_types([no_objects, no_objects.negated()],
+                                          [(0,)], M, 0))
+    assert want == (PreconditionError, "object arity must be >= 1")
+    assert outcome(lambda: count_phi_types(M, no_objects, [(0,)])) == want
 
 
 def test_order_bound_on_path():
