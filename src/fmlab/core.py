@@ -537,10 +537,13 @@ class SatTable:
 
     Search-side only: the witness searches, the extraction keys, type
     counting (`count_phi_types`) and the classification layer read
-    satisfaction through it, while the `verify_*` checkers,
-    `check_indiscernible` and `tp` evaluate formulas with `evaluate` and
-    never touch it or the compiler, so a fault here cannot hide from the
-    checks.
+    satisfaction through it. The witness checkers, `check_indiscernible`
+    and `tp` evaluate formulas with `evaluate` and never touch it or the
+    compiler, so a fault here cannot hide from them. The two exceptions
+    are `verify_independence_bound` and `verify_order_bound`, whose left
+    side is `count_phi_types`; a seeded differential test against the
+    reference `realized_types`, and the bench's brute-force recount of
+    every count, guard them instead.
     """
 
     __slots__ = ("_run", "_memo")

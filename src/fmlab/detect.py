@@ -422,9 +422,7 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
     failure report names the first one violated.
 
     On success the returned d_i = c_i + a_i + b_i sequence is re-verified as an
-    n-order witness for rho before being returned. Hypothesis 1 and the c_j
-    search compare phi-types as satisfaction rows of one `SatTable`; the
-    realizer of p is found with `tp`.
+    n-order witness for rho before being returned.
 
     Each subset B examined by the two hypotheses and each candidate c_j is one
     node of `util.search_budget()`; BudgetExceeded when the budget runs out.
@@ -444,11 +442,6 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
     delta_psi = [psi, psi.negated()]
     limit = search_budget()
     nodes = 0
-    table = SatTable(M, phi)
-
-    def rows(objs, pars):
-        # the [phi, ~phi]-type over pars is phi's satisfaction row over them
-        return table.rows(list(objs), [()] if s == 0 else pars)
 
     # realizer of p itself
     d_real = None
@@ -468,8 +461,9 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
                 if nodes > limit:
                     return BudgetExceeded(nodes)
                 pars = sorted(M.tuples(s, domain=B))
-                types_M = set(rows(M.tuples(r), pars))
-                types_next = set(rows(M.tuples(r, domain=sets[i + 1]), pars))
+                types_M = {tp(delta_phi, a, pars, M) for a in M.tuples(r)}
+                types_next = {tp(delta_phi, a, pars, M)
+                              for a in M.tuples(r, domain=sets[i + 1])}
                 if not types_M <= types_next:
                     return SplittingChainFailure(
                         "realization", i,
@@ -507,13 +501,13 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
         # c_j realizes the phi-type of the realizer of p over the sized-up base
         pars = sorted(set(B_j) | {a_j, b_j})
         pars_s = [t for t in pars if len(t) == s]
-        target = rows([d_real], pars_s)[0]
+        target = tp(delta_phi, d_real, pars_s, M)
         c_j = None
         for cand in M.tuples(r, domain=sets[2 * j + 2]):
             nodes += 1
             if nodes > limit:
                 return BudgetExceeded(nodes)
-            if rows([cand], pars_s)[0] == target:
+            if tp(delta_phi, cand, pars_s, M) == target:
                 c_j = cand
                 break
         if c_j is None:

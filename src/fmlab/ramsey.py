@@ -423,7 +423,8 @@ def extract_homogeneous(G: RGraph, n: int, k: int
     back = {i: u for i, u in enumerate(prefix)}
     link_edges = set()
     for sub in itertools.combinations(range(len(prefix)), G.r - 1):
-        if tuple(sorted(back[i] for i in sub)) + (v,) in G.edges:
+        orig = tuple(sorted(back[i] for i in sub)) + (v,)
+        if G.has_edge(orig):
             link_edges.add(sub)
     sub_graph = RGraph.of(len(prefix), G.r - 1, link_edges)
     rec = extract_homogeneous(sub_graph, n, k - 1)
