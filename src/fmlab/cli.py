@@ -63,8 +63,11 @@ def _named(sections, name, kind):
     return sections[name]
 
 
-def _tuple_arg(text):
-    return tuple(int(x) for x in text.split(",") if x != "")
+def _tuple_arg(text, flag):
+    try:
+        return tuple(int(x) for x in text.split(",") if x != "")
+    except ValueError:
+        raise FmlabError(f"{flag} takes comma-separated integers: {text!r}") from None
 
 
 def _echo_config(args):
@@ -141,7 +144,10 @@ def _cmd_detect(args):
         A = sorted(_named(doc.sets, args.params_set, "set"))
         B = sorted(_named(doc.sets, args.base_set, "set")) if args.base_set else []
         delta = [phi, phi.negated()]
-        p = tp(delta, _tuple_arg(args.object), A, M)
+        obj = _tuple_arg(args.object, "--object")
+        if len(obj) != phi.r:
+            raise FmlabError(f"--object needs {phi.r} entries, got {len(obj)}")
+        p = tp(delta, obj, A, M)
         ok, wit = splits(p, B, delta, delta, M)
         report = {"property": "splitting", "splits": ok}
         if wit is not None:
@@ -152,7 +158,7 @@ def _cmd_detect(args):
 
 def _cmd_types(args):
     if args.action == "shatter":
-        family = [frozenset(_tuple_arg(m)) for m in args.member]
+        family = [frozenset(_tuple_arg(m, "--member")) for m in args.member]
         wit = find_shattered(family, args.k)
         report = {"action": "shatter", "k": args.k,
                   "found": wit is not None}
@@ -268,8 +274,8 @@ def _cmd_experiment(args):
             ExperimentConfig(args.n, args.k, args.trials, args.seed))
         _emit(args, {"action": "independence-mc", "row": row}, rows=[row])
         return 0
-    rows = independence_trend([int(x) for x in args.k_list.split(",")],
-                       args.trials, args.seed)
+    rows = independence_trend(_tuple_arg(args.k_list, "--k-list"),
+                              args.trials, args.seed)
     _emit(args, {"action": "thmg1", "rows": rows}, rows=rows)
     return 0
 

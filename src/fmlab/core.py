@@ -531,9 +531,10 @@ class SatTable:
     when None).
 
     The formula is compiled once, when the table is built, into closures
-    over a slot-indexed environment (`_compile`); every cell runs those
-    closures, never `evaluate`. `holds` memoises its cells in a dict read
-    with `get`, since most reads are first reads.
+    over a slot-indexed environment (`_compile`); `holds` is that compiled
+    function itself, so every cell runs those closures, never `evaluate`,
+    and no cell is kept. A search that reads a cell more than once keeps
+    its own memo (`find_n_order` wraps `holds` in `functools.cache`).
 
     Search-side only: the witness searches, the extraction keys, type
     counting (`count_phi_types`) and the classification layer read
@@ -546,29 +547,17 @@ class SatTable:
     every count, guard them instead.
     """
 
-    __slots__ = ("_run", "_memo")
+    __slots__ = ("holds",)
 
     def __init__(self, M: Structure, phi: PartitionedFormula,
                  domain: Optional[Iterable[int]] = None):
-        self._run = _compile(M, phi, domain)
-        self._memo: dict[tuple, bool] = {}
-
-    def holds(self, obj: tuple[int, ...], par: tuple[int, ...]) -> bool:
-        """M |= phi[obj; par], computed once per (obj, par) and memoised."""
-        key = (obj, par)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = self._run(obj, par)
-        return got
+        # holds(obj, par): M |= phi[obj; par]
+        self.holds = _compile(M, phi, domain)
 
     def rows(self, objs: Sequence[tuple[int, ...]],
              pars: Sequence[tuple[int, ...]]) -> list[int]:
-        """Bitmask rows: bit j of row i is set iff phi[objs[i]; pars[j]] holds.
-
-        Cells are computed without touching the memo: a whole table is read
-        once by its caller, so keeping its cells would only cost memory.
-        """
-        run = self._run
+        """Bitmask rows: bit j of row i is set iff phi[objs[i]; pars[j]] holds."""
+        run = self.holds
         out = []
         for a in objs:
             v = 0

@@ -8,6 +8,7 @@ evaluate formulas directly and share no code with the searches.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,9 +195,9 @@ def find_n_order(M: Structure, phi: PartitionedFormula, n: int, domain=None
         raise PreconditionError("order search requires l(x) = l(y)")
     limit = search_budget()
     objs = sorted(M.tuples(phi.r, domain=domain))
-    # lazy: on the 3-block formula rho (verify_order_bound) the search reads
-    # far fewer cells than a full table holds
-    holds = SatTable(M, phi, domain).holds
+    # memoised, since the search re-reads cells, and lazy: on the 3-block
+    # formula rho (verify_order_bound) it reads far fewer cells than a table holds
+    holds = functools.cache(SatTable(M, phi, domain).holds)
     nodes = 0
     chosen: list[tuple[int, ...]] = []
 
@@ -531,48 +532,46 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
 
 
 def arrow_check(x: int, y: int, a: int, b: int) -> bool:
-    """Exhaustively decide x -> (y)^a_b over all colorings.
+    """Decide x -> (y)^a_b: every b-coloring of the a-subsets of an x-element
+    set admits a y-subset with all its a-subsets in one color class.
 
-    True iff every b-coloring of the a-subsets of an x-element set admits a
-    y-subset with all its a-subsets in one color class.
+    Pruned exhaustive search: the cells (a-subsets) are colored depth first,
+    in `itertools.combinations` order with colors 0..b-1, so colorings come in
+    `itertools.product` order. Each y-set is checked at its last cell, and a
+    prefix that makes one monochromatic is not extended.
     """
     if x < 0 or y < 0 or a < 0 or b < 1:
         raise PreconditionError("arrow parameters must be naturals (b >= 1)")
-    if y < a:
-        return True  # any y-set has no a-subsets at all
     if x < y:
         return False
+    if y < a:
+        return True  # any y-set has no a-subsets at all
     if b == 1 or a == 0:
         return True  # every y-set is monochromatic
     ncells = comb(x, a)
     # b >= 2, so past 24 cells the power is past the guard: never build it
     if ncells > 24 or b ** ncells > (1 << 24):
         raise TooLargeError(f"{b}^{ncells} colorings exceed the exhaustive guard")
-    total = b ** ncells
-    cells = list(itertools.combinations(range(x), a))
-    index = {c: i for i, c in enumerate(cells)}
-    ysets = list(itertools.combinations(range(x), y))
-    masks = []
-    for ys in ysets:
-        m = 0
-        for c in itertools.combinations(ys, a):
-            m |= 1 << index[c]
-        masks.append(m)
-    if b == 2:
-        for coloring in range(total):
-            if not any((coloring & m) == 0 or (coloring & m) == m for m in masks):
-                return False
-        return True
-    for coloring in itertools.product(range(b), repeat=ncells):
-        ok = False
-        for ys in ysets:
-            colors = {coloring[index[c]] for c in itertools.combinations(ys, a)}
-            if len(colors) <= 1:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    bit = {c: 1 << i for i, c in enumerate(itertools.combinations(range(x), a))}
+    # closing[i]: the cell bitmask of each y-set whose last cell is cell i
+    closing: list[list[int]] = [[] for _ in range(ncells)]
+    for ys in itertools.combinations(range(x), y):
+        m = sum(bit[c] for c in itertools.combinations(ys, a))
+        closing[m.bit_length() - 1].append(m)
+
+    def bad_completion(i: int, colored: tuple[int, ...]) -> bool:
+        """Some coloring of cells i.. leaves every y-set non-monochromatic,
+        given colored[c], the bitmask of the cells colored c so far."""
+        if i == ncells:
+            return True
+        for c in range(b):
+            mc = colored[c] | 1 << i
+            if not any(m & mc == m for m in closing[i]) and bad_completion(
+                    i + 1, colored[:c] + (mc,) + colored[c + 1:]):
+                return True
+        return False
+
+    return not bad_completion(0, (0,) * b)
 
 
 _PI_30_UP = Fraction(314159265358979323846264338328, 10 ** 29)  # pi rounded up, 30 digits

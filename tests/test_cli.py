@@ -145,6 +145,30 @@ def test_ramsey_arrow_exit_codes(capsys):
     assert code == 1
 
 
+def test_ramsey_arrow_without_y_subsets_is_refuted(capsys):
+    code, out = run(capsys, ["ramsey", "arrow", "--x", "2", "--y", "3",
+                             "--a", "5", "--b", "2"])
+    assert code == 1
+    assert json.loads(out)["holds"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--property", "splitting", "--object", "0,1"],
+    ["detect", "--property", "splitting", "--object", "0,x"],
+    ["types", "shatter", "--member", "0,x", "--k", "1"],
+    ["experiment", "thmg1", "--k-list", "2,x", "--trials", "10"],
+])
+def test_malformed_tuple_flags_are_usage_errors(p3_files, capsys, argv):
+    if argv[0] == "detect":
+        s, f = p3_files
+        argv = argv[:1] + ["--structure", s, "--formula", f] + argv[1:]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_classify_good_and_symmetry(empty5_files, capsys):
     s, f = empty5_files
     code, out = run(capsys, ["classify", "good", "--structure", s,

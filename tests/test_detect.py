@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from math import comb
 import tracemalloc
 
 import pytest
@@ -397,6 +398,49 @@ def test_arrow_with_one_color_or_no_cells_is_decided_at_once():
     for x, y in itertools.product(range(5), repeat=2):
         assert arrow_check(x, y, 0, 3) is (x >= y)
         assert arrow_check(x, y, 1, 1) is (x >= y or y < 1)
+
+
+def _arrow_by_definition(x, y, a, b):
+    """x -> (y)^a_b read literally: every coloring of the a-subsets has a
+    y-subset whose a-subsets all share one color."""
+    cells = list(itertools.combinations(range(x), a))
+    ysets = [list(itertools.combinations(ys, a))
+             for ys in itertools.combinations(range(x), y)]
+    for coloring in itertools.product(range(b), repeat=len(cells)):
+        color = dict(zip(cells, coloring))
+        if not any(len({color[c] for c in ys}) <= 1 for ys in ysets):
+            return False
+    return True
+
+
+def test_arrow_matches_its_definition():
+    verdicts = {b: set() for b in range(1, 5)}
+    cases = 0
+    for x in range(8):
+        for y, a, b in itertools.product(range(x + 2), range(4), range(1, 5)):
+            if b ** comb(x, a) > 4096:
+                continue
+            want = _arrow_by_definition(x, y, a, b)
+            assert arrow_check(x, y, a, b) is want, (x, y, a, b)
+            verdicts[b].add(want)
+            cases += 1
+    assert cases == 565
+    assert all(v == {True, False} for v in verdicts.values())
+
+
+def test_arrow_with_no_y_subsets_fails():
+    # no 3-subset of a 2-set exists, however few cells a 3-set would have
+    assert arrow_check(2, 3, 5, 2) is False
+    assert arrow_check(0, 1, 2, 3) is False
+    assert arrow_check(3, 3, 5, 2) is True
+
+
+def test_arrow_pigeonhole_boundary():
+    # x -> (y)^1_b iff x >= b(y-1) + 1
+    assert arrow_check(7, 3, 1, 3) is True
+    assert arrow_check(6, 3, 1, 3) is False
+    assert arrow_check(9, 3, 1, 4) is True
+    assert arrow_check(8, 3, 1, 4) is False
 
 
 def test_stirling_threshold_matches_rational_inequality():
