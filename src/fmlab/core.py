@@ -7,6 +7,7 @@ of types realized by tuples of a structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -530,11 +531,20 @@ class SatTable:
     M |= phi[obj; par], with quantifiers over `domain` (the whole universe
     when None).
 
-    The formula is compiled once, when the table is built, into closures
-    over a slot-indexed environment (`_compile`); `holds` is that compiled
-    function itself, so every cell runs those closures, never `evaluate`,
-    and no cell is kept. A search that reads a cell more than once keeps
-    its own memo (`find_n_order` wraps `holds` in `functools.cache`).
+    The formula is compiled on first use into closures over a slot-indexed
+    environment (`_compile`); `holds` is that compiled function itself, so
+    every cell runs those closures, never `evaluate`, and `holds` keeps no
+    cell. A search that reads single cells more than once keeps its own
+    memo (`find_n_order` wraps `holds` in `functools.cache`).
+
+    Whole rows are kept, in one memo for the process: `rows` answers from
+    `_sat_rows`, a 16-entry LRU keyed by value on the structure, the
+    formula, the sorted domain and the object and parameter tuples. So the
+    searches of one query that ask for the same rows (independence at two
+    widths and the type count read one table; weak order and cover read its
+    swap) compute them once, and a hit compiles nothing. An error is never
+    stored, and each caller gets a fresh list. `_sat_rows.cache_info()`
+    counts hits and misses.
 
     Search-side only: the witness searches, the extraction keys, type
     counting (`count_phi_types`) and the classification layer read
@@ -547,25 +557,38 @@ class SatTable:
     every count, guard them instead.
     """
 
-    __slots__ = ("holds",)
+    __slots__ = ("_key", "_holds")
 
     def __init__(self, M: Structure, phi: PartitionedFormula,
                  domain: Optional[Iterable[int]] = None):
-        # holds(obj, par): M |= phi[obj; par]
-        self.holds = _compile(M, phi, domain)
+        self._key = (M, phi, None if domain is None else tuple(sorted(domain)))
+        self._holds = None
+
+    @property
+    def holds(self):
+        """holds(obj, par): M |= phi[obj; par]."""
+        if self._holds is None:
+            self._holds = _compile(*self._key)
+        return self._holds
 
     def rows(self, objs: Sequence[tuple[int, ...]],
              pars: Sequence[tuple[int, ...]]) -> list[int]:
         """Bitmask rows: bit j of row i is set iff phi[objs[i]; pars[j]] holds."""
-        run = self.holds
-        out = []
-        for a in objs:
-            v = 0
-            for j, b in enumerate(pars):
-                if run(a, b):
-                    v |= 1 << j
-            out.append(v)
-        return out
+        return list(_sat_rows(*self._key, tuple(objs), tuple(pars)))
+
+
+@functools.lru_cache(maxsize=16)
+def _sat_rows(M: Structure, phi: PartitionedFormula, domain: Optional[tuple[int, ...]],
+              objs: tuple, pars: tuple) -> tuple[int, ...]:
+    run = _compile(M, phi, domain)
+    out = []
+    for a in objs:
+        v = 0
+        for j, b in enumerate(pars):
+            if run(a, b):
+                v |= 1 << j
+        out.append(v)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -293,8 +293,25 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
     satisfiable while the whole family is not. None certifies no such family
     exists with n <= n_max over the given parameter tuples.
 
-    Parameter lists are enumerated without repetition: a repeated b_i changes
-    neither the hypothesis nor the conclusion.
+    Parameters are deduplicated and sorted: a repeated b_i changes neither
+    the hypothesis nor the conclusion. Families are tried level by level,
+    n = d, d+1, ..., each level in `itertools.combinations` order, one
+    budget node each; past the budget the search returns BudgetExceeded.
+    A leaf is a violation when its whole intersection is empty and each of
+    its (d-1)-subfamilies is satisfiable.
+
+    Each level runs depth-first over prefixes. A prefix shorter than n is
+    dropped with all its extensions, which still count as nodes
+    (comb(m - i, k) for a prefix that needs k more of the m - i parameters
+    from index i on), when
+    (a) its intersection meets the intersection of every column from index
+        i on, so no extension has an empty whole (at the root: all columns
+        meet); or
+    (b) its intersection is empty. Let S be a least empty subfamily of an
+        extension. If |S| < d, a (d-1)-subfamily holding S is
+        unsatisfiable; otherwise S is a violation of fewer members, and the
+        lower level that holds it, run in full before this one, would have
+        returned it.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
@@ -304,33 +321,47 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
     if params is None:
         pars = sorted(M.tuples(phi.s, domain=domain))
     else:
-        pars = sorted(tuple(t) for t in params)
+        pars = sorted({tuple(t) for t in params})
     objs = sorted(M.tuples(phi.r, domain=domain))
-    cols = dict(zip(pars, SatTable(M, phi.swapped(), domain).rows(pars, objs)))
+    cols = SatTable(M, phi.swapped(), domain).rows(pars, objs)
     full = (1 << len(objs)) - 1
+    m = len(pars)
+    suffix = [full] * (m + 1)  # suffix[i]: the objects under every column from i on
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] & cols[i]
     nodes = 0
-    cap = min(n_max, len(pars))
-    for n in range(d, cap + 1):
-        for combo in itertools.combinations(pars, n):
+
+    def extend(start: int, chosen: tuple[int, ...], meet: int, n: int):
+        # meet: the objects under every column of the prefix `chosen`
+        nonlocal nodes
+        need = n - len(chosen)
+        if need == 0:
             nodes += 1
             if nodes > limit:
                 return BudgetExceeded(nodes)
-            whole = full
-            for b in combo:
-                whole &= cols[b]
-            if whole:
-                continue
+            if meet:
+                return None
             # smaller subfamilies are implied satisfiable by monotonicity
-            good = True
-            for sub in itertools.combinations(range(n), min(d - 1, n)):
+            for sub in itertools.combinations(chosen, d - 1):
                 v = full
                 for i in sub:
-                    v &= cols[combo[i]]
+                    v &= cols[i]
                 if not v:
-                    good = False
-                    break
-            if good:
-                return CoverViolation(n, combo)
+                    return None
+            return CoverViolation(n, tuple(pars[i] for i in chosen))
+        if not meet or meet & suffix[start]:
+            nodes += comb(m - start, need)
+            return BudgetExceeded(limit + 1) if nodes > limit else None
+        for i in range(start, m - need + 1):
+            got = extend(i + 1, chosen + (i,), meet & cols[i], n)
+            if got is not None:
+                return got
+        return None
+
+    for n in range(d, min(n_max, m) + 1):
+        got = extend(0, (), full, n)
+        if got is not None:
+            return got
     return None
 
 

@@ -14,7 +14,7 @@ from fmlab import (EvaluationError, FmlabError, PartitionedFormula,
                    verify_order, verify_order_bound, verify_shattered,
                    verify_weak_order)
 from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
-                        SatTable)
+                        SatTable, _sat_rows)
 from fmlab.formats import parse_formula
 from fmlab.util import SplitMix64
 
@@ -352,6 +352,58 @@ def test_compiled_sat_table_agrees_with_evaluate_on_values_and_errors():
             for a, b in (((0,) * (f.r + 1), (0,) * f.s), ((0,) * f.r, (0,) * (f.s + 1))):
                 assert outcome(lambda: table.holds(a, b)) == \
                     outcome(lambda: f.holds(M, a, b, domain=domain))
+
+
+def test_memoised_rows_equal_a_fresh_computation():
+    rng = SplitMix64(20261020)
+    for _ in range(60):
+        M = _random_structure(rng)
+        r = 1 + rng.below(2)
+        s = rng.below(3 - r)
+        ov = tuple(f"x{i}" for i in range(r))
+        pv = tuple(f"y{i}" for i in range(s))
+        phi = PartitionedFormula(_random_formula(rng, list(ov + pv), 3), ov, pv)
+        domain = None
+        if rng.bit():
+            domain = [e for e in M.universe() if rng.bit()]
+        objs = list(M.tuples(phi.r, domain=domain))
+        pars = list(M.tuples(phi.s))
+        first = SatTable(M, phi, domain).rows(objs, pars)
+        hits = _sat_rows.cache_info().hits
+        again = SatTable(M, phi, None if domain is None else domain[::-1]).rows(objs, pars)
+        assert _sat_rows.cache_info().hits == hits + 1
+        _sat_rows.cache_clear()
+        assert again == first == SatTable(M, phi, domain).rows(objs, pars)
+
+
+def test_equal_structures_share_one_memo_entry_and_a_hit_does_not_compile():
+    edges = [(0, 1), (1, 2), (2, 3)]
+    M1, M2 = graph(4, edges), graph(4, edges)
+    assert M1 is not M2
+    objs = pars = list(M1.tuples(1))
+    first = SatTable(M1, EDGE).rows(objs, pars)
+    table = SatTable(M2, EDGE.swapped().swapped())
+    assert table.rows(objs, pars) == first
+    info = _sat_rows.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert table._holds is None
+    assert table.holds((0,), (1,)) is True
+
+
+def test_memoised_rows_keep_no_error_and_no_caller_edit():
+    M = path_graph(3)
+    table = SatTable(M, EDGE)
+    objs = list(M.tuples(1))
+    for _ in range(3):
+        with pytest.raises(EvaluationError, match="element out of range: 3"):
+            table.rows(objs, [(0,), (3,)])
+    assert _sat_rows.cache_info().currsize == 0
+    rows = table.rows(objs, objs)
+    want = list(rows)
+    rows[0] = 99
+    rows.append(5)
+    assert table.rows(objs, objs) == want
+    assert _sat_rows.cache_info().hits == 1
 
 
 def _names(code):

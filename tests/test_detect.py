@@ -8,18 +8,20 @@ import tracemalloc
 import pytest
 
 from fmlab import (BudgetExceeded, CoverViolation, IndependenceWitness,
-                   SplittingChainFailure, OrderWitness, PreconditionError,
+                   SplittingChainFailure, OrderWitness, PartitionedFormula,
+                   PreconditionError,
                    Signature, SplitMix64, Structure, arrow_check, build_rho,
                    find_cover_violation, find_k_independence, find_n_order,
                    find_weak_m_order, parse_formula, splitting_order_witness,
                    splits, stirling_threshold, tp, verify_cover_violation,
                    verify_independence, verify_order, verify_weak_order)
+from fmlab.core import And, Atom, Exists, Not
 from fmlab.detect import first_shattered
 from fmlab.util import TooLargeError
 
 from conftest import (EDGE, LESS, all_graphs, complete_graph, cycle_graph,
-                      empty_graph, graph, linear_order, path_graph,
-                      seeded_graph, star_graph)
+                      digraph, empty_graph, graph, linear_order, path_graph,
+                      seeded_digraph, seeded_graph, star_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +238,113 @@ def test_star_restricted_to_leaves_has_no_violation():
     star = star_graph(3)
     assert find_cover_violation(star, EDGE, 2, 3,
                                 params=[(1,), (2,), (3,)]) is None
+
+
+def _cover_by_enumeration(M, phi, d, n_max, pars, domain, limit):
+    """find_cover_violation before its pruning, kept literally: every family
+    of d..n_max of the distinct parameters `pars`, level by level in
+    `itertools.combinations` order, one node each. The columns come from the
+    reference interpreter."""
+    objs = sorted(M.tuples(phi.r, domain=domain))
+    cols = {b: sum(1 << i for i, a in enumerate(objs)
+                   if phi.holds(M, a, b, domain=domain)) for b in pars}
+    full = (1 << len(objs)) - 1
+    nodes = 0
+    cap = min(n_max, len(pars))
+    for n in range(d, cap + 1):
+        for combo in itertools.combinations(pars, n):
+            nodes += 1
+            if nodes > limit:
+                return BudgetExceeded(nodes)
+            whole = full
+            for b in combo:
+                whole &= cols[b]
+            if whole:
+                continue
+            # smaller subfamilies are implied satisfiable by monotonicity
+            good = True
+            for sub in itertools.combinations(range(n), min(d - 1, n)):
+                v = full
+                for i in sub:
+                    v &= cols[combo[i]]
+                if not v:
+                    good = False
+                    break
+            if good:
+                return CoverViolation(n, combo)
+    return None
+
+
+DIST2 = PartitionedFormula(Exists("z0", And(Atom("R", ("x0", "z0")),
+                                            Atom("R", ("z0", "y0")))),
+                           ("x0",), ("y0",))
+# two parameters: x0 sees y0 but not y1
+SEES_NOT = PartitionedFormula(And(Atom("R", ("x0", "y0")),
+                                  Not(Atom("R", ("x0", "y1")))),
+                              ("x0",), ("y0", "y1"))
+
+
+def _seeded_order(n, seed):
+    rng = SplitMix64(seed)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return digraph(n, [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_cover_search_matches_the_enumeration(monkeypatch):
+    # witness, None and BudgetExceeded.nodes agree exactly with the unpruned
+    # enumeration, across structures, formulas, d, n_max, parameter lists
+    # (none, with repeats, empty), domains and budgets
+    rng = SplitMix64(20261018)
+    makers = (seeded_graph, seeded_digraph, _seeded_order)
+    formulas = (EDGE, EDGE.negated(), DIST2, SEES_NOT)
+    seen = {"witness": 0, "none": 0, "budget": 0}
+    for case in range(360):
+        n = rng.below(9)
+        M = makers[case % 3](n, 7000 + case)
+        phi = formulas[rng.below(len(formulas))]
+        d = 1 + rng.below(4)
+        n_max = d + rng.below(6)
+        domain = None
+        if rng.bit():
+            domain = frozenset(e for e in range(n) if rng.bit())
+        every = sorted(M.tuples(phi.s))
+        pick = rng.below(3)
+        if pick == 0:
+            params, pars = None, sorted(M.tuples(phi.s, domain=domain))
+        elif pick == 1 and every:
+            params = [every[rng.below(len(every))]
+                      for _ in range(rng.below(2 * len(every) + 1))]
+            params += params[:rng.below(len(params) + 1)]
+            pars = sorted(set(params))
+        else:
+            params, pars = [], []
+        for limit in (1, 3, 10, 40, 200):
+            monkeypatch.setenv("FMLAB_BUDGET", str(limit))
+            want = _cover_by_enumeration(M, phi, d, n_max, pars, domain, limit)
+            got = find_cover_violation(M, phi, d, n_max, params=params, domain=domain)
+            assert got == want, (case, limit)
+            seen["witness" if isinstance(want, CoverViolation) else
+                 "budget" if isinstance(want, BudgetExceeded) else "none"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_cover_search_ignores_repeated_parameters(monkeypatch):
+    M = path_graph(4)
+    for limit in (1, 2, 3, 100):
+        monkeypatch.setenv("FMLAB_BUDGET", str(limit))
+        once = find_cover_violation(M, EDGE, 2, 4, params=[(0,), (2,), (3,)])
+        twice = find_cover_violation(M, EDGE, 2, 4,
+                                     params=[(0,), (0,), (2,), (3,)])
+        assert twice == once, limit
+    monkeypatch.setenv("FMLAB_BUDGET", "2")
+    assert find_cover_violation(M, EDGE, 2, 4, params=[(3,), (0,), (2,), (0,)]) \
+        == CoverViolation(2, ((0,), (3,)))
+    monkeypatch.setenv("FMLAB_BUDGET", "1")
+    assert find_cover_violation(M, EDGE, 2, 4, params=[(0,), (0,), (2,), (3,)]) \
+        == BudgetExceeded(2)
 
 
 # ---------------------------------------------------------------------------
