@@ -395,9 +395,18 @@ def greedy_end_extraction(length: int, m: int,
     selections that can split it: the prefix itself at the first step, then
     those ending in the newest position (none when m = 1). It returns the
     candidate's key over exactly `sels`, in order.
+
+    A key may be any hashable. The two in-tree keys (`_formula_key` and
+    `extract_homogeneous`'s) are int bitmasks, one bit per cell in the order
+    of the cells' tuple. Within one step every candidate is keyed over the
+    same `sels` (and parameters), so all keys have the same number of bits
+    and two ints are equal exactly when the tuples of their cells are: the
+    classes, and so the choices and the trace, are those of tuple keys.
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
+    if target is not None and target < 0:
+        raise PreconditionError("target must be >= 0")
     upto = length if target is None else min(target, length)
     chosen: list[int] = list(range(min(m - 1, upto)))
     pool = list(range(m - 1, length))
@@ -420,14 +429,31 @@ def greedy_end_extraction(length: int, m: int,
 def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
                  suffix: tuple[int, ...] = ()):
     """Key function giving the candidate's satisfaction row at each selection
-    of chosen positions passed in; `suffix` is appended to every object
-    tuple."""
+    of chosen positions passed in, as an int bitmask: one bit per
+    (selection, parameter) pair, selections outer and parameters inner, so
+    the first cell ends up in the highest bit. The object tuple of a cell is
+    the selection's entries, then the candidate's, then `suffix`.
+
+    Each selection's entries are flattened once per key function, in a dict
+    keyed by the selection; a candidate only appends its own entry and
+    `suffix`. Cells are evaluated in bit order, so the first error raised is
+    that of the first bad cell."""
     holds = table.holds
     concat = seq.concat
+    entries = seq.tuples
+    heads: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def key_of(sels: list[tuple[int, ...]], cand: int):
-        return tuple(tuple(holds(concat(sel + (cand,)) + suffix, b) for b in pars)
-                     for sel in sels)
+        tail = entries[cand] + suffix
+        key = 0
+        for sel in sels:
+            head = heads.get(sel)
+            if head is None:
+                head = heads[sel] = concat(sel)
+            obj = head + tail
+            for b in pars:
+                key = key << 1 | holds(obj, b)
+        return key
 
     return key_of
 
@@ -440,13 +466,15 @@ def extract_end_indiscernible(I, phi: PartitionedFormula, m: int,
     """Greedy extraction of a (phi, m)-end-indiscernible subsequence over A.
 
     phi's object block must cover m sequence entries (object arity m times the
-    tuple arity). With k given, the extraction stops at length k and fails if
-    it cannot get there; with k omitted it runs to exhaustion. The result is
-    re-verified by check_indiscernible before being returned.
+    tuple arity). With k given (k >= 0), the extraction stops at length k and
+    fails if it cannot get there; with k omitted it runs to exhaustion. The
+    result is re-verified by check_indiscernible before being returned.
     """
     seq = I if isinstance(I, TupleSequence) else TupleSequence.of(I)
     if m < 1:
         raise PreconditionError("m must be >= 1")
+    if k is not None and k < 0:
+        raise PreconditionError("k must be >= 0")
     if phi.r != m * seq.tuple_arity:
         raise PreconditionError(
             f"object arity {phi.r} does not cover m={m} entries of arity {seq.tuple_arity}")

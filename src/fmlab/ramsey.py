@@ -412,26 +412,27 @@ def extract_homogeneous(G: RGraph, n: int, k: int
     edges = G.edges
 
     def key_of(sels: list[tuple[int, ...]], cand: int):
-        # positions are chosen in increasing order, so sel + (cand,) is sorted
-        return tuple(sel + (cand,) in edges for sel in sels)
+        # one bit per selection, first selection highest; positions are
+        # chosen in increasing order, so sel + (cand,) is sorted
+        key = 0
+        for sel in sels:
+            key = key << 1 | (sel + (cand,) in edges)
+        return key
 
     chosen, _ = greedy_end_extraction(G.n, G.r, key_of, target=None)
     if len(chosen) < G.r:
         return ExtractionFailure(G.r, f"end-homogeneous stage reached only {len(chosen)}")
     v = chosen[-1]
     prefix = chosen[:-1]
-    back = {i: u for i, u in enumerate(prefix)}
-    link_edges = set()
-    for sub in itertools.combinations(range(len(prefix)), G.r - 1):
-        orig = tuple(sorted(back[i] for i in sub)) + (v,)
-        if G.has_edge(orig):
-            link_edges.add(sub)
+    # prefix is increasing and v follows all of it, so each edge is sorted
+    link_edges = {sub for sub in itertools.combinations(range(len(prefix)), G.r - 1)
+                  if tuple(prefix[i] for i in sub) + (v,) in edges}
     sub_graph = RGraph.of(len(prefix), G.r - 1, link_edges)
     rec = extract_homogeneous(sub_graph, n, k - 1)
     if isinstance(rec, ExtractionFailure):
         return rec
     core, tag = rec
-    result = frozenset(back[i] for i in core) | {v}
+    result = frozenset(prefix[i] for i in core) | {v}
     if not verify_homogeneous(G, result, tag):
         return ExtractionFailure(G.r, "result failed homogeneity re-verification")
     return result, tag

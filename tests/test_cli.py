@@ -136,6 +136,20 @@ def test_indisc_check_and_extract(p3_files, capsys):
     assert json.loads(out)["value"] == 16
 
 
+def test_extract_end_refuses_a_negative_length(p3_files, capsys):
+    s, f = p3_files
+    argv = ["indisc", "extract-end", "--structure", s, "--formula", f,
+            "--seq", "I", "--set", "A", "--m", "1", "--k"]
+    code = main(argv + ["-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    code, out = run(capsys, argv + ["0"])
+    assert code == 0
+    assert json.loads(out)["sequence"] == []
+
+
 def test_ramsey_arrow_exit_codes(capsys):
     code, _ = run(capsys, ["ramsey", "arrow", "--x", "6", "--y", "3",
                            "--a", "2", "--b", "2"])

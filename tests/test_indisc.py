@@ -12,14 +12,19 @@ from fmlab import (BoundParams, ConstantGrowth, ExtractionFailure,
                    WorstCaseGrowth, beth, check_indiscernible, extraction_length_estimates,
                    extract_end_indiscernible, extract_indiscernible, f_star,
                    g_func)
-from fmlab.indisc import _EVAL_GUARD, _end_need, greedy_end_extraction
-from fmlab.util import SIZE_GUARD_BITS, SplitMix64, TooLargeError, mix_seed
+from fmlab.indisc import (_EVAL_GUARD, _end_need, _formula_key,
+                          greedy_end_extraction)
+from fmlab.ramsey import _halving_chain
+from fmlab.util import (SIZE_GUARD_BITS, EvaluationError, SplitMix64,
+                        TooLargeError, mix_seed)
 
 from conftest import (EDGE, EDGE_PAIR, complete_graph, digraph,
-                      empty_graph, graph, seeded_graph, star_graph)
-from fmlab import (PartitionedFormula, Signature, Structure, atom_formula,
-                   find_n_order)
-from fmlab.core import Atom
+                      empty_graph, graph, outcome, seeded_digraph,
+                      seeded_graph, star_graph)
+from fmlab import (PartitionedFormula, RGraph, Signature, Structure,
+                   atom_formula, extract_homogeneous, find_n_order,
+                   verify_homogeneous)
+from fmlab.core import And, Atom, Exists, Not, Or, SatTable
 
 
 def vertex_seq(n):
@@ -389,3 +394,206 @@ def test_sufficient_length_never_fails():
             M = seeded_graph(need, mix_seed(888, 100 * k + seed))
             got = extract_indiscernible(vertex_seq(need), EDGE, 1, [(0,)], M, k)
             assert not isinstance(got, ExtractionFailure), (k, seed)
+
+
+def test_negative_lengths_are_refused():
+    M = seeded_graph(6, 3)
+    with pytest.raises(PreconditionError, match="k must be >= 0"):
+        extract_end_indiscernible(vertex_seq(6), EDGE_PAIR, 2, [], M, k=-1)
+    with pytest.raises(PreconditionError, match="target must be >= 0"):
+        greedy_end_extraction(6, 2, lambda sels, cand: 0, target=-1)
+    # k = 0 still asks for the empty sequence
+    seq, trace = extract_end_indiscernible(vertex_seq(6), EDGE_PAIR, 2, [], M, k=0)
+    assert len(seq) == 0 and trace == ExtractionTrace((), ())
+
+
+# ---------------------------------------------------------------------------
+# bitmask greedy keys against the tuple keys they replaced
+# ---------------------------------------------------------------------------
+
+
+def _tuple_formula_key(seq, table, pars, suffix=()):
+    """The tuple-valued `_formula_key` the greedy was keyed by before its keys
+    became bitmasks, kept as the reference."""
+    holds = table.holds
+    concat = seq.concat
+
+    def key_of(sels, cand):
+        return tuple(tuple(holds(concat(sel + (cand,)) + suffix, b) for b in pars)
+                     for sel in sels)
+
+    return key_of
+
+
+def _tuple_key_homogeneous(G, n, k):
+    """`extract_homogeneous` with the tuple key and the `has_edge` link graph
+    it had before its keys became bitmasks, kept as the reference."""
+    if k < 0:
+        raise PreconditionError("k must be a natural")
+    if k == 0:
+        return frozenset(), "empty"
+    if k <= G.r - 1:
+        if G.n < k:
+            return ExtractionFailure(G.r, f"only {G.n} vertices for target {k}")
+        return frozenset(range(k)), "empty"
+    if G.n < k:
+        return ExtractionFailure(G.r, f"only {G.n} vertices for target {k}")
+    if G.r == 2:
+        return _halving_chain(G, range(G.n), k)
+
+    edges = G.edges
+
+    def key_of(sels, cand):
+        return tuple(sel + (cand,) in edges for sel in sels)
+
+    chosen, _ = greedy_end_extraction(G.n, G.r, key_of, target=None)
+    if len(chosen) < G.r:
+        return ExtractionFailure(G.r, f"end-homogeneous stage reached only {len(chosen)}")
+    v = chosen[-1]
+    prefix = chosen[:-1]
+    back = {i: u for i, u in enumerate(prefix)}
+    link_edges = set()
+    for sub in itertools.combinations(range(len(prefix)), G.r - 1):
+        orig = tuple(sorted(back[i] for i in sub)) + (v,)
+        if G.has_edge(orig):
+            link_edges.add(sub)
+    sub_graph = RGraph.of(len(prefix), G.r - 1, link_edges)
+    rec = _tuple_key_homogeneous(sub_graph, n, k - 1)
+    if isinstance(rec, ExtractionFailure):
+        return rec
+    core, tag = rec
+    result = frozenset(back[i] for i in core) | {v}
+    if not verify_homogeneous(G, result, tag):
+        return ExtractionFailure(G.r, "result failed homogeneity re-verification")
+    return result, tag
+
+
+def _seeded_formula(rng, r, s):
+    """A formula over one binary relation R with object block x0..x(r-1) and
+    parameter block y0..y(s-1): one to three atoms joined by conjunction or
+    disjunction, some negated, sometimes under one existential quantifier."""
+    xs = [f"x{i}" for i in range(r)]
+    ys = [f"y{i}" for i in range(s)]
+    names = xs + ys + (["z"] if rng.bit() else [])
+
+    def atom():
+        return Atom("R", (names[rng.below(len(names))], names[rng.below(len(names))]))
+
+    f = atom()
+    for _ in range(rng.below(3)):
+        g = Not(atom()) if rng.bit() else atom()
+        f = And(f, g) if rng.bit() else Or(f, g)
+    if "z" in names:
+        f = Exists("z", f)
+    return PartitionedFormula(f, xs, ys)
+
+
+def _seeded_key_case(rng, trial, out_of_range=False):
+    """(length, m, seq, phi, table, pars, suffix, target) for one greedy run on a
+    seeded graph or digraph. With `out_of_range`, some sequence entries and
+    parameters name elements past the universe."""
+    n = 3 + rng.below(5)
+    seed = mix_seed(1414, trial)
+    M = seeded_graph(n, seed) if rng.bit() else seeded_digraph(n, seed)
+    m = 1 + trial % 3
+    arity = 1 + rng.below(2)
+    suffix = tuple(rng.below(n) for _ in range(arity * rng.below(2)))
+    s = rng.below(3)
+    phi = _seeded_formula(rng, m * arity + len(suffix), s)
+    top = n + 3 if out_of_range else n
+    if s == 0:
+        pars = [()]
+    elif rng.below(4) == 0:
+        pars = []  # a parameter set with no tuple of arity s
+    else:
+        pars = sorted({tuple(rng.below(top) for _ in range(s))
+                       for _ in range(1 + rng.below(3))})
+    length = rng.below(12)
+    seq = TupleSequence.of([tuple(rng.below(top) for _ in range(arity))
+                            for _ in range(length)], arity)
+    target = (None, 0, rng.below(length + 1), length + 1 + rng.below(2))[trial % 4]
+    return length, m, seq, phi, SatTable(M, phi), pars, suffix, target
+
+
+class _CellLog:
+    """A stand-in table: `holds` answers from a real `SatTable` and logs each
+    cell it is asked for, in order."""
+
+    def __init__(self, table):
+        self.cells = []
+        self._holds = table.holds
+
+    def holds(self, obj, par):
+        self.cells.append((obj, par))
+        return self._holds(obj, par)
+
+
+def test_bitmask_formula_key_matches_the_tuple_key():
+    # same (chosen, trace) from the int keys as from the tuple keys, and the
+    # same cells evaluated in the same order, for m = 1..3, s = 0..2, empty
+    # parameter lists, suffixes and every kind of target; the keys must
+    # split some pools, or nothing is compared
+    rng = SplitMix64(1414)
+    seen = set()
+    for trial in range(600):
+        length, m, seq, phi, table, pars, suffix, target = _seeded_key_case(rng, trial)
+        new, old = _CellLog(table), _CellLog(table)
+        got = greedy_end_extraction(length, m, _formula_key(seq, new, pars, suffix),
+                                    target)
+        want = greedy_end_extraction(length, m,
+                                     _tuple_formula_key(seq, old, pars, suffix),
+                                     target)
+        assert got == want, trial
+        assert new.cells == old.cells, trial
+        split = any(classes > 1 for _, classes, _ in want[1].steps)
+        seen.update({("m", m), ("s", phi.s), ("pars", len(pars) > 0),
+                     ("suffix", len(suffix) > 0), ("split", split),
+                     ("target", "none" if target is None else
+                      "past" if target > length else "zero" if target == 0
+                      else "within")})
+    assert seen == {("m", 1), ("m", 2), ("m", 3), ("s", 0), ("s", 1), ("s", 2),
+                    ("pars", True), ("pars", False), ("suffix", True),
+                    ("suffix", False), ("split", True), ("split", False),
+                    ("target", "none"), ("target", "past"), ("target", "zero"),
+                    ("target", "within")}
+
+
+def test_bitmask_formula_key_raises_the_tuple_keys_first_error():
+    # entries and parameters past the universe: both keys meet the same cell
+    # first, so the same EvaluationError message comes out, or the same
+    # result when no evaluated cell touches a bad element
+    rng = SplitMix64(1415)
+    errors = 0
+    for trial in range(400):
+        length, m, seq, _, table, pars, suffix, target = _seeded_key_case(
+            rng, trial, out_of_range=True)
+        got = outcome(lambda: greedy_end_extraction(
+            length, m, _formula_key(seq, table, pars, suffix), target))
+        want = outcome(lambda: greedy_end_extraction(
+            length, m, _tuple_formula_key(seq, table, pars, suffix), target))
+        assert got == want, trial
+        if want[0] is EvaluationError:
+            assert want[1].startswith("element out of range: ")
+            errors += 1
+    assert errors >= 50
+
+
+def test_bitmask_homogeneous_key_matches_the_tuple_key():
+    # seeded 3-graphs and 4-graphs of every density, every target size
+    rng = SplitMix64(1416)
+    found = failed = 0
+    for trial in range(120):
+        r = 3 + trial % 2
+        n = r + rng.below(12 if r == 3 else 8)
+        density = 1 + rng.below(7)
+        edges = [e for e in itertools.combinations(range(n), r)
+                 if rng.below(8) < density]
+        G = RGraph.of(n, r, edges)
+        for k in range(n + 2):
+            got = extract_homogeneous(G, 2, k)
+            assert got == _tuple_key_homogeneous(G, 2, k), (trial, k)
+            if isinstance(got, ExtractionFailure):
+                failed += 1
+            else:
+                found += 1
+    assert found > 100 and failed > 100

@@ -16,7 +16,9 @@ from fmlab import (E_bound, ExperimentConfig, ExtractionFailure,
                    independence_probability_mc, lambda_nk,
                    rgraph_lacks_independence, sample_graph_rows, stirling2,
                    independence_trend, verify_homogeneous)
+from fmlab import ramsey
 from fmlab.core import Signature, Structure, atom_formula
+from fmlab.indisc import greedy_end_extraction
 from fmlab.util import SplitMix64, TooLargeError, mix_seed
 
 from conftest import seeded_3graphs_lacking_independence, sparse_3graph
@@ -262,6 +264,45 @@ def test_extraction_failure_is_reported_not_faked():
     G = RGraph.of(2, 3, [])
     got = extract_homogeneous(G, 2, 3)
     assert isinstance(got, ExtractionFailure)
+
+
+def _has_edge_link_graph(G):
+    """The link graph of G's end-homogeneous sequence as it was built with
+    `has_edge`: the (r-1)-sets of prefix positions whose vertices, sorted,
+    form an edge with the last vertex v."""
+    chosen, _ = greedy_end_extraction(
+        G.n, G.r, lambda sels, cand: tuple(G.has_edge(sel + (cand,)) for sel in sels))
+    v, prefix = chosen[-1], chosen[:-1]
+    return RGraph.of(len(prefix), G.r - 1, [
+        sub for sub in itertools.combinations(range(len(prefix)), G.r - 1)
+        if G.has_edge(tuple(sorted(prefix[i] for i in sub)) + (v,))])
+
+
+def test_link_graph_matches_the_has_edge_construction(monkeypatch):
+    # every graph extract_homogeneous recurses on is the link graph of the
+    # one above it, on seeded 3-graphs and 4-graphs of every density
+    real = ramsey.extract_homogeneous
+    rng = SplitMix64(1417)
+    links = []
+    for trial in range(120):
+        r = 3 + trial % 2
+        n = r + 1 + rng.below(12 if r == 3 else 8)
+        density = 1 + rng.below(7)
+        G = RGraph.of(n, r, [e for e in itertools.combinations(range(n), r)
+                             if rng.below(8) < density])
+        seen = []
+
+        def spy(H, n, k):
+            seen.append(H)
+            return real(H, n, k)
+
+        monkeypatch.setattr(ramsey, "extract_homogeneous", spy)
+        real(G, 2, n)
+        monkeypatch.undo()
+        for above, link in zip([G] + seen, seen):
+            assert link == _has_edge_link_graph(above), (trial, above.r)
+            links.append(above.r)
+    assert links.count(3) > 50 and links.count(4) > 50
 
 
 # ---------------------------------------------------------------------------
