@@ -1,7 +1,7 @@
-"""Test isolation for the whole suite: the goodness, closure-set and
-satisfaction-row memos are emptied before every test, so no test sees work an
-earlier one left cached (a memoised verdict would skip the lower layers a test
-may expect to run)."""
+"""Test isolation for the whole suite: the goodness, closure-set,
+satisfaction-row and row-compiler memos are emptied before every test, so no
+test sees work an earlier one left cached (a memoised verdict would skip the
+lower layers a test may expect to run)."""
 
 import pytest
 
@@ -13,3 +13,4 @@ def _empty_memos():
     classify._is_good.cache_clear()
     classify._delta_star.cache_clear()
     core._sat_rows.cache_clear()
+    core._compile_rows.cache_clear()

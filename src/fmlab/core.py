@@ -531,25 +531,37 @@ class SatTable:
     M |= phi[obj; par], with quantifiers over `domain` (the whole universe
     when None).
 
-    The formula is compiled on first use into closures over a slot-indexed
-    environment (`_compile`); `holds` is that compiled function itself, so
-    every cell runs those closures, never `evaluate`, and `holds` keeps no
-    cell. A search that reads single cells more than once keeps its own
-    memo (`find_n_order` wraps `holds` in `functools.cache`).
+    Cells are per-cell closures: the formula is compiled on first use into
+    closures over a slot-indexed environment (`_compile`); `holds` is that
+    compiled function itself, so every cell runs those closures, never
+    `evaluate`, and `holds` keeps no cell. A search that reads single cells
+    more than once keeps its own memo (`find_n_order` wraps `holds` in
+    `functools.cache`).
+
+    Rows are bit-parallel: `_compile_rows` walks the formula once with its
+    last parameter variable as a vector, so one pass over the closures
+    yields phi[obj; head + (u,)] for every element u as an int mask, and a
+    parameter list that is the whole universe in order takes the mask as
+    the row. The per-cell `_compile` loop runs instead, with its values and
+    first error, when s = 0, when a block has the wrong length, when an
+    object, parameter or domain value lies outside the universe, or when
+    an atom names an unbound variable, has the wrong number of arguments
+    or an unknown relation. The compiled row function is memoised by value
+    on (structure, formula, domain) in a 16-entry LRU.
 
     Whole rows are kept, in one memo for the process: `rows` answers from
-    `_sat_rows`, a 16-entry LRU keyed by value on the structure, the
+    `_sat_rows`, a 64-entry LRU keyed by value on the structure, the
     formula, the sorted domain and the object and parameter tuples. So the
     searches of one query that ask for the same rows (independence at two
     widths and the type count read one table; weak order and cover read its
     swap) compute them once, and a hit compiles nothing. An error is never
     stored, and each caller gets a fresh list. `_sat_rows.cache_info()`
-    counts hits and misses.
+    and `_compile_rows.cache_info()` count hits and misses.
 
     Search-side only: the witness searches, the extraction keys, type
     counting (`count_phi_types`) and the classification layer read
     satisfaction through it. The witness checkers, `check_indiscernible`
-    and `tp` evaluate formulas with `evaluate` and never touch it or the
+    and `tp` evaluate formulas with `evaluate` and never touch it or either
     compiler, so a fault here cannot hide from them. The two exceptions
     are `verify_independence_bound` and `verify_order_bound`, whose left
     side is `count_phi_types`; a seeded differential test against the
@@ -578,15 +590,154 @@ class SatTable:
 
 
 @functools.lru_cache(maxsize=16)
+def _compile_rows(M: Structure, phi: PartitionedFormula,
+                  domain: Optional[tuple[int, ...]]):
+    """phi as one function row(obj, head) whose bit u is set iff
+    `phi.holds(M, obj, head + (u,), domain=domain)`, for u in the universe;
+    None when s = 0 or when some atom names an unbound variable, has the
+    wrong number of arguments or an unknown relation (the per-cell path
+    reports those when a cell reaches the atom).
+
+    The formula is walked once with its last parameter variable as a
+    vector: every node returns an int mask over the universe, a node that
+    does not read the vector returns all or nothing, and a quantifier that
+    re-binds the vector variable gives it a scalar slot. No value is
+    checked: callers pass objects, heads and a domain inside the universe.
+    """
+    if phi.s == 0:
+        return None
+    n = M.universe_size
+    full = (1 << n) - 1
+    dom = range(n) if domain is None else domain
+    arities, bitrows, relations = dict(M.signature.relations), M._bitrows, M.relations
+    width = phi.r + phi.s - 1
+    VEC = -1  # the vector's slot: element by element atoms put u there
+
+    def atom(node, slots):
+        rel, names = node.rel, node.args
+        idx = [slots.get(v) for v in names]
+        if None in idx or arities.get(rel) != len(names):
+            raise EvaluationError(f"atom {rel} does not compile")
+        rows, tuples = bitrows.get(rel), relations[rel]
+        if VEC not in idx:
+            if rows is not None:
+                i, j = idx
+                return lambda env: full if rows[env[i]] >> env[j] & 1 else 0
+            return lambda env: full if tuple([env[i] for i in idx]) in tuples else 0
+        if all(i == VEC for i in idx):
+            mask = sum(1 << u for u in range(n) if (u,) * len(idx) in tuples)
+            return lambda env: mask
+        if rows is not None:
+            i, j = idx
+            if j == VEC:
+                return lambda env: rows[env[i]]
+            cols = [0] * n
+            for a, b in tuples:
+                cols[b] |= 1 << a
+            return lambda env: cols[env[j]]
+
+        def other(env):
+            mask = 0
+            for u in range(n):
+                env[VEC] = u
+                if tuple([env[i] for i in idx]) in tuples:
+                    mask |= 1 << u
+            return mask
+        return other
+
+    def comp(node, slots):
+        nonlocal width
+        t = type(node)
+        if t is Atom:
+            return atom(node, slots)
+        if t is Not:
+            sub = comp(node.sub, slots)
+            return lambda env: full ^ sub(env)
+        if t in (And, Or, Implies, Iff):
+            left, right = comp(node.left, slots), comp(node.right, slots)
+            if t is And:
+                def conj(env):
+                    a = left(env)
+                    return a & right(env) if a else 0
+                return conj
+            if t is Or:
+                def disj(env):
+                    a = left(env)
+                    return a if a == full else a | right(env)
+                return disj
+            if t is Implies:
+                def implies(env):
+                    a = left(env)
+                    return full if a == 0 else (full ^ a) | right(env)
+                return implies
+            return lambda env: full ^ left(env) ^ right(env)
+        if t is Exists or t is Forall:
+            slot, width = width, width + 1
+            body = comp(node.body, {**slots, node.var: slot})
+            if t is Exists:
+                def exists(env):
+                    mask = 0
+                    for e in dom:
+                        env[slot] = e
+                        mask |= body(env)
+                        if mask == full:
+                            break
+                    return mask
+                return exists
+
+            def forall(env):
+                mask = full
+                for e in dom:
+                    env[slot] = e
+                    mask &= body(env)
+                    if not mask:
+                        break
+                return mask
+            return forall
+        raise EvaluationError(f"ill-formed formula node: {node!r}")
+
+    free = {v: i for i, v in enumerate(phi.object_vars + phi.param_vars)}
+    free[phi.param_vars[-1]] = VEC
+    try:
+        top = comp(phi.ast, free)
+    except EvaluationError:
+        return None
+    pad = [0] * (width - phi.r - phi.s + 2)  # quantifier slots, then the vector's
+    return lambda obj, head: top([*obj, *head, *pad])
+
+
+@functools.lru_cache(maxsize=64)
 def _sat_rows(M: Structure, phi: PartitionedFormula, domain: Optional[tuple[int, ...]],
               objs: tuple, pars: tuple) -> tuple[int, ...]:
-    run = _compile(M, phi, domain)
+    universe = range(M.universe_size)
+    row = None
+    if ({len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
+            and set(itertools.chain(*objs, *pars, domain or ())).issubset(universe)):
+        row = _compile_rows(M, phi, domain)
+    if row is None:
+        run = _compile(M, phi, domain)
+        out = []
+        for a in objs:
+            v = 0
+            for j, b in enumerate(pars):
+                if run(a, b):
+                    v |= 1 << j
+            out.append(v)
+        return tuple(out)
+    if pars == tuple(zip(universe)):
+        # every search over the whole universe: the row is the mask itself
+        return tuple([row(a, ()) for a in objs])
+    # otherwise one pass per (object, head), and bit u of the mask is cell j
+    groups: dict[tuple, list] = {}
+    for j, b in enumerate(pars):
+        groups.setdefault(b[:-1], []).append((j, b[-1]))
     out = []
     for a in objs:
         v = 0
-        for j, b in enumerate(pars):
-            if run(a, b):
-                v |= 1 << j
+        for head, cells in groups.items():
+            mask = row(a, head)
+            for j, u in cells:
+                v |= (mask >> u & 1) << j
         out.append(v)
     return tuple(out)
 

@@ -14,7 +14,7 @@ from fmlab import (EvaluationError, FmlabError, PartitionedFormula,
                    verify_order, verify_order_bound, verify_shattered,
                    verify_weak_order)
 from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
-                        SatTable, _sat_rows)
+                        SatTable, _compile_rows, _sat_rows)
 from fmlab.formats import parse_formula
 from fmlab.util import SplitMix64
 
@@ -354,6 +354,99 @@ def test_compiled_sat_table_agrees_with_evaluate_on_values_and_errors():
                     outcome(lambda: f.holds(M, a, b, domain=domain))
 
 
+def _cell_rows(M, f, domain, objs, pars):
+    """Satisfaction rows cell by cell through the reference `f.holds`."""
+    out = []
+    for a in objs:
+        v = 0
+        for j, b in enumerate(pars):
+            if f.holds(M, a, b, domain=domain):
+                v |= 1 << j
+        out.append(v)
+    return out
+
+
+def _vector_formulas(v):
+    """Formulas reading the row compiler's vector variable v (the last
+    parameter variable) in each way it compiles: a bit-matrix row, a
+    transposed column, the diagonal, unary and ternary atoms, under Iff,
+    Implies, Forall, and quantifiers that re-bind v."""
+    return [
+        Atom("R", ("x0", v)),
+        Atom("R", (v, "x0")),
+        Atom("R", (v, v)),
+        Atom("P", (v,)),
+        Atom("T", ("x0", "y0", v)),
+        Atom("T", (v, v, v)),
+        Iff(Atom("R", ("x0", v)), Atom("P", (v,))),
+        Implies(Atom("P", ("x0",)), Forall("z0", Atom("T", ("x0", "z0", v)))),
+        Forall("z0", Or(Atom("R", ("z0", v)), Not(Atom("P", ("z0",))))),
+        Exists("z0", And(Atom("R", ("x0", "z0")), Atom("R", ("z0", v)))),
+        # the quantifier re-binds v, which the atom after it sees again
+        And(Exists(v, Atom("R", ("x0", v))), Atom("R", (v, "x0"))),
+        Forall(v, Implies(Atom("P", (v,)),
+                          Exists("z0", Atom("T", (v, "z0", "x0"))))),
+        Or(Atom("P", (v,)), Exists("z0", Forall(v, Atom("R", ("z0", v))))),
+    ]
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def test_bit_parallel_rows_match_a_per_cell_loop():
+    # rows from the vector compiler equal a per-cell `holds` loop on whole,
+    # shuffled, partial and repeated object and parameter lists, s = 1 and
+    # s = 2, whole, empty and proper-subset domains; one value outside the
+    # universe sends rows to the per-cell path, with the same first error
+    rng = SplitMix64(20261021)
+    for case in range(240):
+        M = _random_structure(rng)
+        n = M.universe_size
+        r, s = 1 + rng.below(2), 1 + rng.below(2)
+        ov = tuple(f"x{i}" for i in range(r))
+        pv = tuple(f"y{i}" for i in range(s))
+        fixed = _vector_formulas(pv[-1])
+        ast = (fixed[case // 2 % len(fixed)] if case % 2 else
+               _random_formula(rng, list(ov + pv), 3))
+        f = PartitionedFormula(ast, ov, pv)
+        proper = set(M.universe()) - {rng.below(n)}
+        domain = (None, frozenset(),
+                  frozenset(e for e in proper if rng.bit()))[case % 3]
+        key = None if domain is None else tuple(sorted(domain))
+        assert _compile_rows(M, f, key) is not None, ast
+        objs, pars = list(M.tuples(r)), list(M.tuples(s))
+        cases = [(objs, pars), (_shuffled(rng, objs), _shuffled(rng, pars)),
+                 ([a for a in objs if rng.bit()], [b for b in pars if rng.bit()]),
+                 (objs + objs[:2], _shuffled(rng, pars + pars[:: 2] + pars[:1]))]
+        for objs_i, pars_i in cases:
+            _sat_rows.cache_clear()
+            calls = sum(_compile_rows.cache_info()[:2])
+            assert SatTable(M, f, domain).rows(objs_i, pars_i) == \
+                _cell_rows(M, f, domain, objs_i, pars_i), (ast, objs_i, pars_i)
+            assert sum(_compile_rows.cache_info()[:2]) == calls + 1
+        # one value outside the universe: in an object, a parameter or the domain
+        bad = (n, -1)[rng.bit()]
+        where = rng.below(3)
+        objs_b, pars_b, domain_b = list(objs), _shuffled(rng, pars), domain
+        if where == 0:
+            i = rng.below(len(objs_b))
+            objs_b[i] = objs_b[i][:-1] + (bad,)
+        elif where == 1:
+            j = rng.below(len(pars_b))
+            pars_b[j] = (bad,) + pars_b[j][1:]
+        else:
+            domain_b = frozenset(domain or ()) | {bad}
+        calls = sum(_compile_rows.cache_info()[:2])
+        assert outcome(lambda: SatTable(M, f, domain_b).rows(objs_b, pars_b)) == \
+            outcome(lambda: _cell_rows(M, f, domain_b, objs_b, pars_b)), ast
+        assert sum(_compile_rows.cache_info()[:2]) == calls
+
+
 def test_memoised_rows_equal_a_fresh_computation():
     rng = SplitMix64(20261020)
     for _ in range(60):
@@ -386,6 +479,15 @@ def test_equal_structures_share_one_memo_entry_and_a_hit_does_not_compile():
     assert table.rows(objs, pars) == first
     info = _sat_rows.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert table._holds is None
+    # the first call compiled the row function once; the hit compiled nothing
+    compiled = _compile_rows.cache_info()
+    assert (compiled.hits, compiled.misses, compiled.currsize) == (0, 1, 1)
+    # a row miss on the same (structure, formula, domain) reuses the compiled rows
+    assert table.rows(objs[:2], pars) == first[:2]
+    assert _sat_rows.cache_info().misses == 2
+    compiled = _compile_rows.cache_info()
+    assert (compiled.hits, compiled.misses, compiled.currsize) == (1, 1, 1)
     assert table._holds is None
     assert table.holds((0,), (1,)) is True
 
@@ -448,6 +550,7 @@ def test_reference_path_never_reaches_the_compiler():
     for fn in reference:
         names = _reachable_names(fn, set())
         assert "_compile" not in names, fn.__qualname__
+        assert "_compile_rows" not in names, fn.__qualname__
         assert "SatTable" not in names, fn.__qualname__
 
 
