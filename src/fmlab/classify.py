@@ -5,8 +5,8 @@ its symmetry test.
 
 Submodels are universe subsets with induced relations, and every result names
 elements of the whole structure, so parameter tuples keep their meaning across
-a whole configuration (goodness is decided on a relabelled copy of the
-submodel, and its witnesses are mapped back).
+a whole configuration (goodness and the strong-submodel relation are decided
+on a relabelled copy of the submodel, and goodness witnesses are mapped back).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (And, Exists, Not, PartitionedFormula, PhiType, SatTable,
@@ -284,7 +284,38 @@ def goodness_delta(phi: PartitionedFormula) -> list[PartitionedFormula]:
 
 
 # distinct (structure, phi, n, d, budget) goodness verdicts kept by is_good
-_IS_GOOD_CACHE = 128
+_IS_GOOD_CACHE = 1024
+# distinct (structure, domain) relabellings kept by _induced: the goodness
+# and strong-submodel checks of one class relabel each member dozens of times
+_INDUCED_CACHE = 32
+# distinct induced substructures that _intern keeps one copy of
+_INTERN_CACHE = 512
+
+
+@functools.lru_cache(maxsize=_INTERN_CACHE)
+def _intern(M: Structure) -> Structure:
+    """M, or an equal structure seen before it. Equal induced substructures
+    become one object, so a memo hit keyed on one compares it by identity
+    rather than relation by relation."""
+    return M
+
+
+@functools.lru_cache(maxsize=_INDUCED_CACHE)
+def _induced(M: Structure, domain: frozenset
+             ) -> tuple[Structure, tuple[int, ...], dict[int, int]]:
+    """(sub, dom, pos): the substructure induced on the domain, relabelled by
+    the order-preserving map from 0..|domain|-1 onto dom = sorted(domain),
+    and pos, that map's inverse. A domain element outside the universe
+    raises EvaluationError, the least one first."""
+    dom = tuple(sorted(domain))
+    for e in dom:
+        if not 0 <= e < M.universe_size:
+            raise EvaluationError(f"element out of range: {e}")
+    pos = {e: i for i, e in enumerate(dom)}
+    sub = Structure(M.signature, len(dom), {
+        name: [tuple(map(pos.__getitem__, t)) for t in rel if domain.issuperset(t)]
+        for name, rel in M.relations.items()})
+    return _intern(sub), dom, pos
 
 
 def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
@@ -316,14 +347,7 @@ def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
         raise PreconditionError("n and d must be >= 1")
     if domain is None:
         return _is_good(M, phi, n, d, search_budget())
-    dom = sorted(frozenset(domain))
-    for e in dom:
-        if not 0 <= e < M.universe_size:
-            raise EvaluationError(f"element out of range: {e}")
-    pos = {e: i for i, e in enumerate(dom)}
-    sub = Structure(M.signature, len(dom), {
-        name: [tuple(pos[e] for e in t) for t in rel if all(e in pos for e in t)]
-        for name, rel in M.relations.items()})
+    sub, dom, _ = _induced(M, frozenset(domain))
     got = _is_good(sub, phi, n, d, search_budget())
     if isinstance(got, GoodnessContext) or isinstance(got.witness, BudgetExceeded):
         return got
@@ -391,7 +415,8 @@ def make_class_context(M: Structure, domains: Sequence[Optional[frozenset]],
                        A: Iterable[tuple[int, ...]]
                        ) -> Union[ClassContext, GoodnessRefutation]:
     """Check goodness of every member (None = the full structure) and take the
-    class kappa as the max over members; lambda scales it by |A|^s."""
+    class kappa as the max over members; lambda scales it by |A|^s, s the
+    largest parameter arity in goodness_delta(phi), which is phi.t."""
     A = tuple(sorted(tuple(b) for b in A))
     kmax = 0
     for dom in domains:
@@ -399,8 +424,7 @@ def make_class_context(M: Structure, domains: Sequence[Optional[frozenset]],
         if isinstance(got, GoodnessRefutation):
             return got
         kmax = max(kmax, got.kappa_value)
-    s = max(f.s for f in goodness_delta(phi))
-    return ClassContext(phi, n, d, k, A, kmax, kmax * len(A) ** s)
+    return ClassContext(phi, n, d, k, A, kmax, kmax * len(A) ** phi.t)
 
 
 @dataclass(frozen=True)
@@ -422,15 +446,14 @@ def _average_matches(pos_counts: Iterable[int], length: int, kappa_value: int,
 
 
 def _search_average_witness(ctx: ClassContext, oracle: TypeOracle, source: list,
-                            cols: list[int], target: list[bool]
+                            cols: list[int], target: list[bool], limit: int
                             ) -> Union[TupleSequence, None, BudgetExceeded]:
     """A sequence of distinct tuples from the source (or a constant sequence)
     of length at least lambda_K that is closure-indiscernible over the empty
     set and averages (at kappa_K) to the target. `cols[j]` has bit i set iff
     phi holds on source[i] at the j-th parameter tuple, whose wanted sign is
-    target[j]. Each candidate is one node of `util.search_budget()`."""
+    target[j]. Each candidate is one node of the budget `limit`."""
     min_len = max(ctx.lambda_K, 1)
-    limit = search_budget()
     # constant sequences first: they are indiscernible outright
     for i, c in enumerate(source):
         if i >= limit:
@@ -456,19 +479,25 @@ def _average_witnesses(M: Structure, ctx: ClassContext, domain,
     witness from `source` for its type over the parameter tuples of the
     satisfaction columns (laid out as in `_search_average_witness`). holds is
     True when every target has one; otherwise the first target without one is
-    the offender, and holds is False, or "budget" when its search ran out."""
+    the offender, and holds is False, or "budget" when its search ran out.
+    Each target's search gets the whole of `util.search_budget()`."""
     psi = ctx.phi.swapped()
     oracle = TypeOracle(M, delta_star([psi, psi.negated()], ctx.n).formulas, [], domain)
+    limit = search_budget()
     witnesses = {}
     for i, c in enumerate(targets):
         target = [bool((col >> i) & 1) for col in target_cols]
-        got = _search_average_witness(ctx, oracle, source, source_cols, target)
+        got = _search_average_witness(ctx, oracle, source, source_cols, target, limit)
         if got is None:
             return False, witnesses, c
         if isinstance(got, BudgetExceeded):
             return "budget", witnesses, c
         witnesses[c] = got
     return True, witnesses, None
+
+
+# distinct (induced ambient, context, budget) groups of reports kept by prec_K
+_PREC_CACHE = 256
 
 
 def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
@@ -488,8 +517,19 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
     sequence) and read "budget" when it runs out. `holds` is False when some
     condition is False, which `failing_condition` names; otherwise it is
     "budget" when a condition ran out, else True.
+
+    The conditions are decided on the substructure induced on the ambient,
+    relabelled 0..m-1 in increasing order, with A and N relabelled alike.
+    Every object list, parameter list and candidate sequence keeps its order
+    under that map, so the report and the budget's node counts are those of
+    deciding inside M. A report names no element, so it is memoised by value
+    per (induced ambient, relabelled context, `util.search_budget()`), one
+    entry per relabelled N: pairs that induce the same ordered shape share
+    it, and a changed FMLAB_BUDGET is never served a report reached under
+    another budget. The argument checks and the goodness checks run on
+    every call, before the memo.
     """
-    phi, n, d, k = ctx.phi, ctx.n, ctx.d, ctx.k
+    phi, n, d = ctx.phi, ctx.n, ctx.d
     amb = frozenset(M.universe()) if ambient is None else frozenset(ambient)
     N_dom = frozenset(N_dom)
     if not N_dom <= amb:
@@ -503,6 +543,30 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
             if isinstance(got, GoodnessRefutation):
                 raise PreconditionError(f"{tag} structure is not good: {got.kind}")
 
+    sub, _, pos = _induced(M, amb)
+    A = tuple(tuple(map(pos.__getitem__, t)) for t in ctx.A)
+    rctx = ctx if A == ctx.A else replace(ctx, A=A)
+    reports = _prec_reports(sub, rctx, search_budget())
+    key = sum(1 << pos[e] for e in N_dom)
+    rep = reports.get(key)
+    if rep is None:
+        rep = reports[key] = _decide_prec(
+            sub, frozenset(pos[e] for e in N_dom), rctx)
+    return rep
+
+
+@functools.lru_cache(maxsize=_PREC_CACHE)
+def _prec_reports(M: Structure, ctx: ClassContext, budget: int
+                  ) -> dict[int, PrecReport]:
+    """The reports decided so far in M under ctx, keyed by the mask of N.
+    `budget` only keys the memo; the searches read the same value themselves."""
+    return {}
+
+
+def _decide_prec(M: Structure, N_dom: frozenset, ctx: ClassContext) -> PrecReport:
+    """prec_K's three conditions, with the whole of M as the ambient."""
+    phi, k = ctx.phi, ctx.k
+    amb = frozenset(M.universe())
     A_match = [b for b in ctx.A if len(b) == phi.s]
     objs_amb = list(M.tuples(phi.r, domain=amb))
     objs_N = list(M.tuples(phi.r, domain=N_dom))

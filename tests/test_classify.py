@@ -2,22 +2,23 @@
 amalgamation, exchange, and symmetry."""
 
 import itertools
+import re
 
 import pytest
 
 import fmlab.classify
-from fmlab import (AmalgamConfig, BudgetExceeded, EvaluationError,
+from fmlab import (AmalgamConfig, BudgetExceeded, ClassContext, EvaluationError,
                    GoodnessContext, GoodnessRefutation, KappaResult, PreconditionError,
-                   Signature, Structure, TupleSequence, atom_formula,
+                   PrecReport, Signature, Structure, TupleSequence, atom_formula,
                    average_type, check_indiscernible, delta_star,
                    emit_report, exchange_check, find_cover_violation,
                    find_k_independence, goodness_delta, is_good, kappa,
                    make_class_context, parse_formula, prec_K, stable_amalgam,
                    symmetry_test, tp, verify_independence)
-from fmlab.util import SplitMix64
-from fmlab.core import formula_text
+from fmlab.util import SplitMix64, search_budget
+from fmlab.core import SatTable, formula_text
 
-from conftest import (EDGE, complete_graph, empty_graph, graph,
+from conftest import (EDGE, complete_graph, empty_graph, graph, outcome,
                       seeded_digraph, seeded_graph, star_graph)
 
 DELTA = [EDGE, EDGE.negated()]
@@ -265,6 +266,18 @@ def test_empty_graph_is_good():
 def test_lambda_arithmetic():
     got = is_good(empty_graph(4), EDGE, 1, 3)
     assert got.lambda_value == max(3 * got.kappa_value, 2)
+
+
+def test_class_lambda_scales_by_the_larger_block():
+    # lambda_K = kappa_K * |A|^s for s the largest parameter arity among the
+    # four arrangements of phi, whichever block of phi is the larger
+    M = Structure(Signature((("R", 3),)), 2, {"R": []})
+    for obj, par in ((["x0"], ["y0", "y1"]), (["x0", "x1"], ["y0"])):
+        phi = atom_formula("R", obj, par)
+        ctx = make_class_context(M, [None], phi, 1, 2, 1, [(0,), (1,), (0, 1)])
+        s = max(f.s for f in goodness_delta(phi))
+        assert s == 2
+        assert ctx.lambda_K == ctx.kappa_K * 3 ** s
 
 
 def test_triangle_is_refuted():
@@ -631,3 +644,173 @@ def test_condition2_counts_one_node_per_parameter_multiset(monkeypatch):
     assert rep.holds == "budget" and rep.failing_condition is None
     monkeypatch.setenv("FMLAB_BUDGET", "3")
     assert prec_K(M, N, ctx, check_good=False).cond2 is True
+
+
+# ---------------------------------------------------------------------------
+# the strong-submodel relation on the induced ambient, and its memo
+# ---------------------------------------------------------------------------
+
+
+def _prec_K_inside_M(M, N_dom, ctx, ambient=None, check_good=True):
+    """prec_K decided inside M itself, with quantifiers over the ambient and
+    no memo: the reference the relabelled, memoised relation must match."""
+    phi, n, d, k = ctx.phi, ctx.n, ctx.d, ctx.k
+    amb = frozenset(M.universe()) if ambient is None else frozenset(ambient)
+    N_dom = frozenset(N_dom)
+    if not N_dom <= amb:
+        raise PreconditionError("N must be a subset of the ambient universe")
+    if not {e for t in ctx.A for e in t} <= N_dom:
+        raise PreconditionError("A must lie inside N")
+    if check_good:
+        for dom, tag in ((amb, "ambient"), (N_dom, "N")):
+            got = is_good(M, phi, n, d, domain=dom)
+            if isinstance(got, GoodnessRefutation):
+                raise PreconditionError(f"{tag} structure is not good: {got.kind}")
+    A_match = [b for b in ctx.A if len(b) == phi.s]
+    objs_amb = list(M.tuples(phi.r, domain=amb))
+    objs_N = list(M.tuples(phi.r, domain=N_dom))
+    psi = phi.swapped()
+    in_amb = SatTable(M, psi, amb)
+    cols_amb = in_amb.rows(A_match, objs_amb)
+    cols_N = in_amb.rows(A_match, objs_N)
+    cond1 = cols_N == SatTable(M, psi, N_dom).rows(A_match, objs_N)
+    cond2 = True
+    limit = search_budget()
+    multisets = itertools.combinations_with_replacement(range(len(A_match)), k)
+    for tried, alist in enumerate(multisets, start=1):
+        if tried > limit:
+            cond2 = "budget"
+            break
+        sat_amb = (1 << len(objs_amb)) - 1
+        sat_N = (1 << len(objs_N)) - 1
+        for j in alist:
+            sat_amb &= cols_amb[j]
+            sat_N &= cols_N[j]
+        if sat_amb and not sat_N:
+            cond2 = False
+            break
+    cond3 = fmlab.classify._average_witnesses(
+        M, ctx, amb, objs_N, cols_N, objs_amb, cols_amb)[0]
+    conds = (cond1, cond2, cond3)
+    failing = next((i for i, c in enumerate(conds, start=1) if c is False), None)
+    if failing is not None:
+        holds = False
+    else:
+        holds = "budget" if "budget" in conds else True
+    return PrecReport(cond1, cond2, cond3, holds, failing)
+
+
+def test_relation_on_the_induced_ambient_matches_deciding_inside_M(monkeypatch):
+    # seeded graphs and loopless digraphs, the atom and a quantified formula
+    # (whose quantifiers must range over the ambient), random ambients with
+    # N inside them and A inside N; contexts are built directly, so some
+    # members are not good and check_good=True refuses them
+    reach = parse_formula(
+        "phi(x0; y0) := exists z0. (R(x0,z0) & ~R(z0,y0))").formula
+    rng = SplitMix64(16)
+
+    def subset(of):
+        return frozenset(e for e in sorted(of) if rng.bit())
+
+    cases = []
+    for size, seed in itertools.product((3, 4, 5, 6), range(6)):
+        for M in (seeded_graph(size, 16100 + seed), seeded_digraph(size, 16200 + seed)):
+            amb = None if rng.bit() else subset(M.universe()) | {0}
+            A = sorted((e,) for e in subset(amb or M.universe()) | {0})
+            # two members in one ambient, so the memo holds both reports
+            Ns = [subset(amb or M.universe()) | {b for b, in A} for _ in range(2)]
+            for phi, n, k in itertools.product((EDGE, reach), (1, 2), (1, 2)):
+                kappa_K = 1 + rng.below(2)
+                ctx = ClassContext(phi, n, n + 1, k, tuple(A), kappa_K,
+                                   kappa_K * len(A))
+                cases += [(M, N, ctx, amb, bool(rng.bit())) for N in Ns]
+    holds, refused = set(), 0
+    for budget in ("3", "20", None):
+        if budget is None:
+            monkeypatch.delenv("FMLAB_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("FMLAB_BUDGET", budget)
+        for M, N, ctx, amb, check_good in cases:
+            for good in (check_good, not check_good):
+                got = outcome(lambda: prec_K(M, N, ctx, ambient=amb, check_good=good))
+                want = outcome(lambda: _prec_K_inside_M(M, N, ctx, amb, good))
+                assert got == want, (M, sorted(N), amb, ctx, good, budget)
+                if isinstance(got, PrecReport):
+                    holds.add(got.holds)
+                else:
+                    refused += 1
+    assert holds == {True, False, "budget"}
+    assert refused
+    assert fmlab.classify._prec_reports.cache_info().hits
+
+
+def test_relation_memo_is_shared_by_ambients_of_one_induced_shape(monkeypatch):
+    # the configuration of test_condition3_failure_is_named (its condition 3
+    # searches past the constant sequences, so it reaches tp), and a copy of
+    # it on the elements 1..5 of a structure whose vertex 0 is joined to 3:
+    # both ambients induce one shape, so they share one entry, and the hit
+    # reaches no tp
+    first = graph(5, [(2, 0), (2, 1), (3, 0)])
+    second = graph(6, [(3, 1), (3, 2), (4, 1), (0, 3)])
+    N1, N2, amb2 = frozenset({0, 1, 2, 4}), frozenset({1, 2, 3, 5}), frozenset(range(1, 6))
+    ctx1 = make_class_context(first, [None, N1], EDGE, 2, 3, 2, [(0,), (1,)])
+    ctx2 = make_class_context(second, [amb2, N2], EDGE, 2, 3, 2, [(1,), (2,)])
+    assert isinstance(ctx1, ClassContext) and ctx1.A != ctx2.A
+    calls = []
+    real_tp = fmlab.indisc.tp
+    monkeypatch.setattr(fmlab.indisc, "tp",
+                        lambda *args, **kw: calls.append(args) or real_tp(*args, **kw))
+    a = prec_K(first, N1, ctx1)
+    assert a.failing_condition == 3 and calls
+    calls.clear()
+    b = prec_K(second, N2, ctx2, ambient=amb2)
+    assert a == b
+    assert calls == []
+    info = fmlab.classify._prec_reports.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # and the two relabelled ambients are one object
+    induced = fmlab.classify._induced
+    assert induced(first, frozenset(range(5)))[0] is induced(second, amb2)[0]
+    # another N in the same ambient is another report in the same entry
+    c = prec_K(second, amb2, ctx2, ambient=amb2)
+    assert c.holds is True
+    info = fmlab.classify._prec_reports.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+
+def test_relation_memo_honours_a_budget_change(monkeypatch):
+    # the configuration of test_condition2_counts_one_node_per_parameter_multiset
+    M = graph(5, [(2, 0), (2, 1), (3, 0)])
+    N = frozenset({0, 1, 2, 4})
+    ctx = make_class_context(M, [None, N], EDGE, 2, 3, 2, [(0,), (1,)])
+    for budget in ("2", None, "2", None):
+        if budget is None:
+            monkeypatch.delenv("FMLAB_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("FMLAB_BUDGET", budget)
+        rep = prec_K(M, N, ctx, check_good=False)
+        assert rep.cond2 == ("budget" if budget else True)
+    info = fmlab.classify._prec_reports.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+
+
+def test_relation_refusals_come_in_order_before_the_memo():
+    M, ctx = _empty_context(5, [(0,)])
+    cases = [
+        # N outside the ambient comes first, then A outside N, then the range
+        (frozenset({0, 1}), frozenset({0, 7}), PreconditionError,
+         "N must be a subset of the ambient universe"),
+        (frozenset({1, 7}), frozenset({1, 7}), PreconditionError,
+         "A must lie inside N"),
+        (frozenset({0, 1}), frozenset({0, 1, 7}), EvaluationError,
+         "element out of range: 7"),
+        (frozenset({0, 1}), frozenset({-1, 0, 1, 9}), EvaluationError,
+         "element out of range: -1"),
+    ]
+    for N, amb, error, message in cases:
+        for check_good in (True, False):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                prec_K(M, N, ctx, ambient=amb, check_good=check_good)
+            assert outcome(lambda: _prec_K_inside_M(M, N, ctx, amb, check_good)) \
+                == (error, message)
+    assert fmlab.classify._prec_reports.cache_info().misses == 0
