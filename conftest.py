@@ -1,20 +1,25 @@
-"""Test isolation for the whole suite: the goodness, strong-submodel,
-induced-substructure, closure-set, satisfaction-row and row-compiler memos
-are emptied before every test, so no test sees work an earlier one left
-cached (a memoised verdict would skip the lower layers a test may expect to
-run)."""
+"""Test isolation for the whole suite: every memo in the package, that is
+every function defined in an fmlab module that has a `cache_clear`, is
+emptied before every test, so no test sees work an earlier one left cached
+(a memoised verdict would skip the lower layers a test may expect to run).
+The sweep finds the memos itself, so a new or renamed one is cleared too."""
+
+import importlib
+import pkgutil
 
 import pytest
 
-from fmlab import classify, core
+import fmlab
+
+_MEMOS = []
+for info in pkgutil.iter_modules(fmlab.__path__):
+    module = importlib.import_module(f"fmlab.{info.name}")
+    _MEMOS += [fn for fn in vars(module).values()
+               if getattr(fn, "__module__", None) == module.__name__
+               and hasattr(fn, "cache_clear")]
 
 
 @pytest.fixture(autouse=True)
 def _empty_memos():
-    classify._is_good.cache_clear()
-    classify._prec_reports.cache_clear()
-    classify._induced.cache_clear()
-    classify._intern.cache_clear()
-    classify._delta_star.cache_clear()
-    core._sat_rows.cache_clear()
-    core._compile_rows.cache_clear()
+    for memo in _MEMOS:
+        memo.cache_clear()

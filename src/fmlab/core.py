@@ -111,9 +111,17 @@ class Structure:
         return f"Structure(N={self.universe_size}, {rels})"
 
     def holds_atom(self, name: str, args: tuple[int, ...]) -> bool:
+        """Whether args is in relation name; an argument outside the
+        universe raises, never wraps round or reads as absent."""
+        n = self.universe_size
         rows = self._bitrows.get(name)
         if rows is not None and len(args) == 2:
-            return bool((rows[args[0]] >> args[1]) & 1)
+            a, b = args
+            if 0 <= a < n and 0 <= b < n:
+                return rows[a] >> b & 1 == 1
+        for v in args:
+            if not 0 <= v < n:
+                raise EvaluationError(f"element out of range: {v}")
         return args in self.relations[name]
 
     def universe(self) -> range:
@@ -415,23 +423,98 @@ def evaluate(M: Structure, phi: Union[PartitionedFormula, Formula],
     return ev(ast, dict(assignment))
 
 
-def _compile(M: Structure, phi: PartitionedFormula,
-             domain: Optional[Iterable[int]]):
-    """phi as one function run(obj, par) that answers what
-    `phi.holds(M, obj, par, domain=domain)` answers, value or error.
+class SatTable:
+    """Satisfaction of one partitioned formula in one structure: whether
+    M |= phi[obj; par], with quantifiers over `domain` (the whole universe
+    when None), read through the one formula compiler `_compile`, never
+    through `evaluate`.
 
-    The formula is walked once. Each free variable and each quantifier gets
-    its own slot of a list environment, so a re-bound variable shadows the
-    outer one. Atom arities and relation lookups are settled here; at call
-    time only values are checked: the block lengths, then each atom argument
-    against the universe, in `evaluate`'s left-to-right short-circuit order.
+    `holds` is the compiled scalar cell function; it keeps no cell, so a
+    search that re-reads cells keeps its own memo (`find_n_order` wraps it
+    in `functools.cache`). `rows` computes each row bit-parallel in vector
+    mode, one formula pass per (object, parameter head), and takes the mask
+    itself as the row when the parameters are the whole universe in order.
+    Scalar cells run instead, with their values and first error, when
+    s = 0, when a block has the wrong length, when an object, parameter or
+    domain value lies outside the universe, or when the formula does not
+    compile to rows. Compiled functions are memoised by value on
+    (structure, formula, domain, mode) in a 16-entry LRU; whole rows in
+    `_sat_rows`, a 64-entry LRU keyed by value that also takes the object
+    and parameter tuples, so a hit compiles nothing. An error is never
+    stored, and each caller gets a fresh list.
+
+    Search-side only: the witness checkers, `check_indiscernible` and `tp`
+    stay on `evaluate`, so a fault here cannot hide from them. The
+    exceptions, `verify_independence_bound` and `verify_order_bound`, count
+    types with `count_phi_types`; a seeded differential test against
+    `realized_types`, and the bench's brute-force recount, guard them.
     """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, M: Structure, phi: PartitionedFormula,
+                 domain: Optional[Iterable[int]] = None):
+        self._key = (M, phi, None if domain is None else tuple(sorted(domain)))
+
+    @property
+    def holds(self):
+        """holds(obj, par): M |= phi[obj; par]."""
+        return _compile(*self._key, False)
+
+    def rows(self, objs: Sequence[tuple[int, ...]],
+             pars: Sequence[tuple[int, ...]]) -> list[int]:
+        """Bitmask rows: bit j of row i is set iff phi[objs[i]; pars[j]] holds."""
+        return list(_sat_rows(*self._key, tuple(objs), tuple(pars)))
+
+
+@functools.lru_cache(maxsize=16)
+def _compile(M: Structure, phi: PartitionedFormula,
+             domain: Optional[tuple[int, ...]], vector: bool):
+    """phi walked once into closures over a slot-indexed environment, every
+    node returning an int mask; quantifiers range over `domain` (the whole
+    universe when None).
+
+    Scalar mode (`vector` false) has full = 1 and returns run(obj, par),
+    which answers what `phi.holds(M, obj, par, domain=domain)` answers,
+    value or first error. Vector mode has full = 2^n - 1 and returns
+    row(obj, head), whose bit u is set iff phi[obj; head + (u,)] holds for
+    u in the universe: the last parameter variable is the vector.
+
+    Both modes share every connective and quantifier, with the same
+    short-circuit points: And at 0, Or at full, Implies at 0, Exists at
+    full and Forall at 0. So scalar mode keeps `evaluate`'s values and its
+    first error. Each free variable and each quantifier has its own slot,
+    so a re-bound variable shadows the outer one (a quantifier that re-binds
+    the vector variable gives it a scalar slot).
+
+    Only atoms differ between the modes; their arities and relation lookups
+    are settled here. Scalar atoms check their values against the universe
+    in `evaluate`'s order. Vector atoms check nothing, since `_sat_rows`
+    passes objects, heads and a domain inside the universe: one that does
+    not read the vector returns 0 or full, and one that does reads a bit
+    row, a transposed column or a constant mask, or tries each element. An
+    atom that names an unbound variable, has the wrong number of arguments
+    or an unknown relation, and an ill-formed node, raise `evaluate`'s
+    error at the cell that reaches them; in vector mode they, and s = 0,
+    make the result None, so the caller runs scalar cells.
+    """
+    r, s = phi.r, phi.s
+    if vector and s == 0:
+        return None
     n = M.universe_size
-    dom = range(n) if domain is None else sorted(domain)
+    full = (1 << n) - 1 if vector else 1
+    dom = range(n) if domain is None else domain
     sig, bitrows, relations = M.signature, M._bitrows, M.relations
     arities = dict(sig.relations)
-    r, s = phi.r, phi.s
-    width = r + s
+    width = base = r + s - vector
+    VEC = -1  # the vector's slot: element by element atoms put u there
+    deferred = False
+
+    def defer(error):
+        # the error waits for a cell to reach the node; rows give up
+        nonlocal deferred
+        deferred = True
+        return error
 
     def out_of_range(val):
         return EvaluationError(f"element out of range: {val}")
@@ -449,176 +532,22 @@ def _compile(M: Structure, phi: PartitionedFormula,
                         raise out_of_range(env[i])
                 if sig.arity(rel) != len(names):
                     raise EvaluationError(f"arity mismatch in atom {rel}")
-            return bad
-        rows = bitrows.get(rel)
-        if rows is not None:
-            i, j = idx
-
-            def binary(env):
-                a, b = env[i], env[j]
-                if not 0 <= a < n:
-                    raise out_of_range(a)
-                if not 0 <= b < n:
-                    raise out_of_range(b)
-                return rows[a] >> b & 1 == 1
-            return binary
-        tuples = relations[rel]
-
-        def other(env):
-            args = tuple([env[i] for i in idx])
-            for a in args:
-                if not 0 <= a < n:
-                    raise out_of_range(a)
-            return args in tuples
-        return other
-
-    def comp(node, slots):
-        nonlocal width
-        t = type(node)
-        if t is Atom:
-            return atom(node, slots)
-        if t is Not:
-            sub = comp(node.sub, slots)
-            return lambda env: not sub(env)
-        if t in (And, Or, Implies, Iff):
-            left, right = comp(node.left, slots), comp(node.right, slots)
-            if t is And:
-                return lambda env: left(env) and right(env)
-            if t is Or:
-                return lambda env: left(env) or right(env)
-            if t is Implies:
-                return lambda env: not left(env) or right(env)
-            return lambda env: left(env) == right(env)
-        if t is Exists or t is Forall:
-            slot, width = width, width + 1
-            body = comp(node.body, {**slots, node.var: slot})
-            if t is Exists:
-                def exists(env):
-                    for e in dom:
-                        env[slot] = e
-                        if body(env):
-                            return True
-                    return False
-                return exists
-
-            def forall(env):
-                for e in dom:
-                    env[slot] = e
-                    if not body(env):
-                        return False
-                return True
-            return forall
-
-        def ill_formed(env):
-            raise EvaluationError(f"ill-formed formula node: {node!r}")
-        return ill_formed
-
-    free = {v: i for i, v in enumerate(phi.object_vars + phi.param_vars)}
-    top = comp(phi.ast, free)
-    pad = [0] * (width - r - s)
-
-    def run(obj, par):
-        if len(obj) != r or len(par) != s:
-            raise EvaluationError(
-                f"arity mismatch: expected blocks {r}/{s}, "
-                f"got {len(obj)}/{len(par)}")
-        return top([*obj, *par, *pad])
-    return run
-
-
-class SatTable:
-    """Satisfaction of one partitioned formula in one structure: whether
-    M |= phi[obj; par], with quantifiers over `domain` (the whole universe
-    when None).
-
-    Cells are per-cell closures: the formula is compiled on first use into
-    closures over a slot-indexed environment (`_compile`); `holds` is that
-    compiled function itself, so every cell runs those closures, never
-    `evaluate`, and `holds` keeps no cell. A search that reads single cells
-    more than once keeps its own memo (`find_n_order` wraps `holds` in
-    `functools.cache`).
-
-    Rows are bit-parallel: `_compile_rows` walks the formula once with its
-    last parameter variable as a vector, so one pass over the closures
-    yields phi[obj; head + (u,)] for every element u as an int mask, and a
-    parameter list that is the whole universe in order takes the mask as
-    the row. The per-cell `_compile` loop runs instead, with its values and
-    first error, when s = 0, when a block has the wrong length, when an
-    object, parameter or domain value lies outside the universe, or when
-    an atom names an unbound variable, has the wrong number of arguments
-    or an unknown relation. The compiled row function is memoised by value
-    on (structure, formula, domain) in a 16-entry LRU.
-
-    Whole rows are kept, in one memo for the process: `rows` answers from
-    `_sat_rows`, a 64-entry LRU keyed by value on the structure, the
-    formula, the sorted domain and the object and parameter tuples. So the
-    searches of one query that ask for the same rows (independence at two
-    widths and the type count read one table; weak order and cover read its
-    swap) compute them once, and a hit compiles nothing. An error is never
-    stored, and each caller gets a fresh list. `_sat_rows.cache_info()`
-    and `_compile_rows.cache_info()` count hits and misses.
-
-    Search-side only: the witness searches, the extraction keys, type
-    counting (`count_phi_types`) and the classification layer read
-    satisfaction through it. The witness checkers, `check_indiscernible`
-    and `tp` evaluate formulas with `evaluate` and never touch it or either
-    compiler, so a fault here cannot hide from them. The two exceptions
-    are `verify_independence_bound` and `verify_order_bound`, whose left
-    side is `count_phi_types`; a seeded differential test against the
-    reference `realized_types`, and the bench's brute-force recount of
-    every count, guard them instead.
-    """
-
-    __slots__ = ("_key", "_holds")
-
-    def __init__(self, M: Structure, phi: PartitionedFormula,
-                 domain: Optional[Iterable[int]] = None):
-        self._key = (M, phi, None if domain is None else tuple(sorted(domain)))
-        self._holds = None
-
-    @property
-    def holds(self):
-        """holds(obj, par): M |= phi[obj; par]."""
-        if self._holds is None:
-            self._holds = _compile(*self._key)
-        return self._holds
-
-    def rows(self, objs: Sequence[tuple[int, ...]],
-             pars: Sequence[tuple[int, ...]]) -> list[int]:
-        """Bitmask rows: bit j of row i is set iff phi[objs[i]; pars[j]] holds."""
-        return list(_sat_rows(*self._key, tuple(objs), tuple(pars)))
-
-
-@functools.lru_cache(maxsize=16)
-def _compile_rows(M: Structure, phi: PartitionedFormula,
-                  domain: Optional[tuple[int, ...]]):
-    """phi as one function row(obj, head) whose bit u is set iff
-    `phi.holds(M, obj, head + (u,), domain=domain)`, for u in the universe;
-    None when s = 0 or when some atom names an unbound variable, has the
-    wrong number of arguments or an unknown relation (the per-cell path
-    reports those when a cell reaches the atom).
-
-    The formula is walked once with its last parameter variable as a
-    vector: every node returns an int mask over the universe, a node that
-    does not read the vector returns all or nothing, and a quantifier that
-    re-binds the vector variable gives it a scalar slot. No value is
-    checked: callers pass objects, heads and a domain inside the universe.
-    """
-    if phi.s == 0:
-        return None
-    n = M.universe_size
-    full = (1 << n) - 1
-    dom = range(n) if domain is None else domain
-    arities, bitrows, relations = dict(M.signature.relations), M._bitrows, M.relations
-    width = phi.r + phi.s - 1
-    VEC = -1  # the vector's slot: element by element atoms put u there
-
-    def atom(node, slots):
-        rel, names = node.rel, node.args
-        idx = [slots.get(v) for v in names]
-        if None in idx or arities.get(rel) != len(names):
-            raise EvaluationError(f"atom {rel} does not compile")
+            return defer(bad)
         rows, tuples = bitrows.get(rel), relations[rel]
+        if not vector:
+            # values checked in evaluate's order; the answer is the one bit
+            if rows is not None:
+                i, j = idx
+
+                def binary(env):
+                    a, b = env[i], env[j]
+                    if not 0 <= a < n:
+                        raise out_of_range(a)
+                    if not 0 <= b < n:
+                        raise out_of_range(b)
+                    return rows[a] >> b & 1
+                return binary
+            return lambda env: M.holds_atom(rel, tuple([env[i] for i in idx]))
         if VEC not in idx:
             if rows is not None:
                 i, j = idx
@@ -694,16 +623,26 @@ def _compile_rows(M: Structure, phi: PartitionedFormula,
                         break
                 return mask
             return forall
-        raise EvaluationError(f"ill-formed formula node: {node!r}")
+
+        def ill_formed(env):
+            raise EvaluationError(f"ill-formed formula node: {node!r}")
+        return defer(ill_formed)
 
     free = {v: i for i, v in enumerate(phi.object_vars + phi.param_vars)}
-    free[phi.param_vars[-1]] = VEC
-    try:
-        top = comp(phi.ast, free)
-    except EvaluationError:
-        return None
-    pad = [0] * (width - phi.r - phi.s + 2)  # quantifier slots, then the vector's
-    return lambda obj, head: top([*obj, *head, *pad])
+    if vector:
+        free[phi.param_vars[-1]] = VEC
+    top = comp(phi.ast, free)
+    pad = [0] * (width - base + vector)  # quantifier slots, then the vector's
+    if vector:
+        return None if deferred else lambda obj, head: top([*obj, *head, *pad])
+
+    def run(obj, par):
+        if len(obj) != r or len(par) != s:
+            raise EvaluationError(
+                f"arity mismatch: expected blocks {r}/{s}, "
+                f"got {len(obj)}/{len(par)}")
+        return top([*obj, *par, *pad]) == 1
+    return run
 
 
 @functools.lru_cache(maxsize=64)
@@ -713,9 +652,9 @@ def _sat_rows(M: Structure, phi: PartitionedFormula, domain: Optional[tuple[int,
     row = None
     if ({len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
             and set(itertools.chain(*objs, *pars, domain or ())).issubset(universe)):
-        row = _compile_rows(M, phi, domain)
+        row = _compile(M, phi, domain, True)
     if row is None:
-        run = _compile(M, phi, domain)
+        run = _compile(M, phi, domain, False)
         out = []
         for a in objs:
             v = 0

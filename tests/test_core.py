@@ -14,7 +14,7 @@ from fmlab import (EvaluationError, FmlabError, PartitionedFormula,
                    verify_order, verify_order_bound, verify_shattered,
                    verify_weak_order)
 from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
-                        SatTable, _compile_rows, _sat_rows)
+                        SatTable, _compile, _sat_rows)
 from fmlab.formats import parse_formula
 from fmlab.util import SplitMix64
 
@@ -26,6 +26,20 @@ def test_atomic_lookup_on_triangle():
     K3 = complete_graph(3)
     assert EDGE.holds(K3, (0,), (1,)) is True
     assert EDGE.holds(K3, (0,), (0,)) is False
+
+
+def test_holds_atom_refuses_elements_outside_the_universe():
+    # a row index of -1 once wrapped round to the last bit row, and a unary
+    # relation answered False; every bad argument now raises, the first one
+    M = Structure(Signature((("R", 2), ("P", 1))), 3, {"R": {(2, 0)}, "P": {(1,)}})
+    assert M.holds_atom("R", (2, 0)) is True
+    assert M.holds_atom("R", (0, 2)) is False
+    assert M.holds_atom("P", (1,)) is True
+    for name, args, bad in (("R", (-1, 0), -1), ("R", (3, 0), 3), ("R", (0, -1), -1),
+                            ("R", (0, 3), 3), ("R", (4, -1), 4), ("P", (3,), 3),
+                            ("P", (-1,), -1)):
+        with pytest.raises(EvaluationError, match=f"^element out of range: {bad}$"):
+            M.holds_atom(name, args)
 
 
 def test_exists_on_empty_graph_is_false():
@@ -249,7 +263,7 @@ def test_sat_table_agrees_with_evaluate():
                 for j, b in enumerate(pars):
                     assert bool((rows[i] >> j) & 1) == expected[i][j]
                     assert table.holds(a, b) == expected[i][j]
-                    assert table.holds(a, b) == expected[i][j]  # memoised
+                    assert table.holds(a, b) == expected[i][j]
 
 
 def _rebinding_formula(rng, scope, depth):
@@ -302,6 +316,10 @@ REBINDING = [
     And(Atom("P", ("x0",)), Atom("Q", ("x0", "y0"))),
     Implies(Atom("P", ("y0",)), Atom("R", ("x0", "w0"))),
     Exists("z0", Atom("T", ("z0", "z0"))),
+    # ill-formed nodes, whose error waits for a cell that reaches them
+    Or(Atom("P", ("x0",)), "junk"),
+    And(Atom("R", ("x0", "y0")), Exists("z0", 42)),
+    Not("junk"),
 ]
 
 
@@ -367,8 +385,8 @@ def _cell_rows(M, f, domain, objs, pars):
 
 
 def _vector_formulas(v):
-    """Formulas reading the row compiler's vector variable v (the last
-    parameter variable) in each way it compiles: a bit-matrix row, a
+    """Formulas reading the vector variable v of the compiler's vector mode
+    (the last parameter variable) in each way it compiles: a bit-matrix row, a
     transposed column, the diagonal, unary and ternary atoms, under Iff,
     Implies, Forall, and quantifiers that re-bind v."""
     return [
@@ -418,17 +436,18 @@ def test_bit_parallel_rows_match_a_per_cell_loop():
         domain = (None, frozenset(),
                   frozenset(e for e in proper if rng.bit()))[case % 3]
         key = None if domain is None else tuple(sorted(domain))
-        assert _compile_rows(M, f, key) is not None, ast
+        assert _compile(M, f, key, True) is not None, ast
         objs, pars = list(M.tuples(r)), list(M.tuples(s))
         cases = [(objs, pars), (_shuffled(rng, objs), _shuffled(rng, pars)),
                  ([a for a in objs if rng.bit()], [b for b in pars if rng.bit()]),
                  (objs + objs[:2], _shuffled(rng, pars + pars[:: 2] + pars[:1]))]
         for objs_i, pars_i in cases:
             _sat_rows.cache_clear()
-            calls = sum(_compile_rows.cache_info()[:2])
+            calls = sum(_compile.cache_info()[:2])
             assert SatTable(M, f, domain).rows(objs_i, pars_i) == \
                 _cell_rows(M, f, domain, objs_i, pars_i), (ast, objs_i, pars_i)
-            assert sum(_compile_rows.cache_info()[:2]) == calls + 1
+            # one compile: the vector one, no scalar fallback
+            assert sum(_compile.cache_info()[:2]) == calls + 1
         # one value outside the universe: in an object, a parameter or the domain
         bad = (n, -1)[rng.bit()]
         where = rng.below(3)
@@ -441,10 +460,11 @@ def test_bit_parallel_rows_match_a_per_cell_loop():
             pars_b[j] = (bad,) + pars_b[j][1:]
         else:
             domain_b = frozenset(domain or ()) | {bad}
-        calls = sum(_compile_rows.cache_info()[:2])
+        calls = sum(_compile.cache_info()[:2])
         assert outcome(lambda: SatTable(M, f, domain_b).rows(objs_b, pars_b)) == \
             outcome(lambda: _cell_rows(M, f, domain_b, objs_b, pars_b)), ast
-        assert sum(_compile_rows.cache_info()[:2]) == calls
+        # one compile: the scalar fallback, never the vector one
+        assert sum(_compile.cache_info()[:2]) == calls + 1
 
 
 def test_memoised_rows_equal_a_fresh_computation():
@@ -479,17 +499,18 @@ def test_equal_structures_share_one_memo_entry_and_a_hit_does_not_compile():
     assert table.rows(objs, pars) == first
     info = _sat_rows.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    assert table._holds is None
     # the first call compiled the row function once; the hit compiled nothing
-    compiled = _compile_rows.cache_info()
+    compiled = _compile.cache_info()
     assert (compiled.hits, compiled.misses, compiled.currsize) == (0, 1, 1)
-    # a row miss on the same (structure, formula, domain) reuses the compiled rows
+    # a row miss on the same (structure, formula, domain) reuses the compiled
+    # rows and compiles no scalar cells
     assert table.rows(objs[:2], pars) == first[:2]
     assert _sat_rows.cache_info().misses == 2
-    compiled = _compile_rows.cache_info()
+    compiled = _compile.cache_info()
     assert (compiled.hits, compiled.misses, compiled.currsize) == (1, 1, 1)
-    assert table._holds is None
     assert table.holds((0,), (1,)) is True
+    compiled = _compile.cache_info()
+    assert (compiled.hits, compiled.misses, compiled.currsize) == (1, 2, 2)
 
 
 def test_memoised_rows_keep_no_error_and_no_caller_edit():
@@ -550,7 +571,6 @@ def test_reference_path_never_reaches_the_compiler():
     for fn in reference:
         names = _reachable_names(fn, set())
         assert "_compile" not in names, fn.__qualname__
-        assert "_compile_rows" not in names, fn.__qualname__
         assert "SatTable" not in names, fn.__qualname__
 
 
