@@ -111,8 +111,9 @@ class Structure:
         return f"Structure(N={self.universe_size}, {rels})"
 
     def holds_atom(self, name: str, args: tuple[int, ...]) -> bool:
-        """Whether args is in relation name; an argument outside the
-        universe raises, never wraps round or reads as absent."""
+        """Whether args is in relation name. A bad atom raises what
+        `evaluate` raises, in its order: an argument outside the universe,
+        then an unknown relation or the wrong number of arguments."""
         n = self.universe_size
         rows = self._bitrows.get(name)
         if rows is not None and len(args) == 2:
@@ -122,6 +123,8 @@ class Structure:
         for v in args:
             if not 0 <= v < n:
                 raise EvaluationError(f"element out of range: {v}")
+        if self.signature.arity(name) != len(args):
+            raise EvaluationError(f"arity mismatch in atom {name}")
         return args in self.relations[name]
 
     def universe(self) -> range:
@@ -459,7 +462,7 @@ class SatTable:
     @property
     def holds(self):
         """holds(obj, par): M |= phi[obj; par]."""
-        return _compile(*self._key, False)
+        return _compile(*self._key, None)
 
     def rows(self, objs: Sequence[tuple[int, ...]],
              pars: Sequence[tuple[int, ...]]) -> list[int]:
@@ -469,16 +472,20 @@ class SatTable:
 
 @functools.lru_cache(maxsize=16)
 def _compile(M: Structure, phi: PartitionedFormula,
-             domain: Optional[tuple[int, ...]], vector: bool):
+             domain: Optional[tuple[int, ...]], vector: Optional[int]):
     """phi walked once into closures over a slot-indexed environment, every
     node returning an int mask; quantifiers range over `domain` (the whole
     universe when None).
 
-    Scalar mode (`vector` false) has full = 1 and returns run(obj, par),
+    Scalar mode (`vector` None) has full = 1 and returns run(obj, par),
     which answers what `phi.holds(M, obj, par, domain=domain)` answers,
-    value or first error. Vector mode has full = 2^n - 1 and returns
-    row(obj, head), whose bit u is set iff phi[obj; head + (u,)] holds for
-    u in the universe: the last parameter variable is the vector.
+    value or first error. Vector mode has full = 2^n - 1, and `vector` is
+    the index of the free variable that is the vector, in
+    `object_vars + param_vars`. It returns row(a, b): a + b gives the
+    values of the other free variables, in that order, and bit u of the
+    row is set iff phi holds with u in the vector's place, for u in the
+    universe. `_sat_rows` takes the last parameter as the vector, the
+    greedy's formula key the candidate's object variable.
 
     Both modes share every connective and quantifier, with the same
     short-circuit points: And at 0, Or at full, Implies at 0, Exists at
@@ -495,18 +502,17 @@ def _compile(M: Structure, phi: PartitionedFormula,
     row, a transposed column or a constant mask, or tries each element. An
     atom that names an unbound variable, has the wrong number of arguments
     or an unknown relation, and an ill-formed node, raise `evaluate`'s
-    error at the cell that reaches them; in vector mode they, and s = 0,
-    make the result None, so the caller runs scalar cells.
+    error at the cell that reaches them; in vector mode they make the
+    result None, so the caller runs scalar cells.
     """
     r, s = phi.r, phi.s
-    if vector and s == 0:
-        return None
+    scalar = vector is None
     n = M.universe_size
-    full = (1 << n) - 1 if vector else 1
+    full = 1 if scalar else (1 << n) - 1
     dom = range(n) if domain is None else domain
     sig, bitrows, relations = M.signature, M._bitrows, M.relations
     arities = dict(sig.relations)
-    width = base = r + s - vector
+    width = base = r + s - (not scalar)
     VEC = -1  # the vector's slot: element by element atoms put u there
     deferred = False
 
@@ -534,7 +540,7 @@ def _compile(M: Structure, phi: PartitionedFormula,
                     raise EvaluationError(f"arity mismatch in atom {rel}")
             return defer(bad)
         rows, tuples = bitrows.get(rel), relations[rel]
-        if not vector:
+        if scalar:
             # values checked in evaluate's order; the answer is the one bit
             if rows is not None:
                 i, j = idx
@@ -560,10 +566,15 @@ def _compile(M: Structure, phi: PartitionedFormula,
             i, j = idx
             if j == VEC:
                 return lambda env: rows[env[i]]
-            cols = [0] * n
-            for a, b in tuples:
-                cols[b] |= 1 << a
-            return lambda env: cols[env[j]]
+            cols = [None] * n  # transposed columns, each built on first use
+
+            def column(env):
+                b = env[j]
+                col = cols[b]
+                if col is None:
+                    col = cols[b] = sum([1 << a for a in range(n) if rows[a] >> b & 1])
+                return col
+            return column
 
         def other(env):
             mask = 0
@@ -628,13 +639,15 @@ def _compile(M: Structure, phi: PartitionedFormula,
             raise EvaluationError(f"ill-formed formula node: {node!r}")
         return defer(ill_formed)
 
-    free = {v: i for i, v in enumerate(phi.object_vars + phi.param_vars)}
-    if vector:
-        free[phi.param_vars[-1]] = VEC
+    names = phi.object_vars + phi.param_vars
+    free = {v: i for i, v in enumerate(names if scalar else
+                                       names[:vector] + names[vector + 1:])}
+    if not scalar:
+        free[names[vector]] = VEC
     top = comp(phi.ast, free)
-    pad = [0] * (width - base + vector)  # quantifier slots, then the vector's
-    if vector:
-        return None if deferred else lambda obj, head: top([*obj, *head, *pad])
+    pad = [0] * (width - base + (not scalar))  # quantifier slots, then the vector's
+    if not scalar:
+        return None if deferred else lambda a, b: top([*a, *b, *pad])
 
     def run(obj, par):
         if len(obj) != r or len(par) != s:
@@ -650,11 +663,11 @@ def _sat_rows(M: Structure, phi: PartitionedFormula, domain: Optional[tuple[int,
               objs: tuple, pars: tuple) -> tuple[int, ...]:
     universe = range(M.universe_size)
     row = None
-    if ({len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
+    if (phi.s and {len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
             and set(itertools.chain(*objs, *pars, domain or ())).issubset(universe)):
-        row = _compile(M, phi, domain, True)
+        row = _compile(M, phi, domain, phi.r + phi.s - 1)
     if row is None:
-        run = _compile(M, phi, domain, False)
+        run = _compile(M, phi, domain, None)
         out = []
         for a in objs:
             v = 0

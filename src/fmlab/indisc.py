@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .core import PartitionedFormula, SatTable, Structure, TupleSequence, tp
+from .core import (PartitionedFormula, SatTable, Structure, TupleSequence,
+                   _compile, tp)
 from .util import SIZE_GUARD_BITS, PreconditionError, TooLargeError
 
 # ---------------------------------------------------------------------------
@@ -379,29 +380,30 @@ class ExtractionFailure:
 
 
 def greedy_end_extraction(length: int, m: int,
-                          key_of: Callable[[list[tuple[int, ...]], int], object],
+                          key_of: Callable[[list[tuple[int, ...]], int], Iterable[int]],
                           target: Optional[int] = None
                           ) -> tuple[list[int], ExtractionTrace]:
-    """Largest-class greedy over positions 0..length-1.
+    """Largest-class greedy over positions 0..length-1, a set at a time.
 
     The first m-1 positions are kept as the prefix; from step m-1 on, the
-    candidate pool is split by the candidates' keys on every increasing
+    candidate pool is split by the candidates' values on every increasing
     (m-1)-selection of the chosen positions, the largest class survives (ties
     to the class holding the smallest position), and its least position is
     chosen. Runs until the pool empties or `target` positions are chosen.
 
-    The surviving pool already agrees on every selection without the newest
-    chosen position, so `key_of(sels, candidate)` is passed only the
-    selections that can split it: the prefix itself at the first step, then
-    those ending in the newest position (none when m = 1). It returns the
-    candidate's key over exactly `sels`, in order.
+    The pool is an int mask over positions. `key_of(sels, pool)` returns one
+    int mask over positions per cell, a (selection, parameter) pair, in bit
+    order: selections outer, parameters inner. Bit p of a cell is set iff
+    candidate p has the cell; bits outside the pool are ignored. The
+    classes are the non-empty blocks of refining the pool by every cell
+    (partition refinement, Paige & Tarjan 1987), which are the classes of
+    the candidates' tuples of cell values, so the choices and the trace are
+    those of a per-candidate key. The trace counts the blocks.
 
-    A key may be any hashable. The two in-tree keys (`_formula_key` and
-    `extract_homogeneous`'s) are int bitmasks, one bit per cell in the order
-    of the cells' tuple. Within one step every candidate is keyed over the
-    same `sels` (and parameters), so all keys have the same number of bits
-    and two ints are equal exactly when the tuples of their cells are: the
-    classes, and so the choices and the trace, are those of tuple keys.
+    The surviving pool already agrees on every selection without the newest
+    chosen position, so `key_of` is passed only the selections that can
+    split it: the prefix itself at the first step, then those ending in the
+    newest position (none when m = 1).
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -409,53 +411,92 @@ def greedy_end_extraction(length: int, m: int,
         raise PreconditionError("target must be >= 0")
     upto = length if target is None else min(target, length)
     chosen: list[int] = list(range(min(m - 1, upto)))
-    pool = list(range(m - 1, length))
+    pool = (1 << length) - (1 << min(m - 1, length))
     steps: list[tuple[int, int, int]] = []
     sels = list(itertools.combinations(chosen, m - 1))
     while pool and len(chosen) < (length if target is None else target):
-        classes: dict[object, list[int]] = {}
-        for cand in pool:
-            classes.setdefault(key_of(sels, cand), []).append(cand)
-        best = max(classes.values(), key=lambda c: (len(c), -c[0]))
-        steps.append((len(chosen), len(classes), len(best)))
-        new = best[0]
+        blocks = [pool]
+        for cell in key_of(sels, pool):
+            split = []
+            for block in blocks:
+                part = block & cell
+                if part and part != block:
+                    split += (part, block ^ part)
+                else:
+                    split.append(block)
+            blocks = split
+        best = max(blocks, key=lambda b: (b.bit_count(), -(b & -b)))
+        steps.append((len(chosen), len(blocks), best.bit_count()))
+        new = (best & -best).bit_length() - 1
         sels = ([s + (new,) for s in itertools.combinations(chosen, m - 2)]
                 if m >= 2 else [])
         chosen.append(new)
-        pool = best[1:]
+        pool = best & (best - 1)
     return chosen, ExtractionTrace(tuple(chosen), tuple(steps))
 
 
 def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
                  suffix: tuple[int, ...] = ()):
-    """Key function giving the candidate's satisfaction row at each selection
-    of chosen positions passed in, as an int bitmask: one bit per
-    (selection, parameter) pair, selections outer and parameters inner, so
-    the first cell ends up in the highest bit. The object tuple of a cell is
-    the selection's entries, then the candidate's, then `suffix`.
+    """Key function for `greedy_end_extraction`: one mask over pool positions
+    per (selection, parameter) cell, bit p set iff phi holds of the
+    selection's entries, then candidate p's entry, then `suffix`, with that
+    parameter. Each selection's entries are flattened once per key function.
 
-    Each selection's entries are flattened once per key function, in a dict
-    keyed by the selection; a candidate only appends its own entry and
-    `suffix`. Cells are evaluated in bit order, so the first error raised is
-    that of the first bad cell."""
-    holds = table.holds
+    When entries are single elements, and every entry, suffix element,
+    parameter and domain value lies in the universe, each cell is one row
+    of the compiled formula over the candidate's variable (`core._compile`
+    in vector mode), read at each pool candidate's element. Otherwise, or
+    when the formula does not compile to rows, scalar cells run candidate
+    by candidate in increasing position, selections then parameters, so
+    the first error raised is that of the first bad cell."""
     concat = seq.concat
     entries = seq.tuples
     heads: dict[tuple[int, ...], tuple[int, ...]] = {}
+    M, phi, domain = table._key
+    at = phi.r - 1 - len(suffix)  # the candidate's variable
+    row = None
+    if (seq.tuple_arity == 1 and at >= 0 and all(len(b) == phi.s for b in pars)
+            and set(itertools.chain(*entries, suffix, *pars, domain or ())
+                    ).issubset(range(M.universe_size))):
+        row = _compile(M, phi, domain, at)
+        elem = [e for e, in entries]
+        tails = [suffix + b for b in pars]  # the free values after the candidate's
+    everyone = [(1 << p, p) for p in range(len(entries))]  # (bit, position)s
 
-    def key_of(sels: list[tuple[int, ...]], cand: int):
-        tail = entries[cand] + suffix
-        key = 0
+    def head_of(sel):
+        head = heads.get(sel)
+        if head is None:
+            head = heads[sel] = concat(sel)
+        return head
+
+    def rows_key(sels: list[tuple[int, ...]], pool: int) -> list[int]:
+        if sels and len(sels[0]) != at:
+            return cells_key(sels, pool)  # raises the block-length error
+        cands = [c for c in everyone if pool & c[0]]
+        cells = []
         for sel in sels:
-            head = heads.get(sel)
-            if head is None:
-                head = heads[sel] = concat(sel)
-            obj = head + tail
-            for b in pars:
-                key = key << 1 | holds(obj, b)
-        return key
+            head = head_of(sel)
+            for tail in tails:
+                mask = row(head, tail)
+                cells.append(sum([bit for bit, p in cands if mask >> elem[p] & 1]))
+        return cells
 
-    return key_of
+    def cells_key(sels: list[tuple[int, ...]], pool: int) -> list[int]:
+        holds = table.holds
+        cells = [0] * (len(sels) * len(pars))
+        objs = [head_of(sel) for sel in sels]
+        for bit, p in [c for c in everyone if pool & c[0]]:
+            tail = entries[p] + suffix
+            i = 0
+            for head in objs:
+                obj = head + tail
+                for b in pars:
+                    if holds(obj, b):
+                        cells[i] |= bit
+                    i += 1
+        return cells
+
+    return cells_key if row is None else rows_key
 
 
 def extract_end_indiscernible(I, phi: PartitionedFormula, m: int,

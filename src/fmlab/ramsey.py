@@ -409,24 +409,26 @@ def extract_homogeneous(G: RGraph, n: int, k: int
     if G.r == 2:
         return _halving_chain(G, range(G.n), k)
 
-    edges = G.edges
+    # link[h] has bit u iff h + (u,) is an edge, so the cell of a selection
+    # is its link mask; positions are chosen in increasing order, so every
+    # selection is sorted and ends below the pool
+    link: dict[tuple[int, ...], int] = {}
+    for e in G.edges:
+        link[e[:-1]] = link.get(e[:-1], 0) | 1 << e[-1]
 
-    def key_of(sels: list[tuple[int, ...]], cand: int):
-        # one bit per selection, first selection highest; positions are
-        # chosen in increasing order, so sel + (cand,) is sorted
-        key = 0
-        for sel in sels:
-            key = key << 1 | (sel + (cand,) in edges)
-        return key
+    def key_of(sels: list[tuple[int, ...]], pool: int) -> list[int]:
+        return [link.get(sel, 0) for sel in sels]
 
     chosen, _ = greedy_end_extraction(G.n, G.r, key_of, target=None)
     if len(chosen) < G.r:
         return ExtractionFailure(G.r, f"end-homogeneous stage reached only {len(chosen)}")
     v = chosen[-1]
     prefix = chosen[:-1]
-    # prefix is increasing and v follows all of it, so each edge is sorted
-    link_edges = {sub for sub in itertools.combinations(range(len(prefix)), G.r - 1)
-                  if tuple(prefix[i] for i in sub) + (v,) in edges}
+    # the link graph on prefix positions: the edges that end in v, as v
+    # follows the whole prefix, with every other vertex in the prefix
+    at = {u: i for i, u in enumerate(prefix)}
+    link_edges = [tuple(at[u] for u in e[:-1]) for e in G.edges
+                  if e[-1] == v and all(u in at for u in e[:-1])]
     sub_graph = RGraph.of(len(prefix), G.r - 1, link_edges)
     rec = extract_homogeneous(sub_graph, n, k - 1)
     if isinstance(rec, ExtractionFailure):

@@ -3,7 +3,8 @@ and the seeded 3-graph families used by the extraction tests."""
 
 import itertools
 
-from fmlab import FmlabError, RGraph, Signature, Structure, atom_formula
+from fmlab import (ExtractionTrace, FmlabError, PreconditionError, RGraph,
+                   Signature, Structure, atom_formula)
 from fmlab.util import SplitMix64, mix_seed
 
 GRAPH_SIG = Signature((("R", 2),))
@@ -82,6 +83,34 @@ def outcome(thunk):
         return thunk()
     except FmlabError as e:
         return type(e), str(e)
+
+
+def per_candidate_greedy(length, m, key_of, target=None):
+    """The largest-class greedy as it ran before it refined the pool by cell
+    masks: `key_of(sels, cand)` keys one candidate at a time, and candidates
+    with equal keys form a class. Kept as the reference for
+    `greedy_end_extraction`."""
+    if m < 1:
+        raise PreconditionError("m must be >= 1")
+    if target is not None and target < 0:
+        raise PreconditionError("target must be >= 0")
+    upto = length if target is None else min(target, length)
+    chosen = list(range(min(m - 1, upto)))
+    pool = list(range(m - 1, length))
+    steps = []
+    sels = list(itertools.combinations(chosen, m - 1))
+    while pool and len(chosen) < (length if target is None else target):
+        classes = {}
+        for cand in pool:
+            classes.setdefault(key_of(sels, cand), []).append(cand)
+        best = max(classes.values(), key=lambda c: (len(c), -c[0]))
+        steps.append((len(chosen), len(classes), len(best)))
+        new = best[0]
+        sels = ([s + (new,) for s in itertools.combinations(chosen, m - 2)]
+                if m >= 2 else [])
+        chosen.append(new)
+        pool = best[1:]
+    return chosen, ExtractionTrace(tuple(chosen), tuple(steps))
 
 
 EDGE = atom_formula("R", ["x0"], ["y0"])

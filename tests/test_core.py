@@ -42,6 +42,25 @@ def test_holds_atom_refuses_elements_outside_the_universe():
             M.holds_atom(name, args)
 
 
+def test_holds_atom_raises_what_evaluate_raises():
+    # the wrong number of arguments once read as absent and an unknown
+    # relation raised a bare KeyError; each bad atom now raises evaluate's
+    # error, with the range check first
+    M = Structure(Signature((("R", 2), ("P", 1))), 3, {"R": {(2, 0)}, "P": {(1,)}})
+    for name, args in (("R", (2,)), ("R", (2, 0, 1)), ("P", (1, 1)), ("P", ()),
+                       ("Q", (1,)), ("Q", ()), ("R", (2, 5, 1)), ("Q", (0, -1))):
+        env = {f"v{i}": a for i, a in enumerate(args)}
+        want = outcome(lambda: evaluate(M, Atom(name, tuple(env)), env))
+        assert want[0] in (EvaluationError, FmlabError), (name, args)
+        assert outcome(lambda: M.holds_atom(name, args)) == want, (name, args)
+    assert outcome(lambda: M.holds_atom("R", (2,))) == \
+        (EvaluationError, "arity mismatch in atom R")
+    assert outcome(lambda: M.holds_atom("Q", (1,))) == \
+        (FmlabError, "unknown relation: Q")
+    assert outcome(lambda: M.holds_atom("Q", (4,))) == \
+        (EvaluationError, "element out of range: 4")
+
+
 def test_exists_on_empty_graph_is_false():
     M = empty_graph(3)
     src = parse_formula("phi(x0; y0) := exists z0. R(z0,y0)", GRAPH_SIG)
@@ -386,7 +405,7 @@ def _cell_rows(M, f, domain, objs, pars):
 
 def _vector_formulas(v):
     """Formulas reading the vector variable v of the compiler's vector mode
-    (the last parameter variable) in each way it compiles: a bit-matrix row, a
+    (here the last parameter variable) in each way it compiles: a bit-matrix row, a
     transposed column, the diagonal, unary and ternary atoms, under Iff,
     Implies, Forall, and quantifiers that re-bind v."""
     return [
@@ -436,7 +455,7 @@ def test_bit_parallel_rows_match_a_per_cell_loop():
         domain = (None, frozenset(),
                   frozenset(e for e in proper if rng.bit()))[case % 3]
         key = None if domain is None else tuple(sorted(domain))
-        assert _compile(M, f, key, True) is not None, ast
+        assert _compile(M, f, key, r + s - 1) is not None, ast
         objs, pars = list(M.tuples(r)), list(M.tuples(s))
         cases = [(objs, pars), (_shuffled(rng, objs), _shuffled(rng, pars)),
                  ([a for a in objs if rng.bit()], [b for b in pars if rng.bit()]),
@@ -465,6 +484,47 @@ def test_bit_parallel_rows_match_a_per_cell_loop():
             outcome(lambda: _cell_rows(M, f, domain_b, objs_b, pars_b)), ast
         # one compile: the scalar fallback, never the vector one
         assert sum(_compile.cache_info()[:2]) == calls + 1
+
+
+def test_rows_over_any_free_variable_match_a_per_cell_loop():
+    # vector mode with the vector on any free variable, object or parameter,
+    # s = 0 included: bit u of row(a, b) is the cell with u in the vector's
+    # place and a + b on the other free variables in order, cell by cell
+    # through the reference holds; some formulas re-bind the vector
+    # variable under a quantifier and read it again after
+    rng = SplitMix64(20261019)
+    seen = set()
+    for case in range(300):
+        M = _random_structure(rng)
+        n = M.universe_size
+        r, s = 1 + rng.below(2), rng.below(3)
+        ov = tuple(f"x{i}" for i in range(r))
+        pv = tuple(f"y{i}" for i in range(s))
+        names = ov + pv
+        at = rng.below(r + s)
+        v, w = names[at], names[rng.below(r + s)]
+        rebind = case % 4 == 0
+        ast = ((And(Exists(v, Atom("R", (w, v))), Atom("R", (v, w))),
+                Forall(v, Or(Atom("P", (v,)), Atom("T", (v, w, v)))),
+                Or(Atom("P", (v,)), Exists("z0", Forall(v, Atom("R", ("z0", v))))),
+                )[case // 4 % 3] if rebind else _random_formula(rng, list(names), 3))
+        f = PartitionedFormula(ast, ov, pv)
+        domain = (None, frozenset(), frozenset(e for e in M.universe() if rng.bit()))[case % 3]
+        row = _compile(M, f, None if domain is None else tuple(sorted(domain)), at)
+        assert row is not None, ast
+        for rest in itertools.product(M.universe(), repeat=r + s - 1):
+            cut = rng.below(len(rest) + 1)
+            want = 0
+            for u in M.universe():
+                vals = rest[:at] + (u,) + rest[at:]
+                if f.holds(M, vals[:r], vals[r:], domain=domain):
+                    want |= 1 << u
+            assert row(rest[:cut], rest[cut:]) == want, (ast, at, rest)
+        seen.update({("vector", "object" if at < r else "parameter"), ("s", s),
+                     ("rebind", rebind), ("first", at == 0)})
+    assert seen == {("vector", "object"), ("vector", "parameter"), ("s", 0),
+                    ("s", 1), ("s", 2), ("rebind", True), ("rebind", False),
+                    ("first", True), ("first", False)}
 
 
 def test_memoised_rows_equal_a_fresh_computation():

@@ -12,6 +12,7 @@ from fmlab import (BoundParams, ConstantGrowth, ExtractionFailure,
                    WorstCaseGrowth, beth, check_indiscernible, extraction_length_estimates,
                    extract_end_indiscernible, extract_indiscernible, f_star,
                    g_func)
+from fmlab import indisc
 from fmlab.indisc import (_EVAL_GUARD, _end_need, _formula_key,
                           greedy_end_extraction)
 from fmlab.ramsey import _halving_chain
@@ -19,8 +20,8 @@ from fmlab.util import (SIZE_GUARD_BITS, EvaluationError, SplitMix64,
                         TooLargeError, mix_seed)
 
 from conftest import (EDGE, EDGE_PAIR, complete_graph, digraph,
-                      empty_graph, graph, outcome, seeded_digraph,
-                      seeded_graph, star_graph)
+                      empty_graph, graph, outcome, per_candidate_greedy,
+                      seeded_digraph, seeded_graph, star_graph)
 from fmlab import (PartitionedFormula, RGraph, Signature, Structure,
                    atom_formula, extract_homogeneous, find_n_order,
                    verify_homogeneous)
@@ -293,7 +294,8 @@ def _greedy_with_full_keys(length, m, colour, target):
 
 def test_incremental_greedy_matches_full_keys():
     # seeded colourings of increasing position m-tuples; the greedy passes
-    # only the selections that can split the surviving pool
+    # only the selections that can split the surviving pool. Each colour
+    # 0..2 is two cells, its two bits, so equal cells mean equal colours
     rng = SplitMix64(5150)
     cases = 0
     for m in (1, 2, 3, 4):
@@ -304,8 +306,10 @@ def test_incremental_greedy_matches_full_keys():
                       for t in itertools.combinations(range(length), m)}
             target = None if rng.bit() else rng.below(length + 2)
 
-            def key_of(sels, cand):
-                return tuple(colour[sel + (cand,)] for sel in sels)
+            def key_of(sels, pool):
+                return [sum(1 << c for c in range(length)
+                            if pool >> c & 1 and colour[sel + (c,)] & bit)
+                        for sel in sels for bit in (1, 2)]
 
             assert greedy_end_extraction(length, m, key_of, target) == \
                 _greedy_with_full_keys(length, m, colour, target), (m, length, target)
@@ -401,7 +405,7 @@ def test_negative_lengths_are_refused():
     with pytest.raises(PreconditionError, match="k must be >= 0"):
         extract_end_indiscernible(vertex_seq(6), EDGE_PAIR, 2, [], M, k=-1)
     with pytest.raises(PreconditionError, match="target must be >= 0"):
-        greedy_end_extraction(6, 2, lambda sels, cand: 0, target=-1)
+        greedy_end_extraction(6, 2, lambda sels, pool: [], target=-1)
     # k = 0 still asks for the empty sequence
     seq, trace = extract_end_indiscernible(vertex_seq(6), EDGE_PAIR, 2, [], M, k=0)
     assert len(seq) == 0 and trace == ExtractionTrace((), ())
@@ -446,7 +450,7 @@ def _tuple_key_homogeneous(G, n, k):
     def key_of(sels, cand):
         return tuple(sel + (cand,) in edges for sel in sels)
 
-    chosen, _ = greedy_end_extraction(G.n, G.r, key_of, target=None)
+    chosen, _ = per_candidate_greedy(G.n, G.r, key_of, target=None)
     if len(chosen) < G.r:
         return ExtractionFailure(G.r, f"end-homogeneous stage reached only {len(chosen)}")
     v = chosen[-1]
@@ -517,10 +521,12 @@ def _seeded_key_case(rng, trial, out_of_range=False):
 
 class _CellLog:
     """A stand-in table: `holds` answers from a real `SatTable` and logs each
-    cell it is asked for, in order."""
+    cell it is asked for, in order; the row path reads the table's key and
+    logs nothing."""
 
     def __init__(self, table):
         self.cells = []
+        self._key = table._key
         self._holds = table.holds
 
     def holds(self, obj, par):
@@ -529,10 +535,12 @@ class _CellLog:
 
 
 def test_bitmask_formula_key_matches_the_tuple_key():
-    # same (chosen, trace) from the int keys as from the tuple keys, and the
-    # same cells evaluated in the same order, for m = 1..3, s = 0..2, empty
-    # parameter lists, suffixes and every kind of target; the keys must
-    # split some pools, or nothing is compared
+    # same (chosen, trace) from the cell-mask keys as from the tuple keys on
+    # the per-candidate greedy, for m = 1..3, s = 0..2, empty parameter
+    # lists, suffixes and every kind of target; on the scalar path (entries
+    # of arity 2) the same cells are evaluated in the same order, and the
+    # row path (arity 1, all in range) evaluates none; the keys must split
+    # some pools, or nothing is compared
     rng = SplitMix64(1414)
     seen = set()
     for trial in range(600):
@@ -540,19 +548,23 @@ def test_bitmask_formula_key_matches_the_tuple_key():
         new, old = _CellLog(table), _CellLog(table)
         got = greedy_end_extraction(length, m, _formula_key(seq, new, pars, suffix),
                                     target)
-        want = greedy_end_extraction(length, m,
-                                     _tuple_formula_key(seq, old, pars, suffix),
-                                     target)
+        want = per_candidate_greedy(length, m,
+                                    _tuple_formula_key(seq, old, pars, suffix),
+                                    target)
         assert got == want, trial
-        assert new.cells == old.cells, trial
+        rows = seq.tuple_arity == 1
+        assert new.cells == ([] if rows else old.cells), trial
         split = any(classes > 1 for _, classes, _ in want[1].steps)
         seen.update({("m", m), ("s", phi.s), ("pars", len(pars) > 0),
+                     ("rows", rows), ("cells", len(old.cells) > 0),
                      ("suffix", len(suffix) > 0), ("split", split),
                      ("target", "none" if target is None else
                       "past" if target > length else "zero" if target == 0
                       else "within")})
     assert seen == {("m", 1), ("m", 2), ("m", 3), ("s", 0), ("s", 1), ("s", 2),
-                    ("pars", True), ("pars", False), ("suffix", True),
+                    ("pars", True), ("pars", False), ("rows", True),
+                    ("rows", False), ("cells", True), ("cells", False),
+                    ("suffix", True),
                     ("suffix", False), ("split", True), ("split", False),
                     ("target", "none"), ("target", "past"), ("target", "zero"),
                     ("target", "within")}
@@ -569,13 +581,71 @@ def test_bitmask_formula_key_raises_the_tuple_keys_first_error():
             rng, trial, out_of_range=True)
         got = outcome(lambda: greedy_end_extraction(
             length, m, _formula_key(seq, table, pars, suffix), target))
-        want = outcome(lambda: greedy_end_extraction(
+        want = outcome(lambda: per_candidate_greedy(
             length, m, _tuple_formula_key(seq, table, pars, suffix), target))
         assert got == want, trial
         if want[0] is EvaluationError:
             assert want[1].startswith("element out of range: ")
             errors += 1
     assert errors >= 50
+
+
+def test_row_formula_key_matches_the_scalar_fallback(monkeypatch):
+    # entries of arity 1 inside the universe: rows over the candidate's
+    # variable give the same cell masks, call by call, and the same
+    # (chosen, trace) as the scalar cells the key falls back to when the
+    # formula does not compile to rows; sequences are permutations of part
+    # of the universe, or repeat elements
+    rng = SplitMix64(1418)
+    seen = set()
+    for trial in range(400):
+        n = 2 + rng.below(7)
+        seed = mix_seed(1418, trial)
+        M = seeded_graph(n, seed) if rng.bit() else seeded_digraph(n, seed)
+        m = 1 + trial % 3
+        suffix = tuple(rng.below(n) for _ in range(rng.below(2)))
+        s = rng.below(3)
+        phi = _seeded_formula(rng, m + len(suffix), s)
+        pars = ([()] if s == 0 else
+                sorted({tuple(rng.below(n) for _ in range(s)) for _ in range(1 + rng.below(3))}))
+        if trial % 2:
+            elems = [e for e in range(n) if rng.below(4)]
+            seq = TupleSequence.of([(e,) for e in _shuffled(rng, elems)], 1)
+        else:
+            seq = TupleSequence.of([(rng.below(n),) for _ in range(rng.below(13))], 1)
+        target = (None, rng.below(len(seq) + 1))[trial % 4 == 3]
+        runs = []
+        for path in ("rows", "cells"):
+            with monkeypatch.context() as patch:
+                if path == "cells":
+                    patch.setattr(indisc, "_compile", lambda *args: None)
+                key = _formula_key(seq, SatTable(M, phi), pars, suffix)
+            assert key.__name__ == path + "_key", trial
+            calls = []
+
+            def logged(sels, pool, key=key, calls=calls):
+                cells = key(sels, pool)
+                calls.append((list(sels), pool, list(cells)))
+                return cells
+
+            runs.append((greedy_end_extraction(len(seq), m, logged, target), calls))
+        assert runs[0] == runs[1], trial
+        (_, trace), calls = runs[0]
+        repeated = len(set(seq)) < len(seq)
+        seen.update({("m", m), ("s", s), ("repeated", repeated),
+                     ("split", any(c > 1 for _, c, _ in trace.steps)),
+                     ("cells", any(cells for _, _, cells in calls))})
+    assert seen == {("m", 1), ("m", 2), ("m", 3), ("s", 0), ("s", 1), ("s", 2),
+                    ("repeated", True), ("repeated", False), ("split", True),
+                    ("split", False), ("cells", True), ("cells", False)}
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
 
 
 def test_bitmask_homogeneous_key_matches_the_tuple_key():

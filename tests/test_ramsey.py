@@ -18,10 +18,10 @@ from fmlab import (E_bound, ExperimentConfig, ExtractionFailure,
                    independence_trend, verify_homogeneous)
 from fmlab import ramsey
 from fmlab.core import Signature, Structure, atom_formula
-from fmlab.indisc import greedy_end_extraction
 from fmlab.util import SplitMix64, TooLargeError, mix_seed
 
-from conftest import seeded_3graphs_lacking_independence, sparse_3graph
+from conftest import (per_candidate_greedy, seeded_3graphs_lacking_independence,
+                      sparse_3graph)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def _has_edge_link_graph(G):
     """The link graph of G's end-homogeneous sequence as it was built with
     `has_edge`: the (r-1)-sets of prefix positions whose vertices, sorted,
     form an edge with the last vertex v."""
-    chosen, _ = greedy_end_extraction(
+    chosen, _ = per_candidate_greedy(
         G.n, G.r, lambda sels, cand: tuple(G.has_edge(sel + (cand,)) for sel in sels))
     v, prefix = chosen[-1], chosen[:-1]
     return RGraph.of(len(prefix), G.r - 1, [
