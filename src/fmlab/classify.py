@@ -3,10 +3,10 @@ of pattern formulas, the minority bound kappa, average types over indiscernible
 sequences, goodness, the strong-submodel relation, and stable amalgamation with
 its symmetry test.
 
-Submodels are universe subsets with induced relations, and every result names
-elements of the whole structure, so parameter tuples keep their meaning across
-a whole configuration (goodness and the strong-submodel relation are decided
-on a relabelled copy of the submodel, and goodness witnesses are mapped back).
+Submodels are given as universe subsets, and every result names elements of
+the whole structure, so parameter tuples keep their meaning across a whole
+configuration. A submodel is always decided as the induced, relabelled
+structure `_induced` builds, and goodness witnesses are mapped back.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def _indiscernible_sequences(runs, oracle: TypeOracle, n: int, limit: int):
 
 
 def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
-          max_len: Optional[int] = None, domain=None
+          max_len: Optional[int] = None
           ) -> Union[KappaResult, BudgetExceeded]:
     """Least kappa >= 1 such that along every closure-indiscernible sequence of
     distinct parameter tuples (length up to max_len), every formula instance
@@ -180,22 +180,23 @@ def kappa(M: Structure, delta: Sequence[PartitionedFormula], n: int,
     each set is counted once per parameter arity, at its first indiscernible
     ordering (`_indiscernible_sequences` yields no other): a later ordering
     has the same counts and cannot beat the worst side found so far, so the
-    value and the witness are those of counting every ordering.
+    value and the witness are those of counting every ordering. A submodel
+    is passed as its induced structure.
     """
     if max_len is not None and max_len < 2:
         raise PreconditionError("max_len must be >= 2")
-    oracle = TypeOracle(M, delta_star(list(delta), n).formulas, [], domain)
+    oracle = TypeOracle(M, delta_star(list(delta), n).formulas, [])
     runs = []
     tables = {}  # parameter arity -> (formula, object tuples, satisfaction rows)
     for s in sorted({f.s for f in delta if f.s >= 1}):
-        tuples = sorted(M.tuples(s, domain=domain))
+        tuples = list(M.tuples(s))
         cap = len(tuples) if max_len is None else min(max_len, len(tuples))
         runs.append((tuples, range(2, cap + 1)))
         tables[s] = []
         for f in delta:
             if f.s == s:
-                objs = sorted(M.tuples(f.r, domain=domain))
-                tables[s].append((f, objs, SatTable(M, f, domain).rows(objs, tuples)))
+                objs = list(M.tuples(f.r))
+                tables[s].append((f, objs, SatTable(M, f).rows(objs, tuples)))
     worst = 0
     witness = None
     for got in _indiscernible_sequences(runs, oracle, n, search_budget()):
@@ -331,11 +332,10 @@ def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
 
     With a domain, goodness is decided on the substructure induced on it,
     relabelled by the order-preserving map from 0..|domain|-1 onto
-    sorted(domain), and a refutation's witness tuples are mapped back. Every
-    search here walks tuples over the domain in lexicographic order and
-    quantifies over the domain, so the verdict, the earliest witness, kappa,
-    lambda and a budget marker's node count are those of searching M
-    restricted to the domain.
+    sorted(domain) (`_induced`), and a refutation's witness tuples are
+    mapped back. Quantifiers then range over the domain alone, and the map
+    keeps the lexicographic order of tuples that every search walks, so
+    the earliest witness mapped back is the earliest over the domain.
 
     The verdict is pure in the structure it is decided on and the budget, so
     it is memoised by value per (induced substructure, phi, n, d,
@@ -472,7 +472,7 @@ def _search_average_witness(ctx: ClassContext, oracle: TypeOracle, source: list,
     return None
 
 
-def _average_witnesses(M: Structure, ctx: ClassContext, domain,
+def _average_witnesses(M: Structure, ctx: ClassContext,
                        source: list, source_cols: list[int],
                        targets: list, target_cols: list[int]):
     """(holds, witnesses, offender): for each target tuple in turn, an average
@@ -482,7 +482,7 @@ def _average_witnesses(M: Structure, ctx: ClassContext, domain,
     the offender, and holds is False, or "budget" when its search ran out.
     Each target's search gets the whole of `util.search_budget()`."""
     psi = ctx.phi.swapped()
-    oracle = TypeOracle(M, delta_star([psi, psi.negated()], ctx.n).formulas, [], domain)
+    oracle = TypeOracle(M, delta_star([psi, psi.negated()], ctx.n).formulas, [])
     limit = search_budget()
     witnesses = {}
     for i, c in enumerate(targets):
@@ -564,20 +564,22 @@ def _prec_reports(M: Structure, ctx: ClassContext, budget: int
 
 
 def _decide_prec(M: Structure, N_dom: frozenset, ctx: ClassContext) -> PrecReport:
-    """prec_K's three conditions, with the whole of M as the ambient."""
+    """prec_K's three conditions, with the whole of M as the ambient, and
+    condition 1's columns in N read again on the structure induced on N."""
     phi, k = ctx.phi, ctx.k
-    amb = frozenset(M.universe())
     A_match = [b for b in ctx.A if len(b) == phi.s]
-    objs_amb = list(M.tuples(phi.r, domain=amb))
+    objs_amb = list(M.tuples(phi.r))
     objs_N = list(M.tuples(phi.r, domain=N_dom))
     # satisfaction columns: bit i of cols[j] iff phi[objs[i]; A_match[j]]
     psi = phi.swapped()
-    in_amb = SatTable(M, psi, amb)
+    in_amb = SatTable(M, psi)
     cols_amb = in_amb.rows(A_match, objs_amb)
     cols_N = in_amb.rows(A_match, objs_N)
 
     # condition 1
-    cond1 = cols_N == SatTable(M, psi, N_dom).rows(A_match, objs_N)
+    sub, _, pos = _induced(M, N_dom)
+    A_sub = [tuple(map(pos.__getitem__, b)) for b in A_match]
+    cond1 = cols_N == SatTable(sub, psi).rows(A_sub, list(sub.tuples(phi.r)))
 
     # condition 2: one budget node per multiset of parameter indices
     cond2: Union[bool, str] = True
@@ -597,7 +599,7 @@ def _decide_prec(M: Structure, N_dom: frozenset, ctx: ClassContext) -> PrecRepor
             break
 
     # condition 3
-    cond3 = _average_witnesses(M, ctx, amb, objs_N, cols_N, objs_amb, cols_amb)[0]
+    cond3 = _average_witnesses(M, ctx, objs_N, cols_N, objs_amb, cols_amb)[0]
 
     conds = (cond1, cond2, cond3)
     failing = next((i for i, c in enumerate(conds, start=1) if c is False), None)
@@ -661,7 +663,7 @@ def stable_amalgam(config: AmalgamConfig, check_preconditions: bool = True,
     objs_m2 = list(M.tuples(ctx.phi.r, domain=config.m2))
     table = SatTable(M, ctx.phi.swapped())
     return AmalgamResult(*_average_witnesses(
-        M, ctx, None, objs_m0, table.rows(A_params, objs_m0),
+        M, ctx, objs_m0, table.rows(A_params, objs_m0),
         objs_m2, table.rows(A_params, objs_m2)))
 
 

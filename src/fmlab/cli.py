@@ -195,6 +195,8 @@ def _growth(args):
 
 def _cmd_indisc(args):
     if args.action == "bounds":
+        if args.fn != "beth" and args.k is None:
+            raise FmlabError(f"--fn {args.fn} needs --k")
         if args.fn == "beth":
             report = {"fn": "beth", "value": beth(args.i, args.x)}
         elif args.fn == "estimates":
@@ -202,8 +204,6 @@ def _cmd_indisc(args):
                       "value": extraction_length_estimates(args.case, args.m, args.k,
                                               args.p_or_n, args.s, args.t)}
         else:
-            if args.k is None:
-                raise FmlabError(f"--fn {args.fn} needs --k")
             params = BoundParams(_growth(args), args.alpha, args.r, args.m, args.k)
             if args.fn == "fstar":
                 report = {"fn": "fstar", "value": f_star(params, args.j)}

@@ -428,9 +428,10 @@ def evaluate(M: Structure, phi: Union[PartitionedFormula, Formula],
 
 class SatTable:
     """Satisfaction of one partitioned formula in one structure: whether
-    M |= phi[obj; par], with quantifiers over `domain` (the whole universe
-    when None), read through the one formula compiler `_compile`, never
-    through `evaluate`.
+    M |= phi[obj; par], quantifiers over the whole universe, read through
+    the one formula compiler `_compile`, never through `evaluate`. To decide
+    inside a submodel, build the table on the induced, relabelled structure
+    (`classify._induced`).
 
     `holds` is the compiled scalar cell function; it keeps no cell, so a
     search that re-reads cells keeps its own memo (`find_n_order` wraps it
@@ -438,10 +439,10 @@ class SatTable:
     mode, one formula pass per (object, parameter head), and takes the mask
     itself as the row when the parameters are the whole universe in order.
     Scalar cells run instead, with their values and first error, when
-    s = 0, when a block has the wrong length, when an object, parameter or
-    domain value lies outside the universe, or when the formula does not
-    compile to rows. Compiled functions are memoised by value on
-    (structure, formula, domain, mode) in a 16-entry LRU; whole rows in
+    s = 0, when a block has the wrong length, when an object or parameter
+    value lies outside the universe, or when the formula does not compile
+    to rows. Compiled functions are memoised by value on (structure,
+    formula, mode) in a 16-entry LRU; whole rows in
     `_sat_rows`, a 64-entry LRU keyed by value that also takes the object
     and parameter tuples, so a hit compiles nothing. An error is never
     stored, and each caller gets a fresh list.
@@ -455,9 +456,8 @@ class SatTable:
 
     __slots__ = ("_key",)
 
-    def __init__(self, M: Structure, phi: PartitionedFormula,
-                 domain: Optional[Iterable[int]] = None):
-        self._key = (M, phi, None if domain is None else tuple(sorted(domain)))
+    def __init__(self, M: Structure, phi: PartitionedFormula):
+        self._key = (M, phi)
 
     @property
     def holds(self):
@@ -471,14 +471,12 @@ class SatTable:
 
 
 @functools.lru_cache(maxsize=16)
-def _compile(M: Structure, phi: PartitionedFormula,
-             domain: Optional[tuple[int, ...]], vector: Optional[int]):
+def _compile(M: Structure, phi: PartitionedFormula, vector: Optional[int]):
     """phi walked once into closures over a slot-indexed environment, every
-    node returning an int mask; quantifiers range over `domain` (the whole
-    universe when None).
+    node returning an int mask; quantifiers range over the whole universe.
 
     Scalar mode (`vector` None) has full = 1 and returns run(obj, par),
-    which answers what `phi.holds(M, obj, par, domain=domain)` answers,
+    which answers what `phi.holds(M, obj, par)` answers,
     value or first error. Vector mode has full = 2^n - 1, and `vector` is
     the index of the free variable that is the vector, in
     `object_vars + param_vars`. It returns row(a, b): a + b gives the
@@ -497,7 +495,7 @@ def _compile(M: Structure, phi: PartitionedFormula,
     Only atoms differ between the modes; their arities and relation lookups
     are settled here. Scalar atoms check their values against the universe
     in `evaluate`'s order. Vector atoms check nothing, since `_sat_rows`
-    passes objects, heads and a domain inside the universe: one that does
+    passes objects and heads inside the universe: one that does
     not read the vector returns 0 or full, and one that does reads a bit
     row, a transposed column or a constant mask, or tries each element. An
     atom that names an unbound variable, has the wrong number of arguments
@@ -509,7 +507,7 @@ def _compile(M: Structure, phi: PartitionedFormula,
     scalar = vector is None
     n = M.universe_size
     full = 1 if scalar else (1 << n) - 1
-    dom = range(n) if domain is None else domain
+    universe = range(n)
     sig, bitrows, relations = M.signature, M._bitrows, M.relations
     arities = dict(sig.relations)
     width = base = r + s - (not scalar)
@@ -617,7 +615,7 @@ def _compile(M: Structure, phi: PartitionedFormula,
             if t is Exists:
                 def exists(env):
                     mask = 0
-                    for e in dom:
+                    for e in universe:
                         env[slot] = e
                         mask |= body(env)
                         if mask == full:
@@ -627,7 +625,7 @@ def _compile(M: Structure, phi: PartitionedFormula,
 
             def forall(env):
                 mask = full
-                for e in dom:
+                for e in universe:
                     env[slot] = e
                     mask &= body(env)
                     if not mask:
@@ -659,15 +657,15 @@ def _compile(M: Structure, phi: PartitionedFormula,
 
 
 @functools.lru_cache(maxsize=64)
-def _sat_rows(M: Structure, phi: PartitionedFormula, domain: Optional[tuple[int, ...]],
+def _sat_rows(M: Structure, phi: PartitionedFormula,
               objs: tuple, pars: tuple) -> tuple[int, ...]:
     universe = range(M.universe_size)
     row = None
     if (phi.s and {len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
-            and set(itertools.chain(*objs, *pars, domain or ())).issubset(universe)):
-        row = _compile(M, phi, domain, phi.r + phi.s - 1)
+            and set(itertools.chain(*objs, *pars)).issubset(universe)):
+        row = _compile(M, phi, phi.r + phi.s - 1)
     if row is None:
-        run = _compile(M, phi, domain, None)
+        run = _compile(M, phi, None)
         out = []
         for a in objs:
             v = 0
@@ -751,8 +749,7 @@ class PhiType:
 
 
 def tp(delta: Sequence[PartitionedFormula], a: tuple[int, ...],
-       A: Iterable[tuple[int, ...]], M: Structure,
-       domain: Optional[frozenset[int]] = None) -> PhiType:
+       A: Iterable[tuple[int, ...]], M: Structure) -> PhiType:
     """The complete signed type of tuple `a` over parameter set `A`.
 
     Formulas whose object arity differs from len(a) contribute nothing; a
@@ -770,7 +767,7 @@ def tp(delta: Sequence[PartitionedFormula], a: tuple[int, ...],
         else:
             pars = sorted(b for b in A if len(b) == f.s)
         for b in pars:
-            entries.append((f, b, f.holds(M, a, b, domain=domain)))
+            entries.append((f, b, f.holds(M, a, b)))
     return PhiType(frozenset(entries), len(a))
 
 

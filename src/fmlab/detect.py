@@ -2,8 +2,9 @@
 plus type splitting and the constructive order-witness builder.
 
 All searches are exhaustive with lexicographic enumeration and earliest-witness
-return. Every certificate can be re-verified by the `verify_*` functions, which
-evaluate formulas directly and share no code with the searches.
+return, over the whole structure they are given (a submodel is passed as its
+induced structure). Every certificate can be re-verified by the `verify_*`
+functions, which evaluate formulas directly and share no code with the searches.
 """
 
 from __future__ import annotations
@@ -143,8 +144,7 @@ def first_shattered(rows: Sequence[int], k: int, full: int,
                    (c & -c).bit_length() - 1 for w, c in enumerate(cells)}
 
 
-def find_k_independence(M: Structure, phi: PartitionedFormula, k: int,
-                        domain=None
+def find_k_independence(M: Structure, phi: PartitionedFormula, k: int
                         ) -> Union[IndependenceWitness, None, BudgetExceeded]:
     """Lexicographically first independence witness of size k, or None.
 
@@ -157,9 +157,9 @@ def find_k_independence(M: Structure, phi: PartitionedFormula, k: int,
         raise PreconditionError("k must be >= 1")
     if phi.r < 1 or phi.s < 1:
         raise PreconditionError("independence search needs nonempty blocks")
-    objs = sorted(M.tuples(phi.r, domain=domain))
-    pars = sorted(M.tuples(phi.s, domain=domain))
-    got = first_shattered(SatTable(M, phi, domain).rows(objs, pars), k,
+    objs = sorted(M.tuples(phi.r))
+    pars = sorted(M.tuples(phi.s))
+    got = first_shattered(SatTable(M, phi).rows(objs, pars), k,
                           (1 << len(pars)) - 1, search_budget())
     if got is None or isinstance(got, BudgetExceeded):
         return got
@@ -186,7 +186,7 @@ def _powerset(items) -> Iterable[tuple]:
         yield from itertools.combinations(items, r)
 
 
-def find_n_order(M: Structure, phi: PartitionedFormula, n: int, domain=None
+def find_n_order(M: Structure, phi: PartitionedFormula, n: int
                  ) -> Union[OrderWitness, None, BudgetExceeded]:
     """First n-tuple ordering itself under phi, by depth-first lexicographic search."""
     if n < 1:
@@ -194,10 +194,10 @@ def find_n_order(M: Structure, phi: PartitionedFormula, n: int, domain=None
     if phi.r != phi.s:
         raise PreconditionError("order search requires l(x) = l(y)")
     limit = search_budget()
-    objs = sorted(M.tuples(phi.r, domain=domain))
+    objs = sorted(M.tuples(phi.r))
     # memoised, since the search re-reads cells, and lazy: on the 3-block
     # formula rho (verify_order_bound) it reads far fewer cells than a table holds
-    holds = functools.cache(SatTable(M, phi, domain).holds)
+    holds = functools.cache(SatTable(M, phi).holds)
     nodes = 0
     chosen: list[tuple[int, ...]] = []
 
@@ -237,7 +237,7 @@ def verify_order(M: Structure, phi: PartitionedFormula,
     return True
 
 
-def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int, domain=None
+def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int
                       ) -> Union[WeakOrderWitness, None, BudgetExceeded]:
     """First d-list admitting realizers x_j with phi(x;d_i) exactly for i >= j.
     A repeated d_i would force phi and ~phi on one realizer, so only lists of
@@ -247,9 +247,9 @@ def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int, domain=None
     if phi.r < 1 or phi.s < 1:
         raise PreconditionError("weak order search needs nonempty blocks")
     limit = search_budget()
-    pars = sorted(M.tuples(phi.s, domain=domain))
-    objs = sorted(M.tuples(phi.r, domain=domain))
-    cols = dict(zip(pars, SatTable(M, phi.swapped(), domain).rows(pars, objs)))
+    pars = sorted(M.tuples(phi.s))
+    objs = sorted(M.tuples(phi.r))
+    cols = dict(zip(pars, SatTable(M, phi.swapped()).rows(pars, objs)))
     full = (1 << len(objs)) - 1
     nodes = 0
     for d in itertools.permutations(pars, m):
@@ -286,8 +286,7 @@ def verify_weak_order(M: Structure, phi: PartitionedFormula,
 
 
 def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: int,
-                         params: Optional[Iterable[tuple[int, ...]]] = None,
-                         domain=None
+                         params: Optional[Iterable[tuple[int, ...]]] = None
                          ) -> Union[CoverViolation, None, BudgetExceeded]:
     """A family b_0..b_{n-1} (d <= n <= n_max) whose proper <d subfamilies are all
     satisfiable while the whole family is not. None certifies no such family
@@ -319,11 +318,11 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
         raise PreconditionError("n_max must be >= d")
     limit = search_budget()
     if params is None:
-        pars = sorted(M.tuples(phi.s, domain=domain))
+        pars = sorted(M.tuples(phi.s))
     else:
         pars = sorted({tuple(t) for t in params})
-    objs = sorted(M.tuples(phi.r, domain=domain))
-    cols = SatTable(M, phi.swapped(), domain).rows(pars, objs)
+    objs = sorted(M.tuples(phi.r))
+    cols = SatTable(M, phi.swapped()).rows(pars, objs)
     full = (1 << len(objs)) - 1
     m = len(pars)
     suffix = [full] * (m + 1)  # suffix[i]: the objects under every column from i on

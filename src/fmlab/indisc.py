@@ -47,18 +47,16 @@ class TypeOracle:
     """
 
     def __init__(self, M: Structure, delta: Sequence[PartitionedFormula],
-                 A: Iterable[tuple[int, ...]],
-                 domain: Optional[frozenset[int]] = None):
+                 A: Iterable[tuple[int, ...]]):
         self.M = M
         self.delta = tuple(delta)
         self.A = sorted(tuple(b) for b in A)
-        self.domain = domain
         self._cache: dict[tuple[int, ...], object] = {}
 
     def key(self, concat: tuple[int, ...]):
         got = self._cache.get(concat)
         if got is None:
-            got = tp(self.delta, concat, self.A, self.M, domain=self.domain)
+            got = tp(self.delta, concat, self.A, self.M)
             self._cache[concat] = got
         return got
 
@@ -348,8 +346,8 @@ def extraction_length_estimates(case: int, m: int, k: int,
         inner = 2 * k + ceil_log2(k) + ceil_log2(p_or_n) + ceil_log2(m)
         return {"case": 3, "inner": inner, "bound": beth(m, inner)}
     if case == 4:
-        if p_or_n is None or s is None or t is None:
-            raise PreconditionError("case 4 needs n, s and t")
+        if p_or_n is None or s is None or t is None or p_or_n < 1 or s < 0 or t < 0:
+            raise PreconditionError("case 4 needs n >= 1, s >= 0 and t >= 0")
         inner = 2 * k + ceil_log2(k) + (3 * p_or_n * s) ** (t + 1)
         return {"case": 4, "inner": inner, "bound": beth(m, inner)}
     raise PreconditionError(f"unknown case {case}")
@@ -442,8 +440,8 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
     selection's entries, then candidate p's entry, then `suffix`, with that
     parameter. Each selection's entries are flattened once per key function.
 
-    When entries are single elements, and every entry, suffix element,
-    parameter and domain value lies in the universe, each cell is one row
+    When entries are single elements, and every entry, suffix element and
+    parameter lies in the universe, each cell is one row
     of the compiled formula over the candidate's variable (`core._compile`
     in vector mode), read at each pool candidate's element. Otherwise, or
     when the formula does not compile to rows, scalar cells run candidate
@@ -452,13 +450,13 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
     concat = seq.concat
     entries = seq.tuples
     heads: dict[tuple[int, ...], tuple[int, ...]] = {}
-    M, phi, domain = table._key
+    M, phi = table._key
     at = phi.r - 1 - len(suffix)  # the candidate's variable
     row = None
     if (seq.tuple_arity == 1 and at >= 0 and all(len(b) == phi.s for b in pars)
-            and set(itertools.chain(*entries, suffix, *pars, domain or ())
+            and set(itertools.chain(*entries, suffix, *pars)
                     ).issubset(range(M.universe_size))):
-        row = _compile(M, phi, domain, at)
+        row = _compile(M, phi, at)
         elem = [e for e, in entries]
         tails = [suffix + b for b in pars]  # the free values after the candidate's
     everyone = [(1 << p, p) for p in range(len(entries))]  # (bit, position)s

@@ -254,6 +254,8 @@ def independence_trend(k_list: Sequence[int], trials: int, seed: int) -> list[di
     witness k-independence in a random graph on n vertices, its standard
     error, the outside-fillers coupon value q(n-k, 2^k), and the union bound.
     """
+    if trials < 1:
+        raise PreconditionError("trials must be >= 1")
     rows = []
     for k in k_list:
         if k < 2:

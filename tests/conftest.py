@@ -77,6 +77,18 @@ def seeded_digraph(n, seed):
                        if i != j and rng.bit()])
 
 
+def induced(M, dom=None):
+    """(sub, back): the substructure of M induced on `dom` (the whole
+    universe when None), relabelled onto 0..|dom|-1 in increasing order, and
+    back, the sorted domain, so element i of sub is back[i] of M. Built
+    apart from the package's own relabelling, so tests can check against it."""
+    back = sorted(M.universe() if dom is None else dom)
+    index = {e: i for i, e in enumerate(back)}
+    return Structure(M.signature, len(back), {
+        name: [tuple(index[e] for e in t) for t in rel if all(e in index for e in t)]
+        for name, rel in M.relations.items()}), back
+
+
 def outcome(thunk):
     """The value a call returns, or the type and message of what it raises."""
     try:

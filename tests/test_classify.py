@@ -7,8 +7,9 @@ import re
 import pytest
 
 import fmlab.classify
-from fmlab import (AmalgamConfig, BudgetExceeded, ClassContext, EvaluationError,
-                   GoodnessContext, GoodnessRefutation, KappaResult, PreconditionError,
+from fmlab import (AmalgamConfig, BudgetExceeded, ClassContext, CoverViolation,
+                   EvaluationError, GoodnessContext, GoodnessRefutation,
+                   IndependenceWitness, KappaResult, PreconditionError,
                    PrecReport, Signature, Structure, TupleSequence, atom_formula,
                    average_type, check_indiscernible, delta_star,
                    emit_report, exchange_check, find_cover_violation,
@@ -18,7 +19,7 @@ from fmlab import (AmalgamConfig, BudgetExceeded, ClassContext, EvaluationError,
 from fmlab.util import SplitMix64, search_budget
 from fmlab.core import SatTable, formula_text
 
-from conftest import (EDGE, complete_graph, empty_graph, graph, outcome,
+from conftest import (EDGE, complete_graph, empty_graph, graph, induced, outcome,
                       seeded_digraph, seeded_graph, star_graph)
 
 DELTA = [EDGE, EDGE.negated()]
@@ -213,19 +214,28 @@ def test_average_completeness_on_good_structures():
 
 
 def _is_good_searching_every_arrangement(M, phi, n, d, domain):
-    """is_good with an independence search for all four arrangements."""
+    """is_good with an independence search for all four arrangements, run
+    on the test-local induced structure, with witnesses mapped back."""
+    sub, back = induced(M, domain)
+
+    def out(t):
+        return tuple(back[i] for i in t)
     delta = goodness_delta(phi)
-    size = len(frozenset(M.universe() if domain is None else domain))
+    size = sub.universe_size
     for f in delta:
         for kind, got in (
-                ("independence", find_k_independence(M, f, n, domain=domain)),
-                ("cover", find_cover_violation(M, f, d, max(size ** f.s, d),
-                                               domain=domain))):
+                ("independence", find_k_independence(sub, f, n)),
+                ("cover", find_cover_violation(sub, f, d, max(size ** f.s, d)))):
             if isinstance(got, BudgetExceeded):
                 return GoodnessRefutation("budget", f, got)
+            if isinstance(got, IndependenceWitness):
+                got = IndependenceWitness(tuple(map(out, got.a)),
+                                          {w: out(b) for w, b in got.b.items()})
+            elif got is not None:
+                got = CoverViolation(got.n, tuple(map(out, got.b)))
             if got is not None:
                 return GoodnessRefutation(kind, f, got)
-    got = kappa(M, delta, n, domain=domain)
+    got = kappa(sub, delta, n)
     if isinstance(got, BudgetExceeded):
         return GoodnessRefutation("budget", phi, got)
     return GoodnessContext(phi, n, d, got.value, max(d * got.value, 2 * n))
@@ -241,11 +251,11 @@ def test_negated_arrangements_need_no_independence_search(monkeypatch):
         for size, seed in itertools.product((4, 5), range(15)):
             M = seeded_graph(size, 7000 + seed)
             for domain in (None, frozenset({0, 1, 3})):
+                sub, _ = induced(M, domain)
                 for n, d in ((1, 2), (2, 2), (2, 3)):
                     for f in goodness_delta(EDGE)[:2]:
-                        plain = find_k_independence(M, f, n, domain=domain)
-                        negated = find_k_independence(M, f.negated(), n,
-                                                      domain=domain)
+                        plain = find_k_independence(sub, f, n)
+                        negated = find_k_independence(sub, f.negated(), n)
                         assert (plain is None) == (negated is None)
                         if isinstance(plain, BudgetExceeded):
                             assert negated == plain
@@ -652,8 +662,10 @@ def test_condition2_counts_one_node_per_parameter_multiset(monkeypatch):
 
 
 def _prec_K_inside_M(M, N_dom, ctx, ambient=None, check_good=True):
-    """prec_K decided inside M itself, with quantifiers over the ambient and
-    no memo: the reference the relabelled, memoised relation must match."""
+    """prec_K with no memo, its columns read inside M itself by the
+    reference interpreter, quantifiers over the ambient (over N for
+    condition 1's), and condition 3 searched on the test-local induced
+    ambient: the reference the relabelled, memoised relation must match."""
     phi, n, d, k = ctx.phi, ctx.n, ctx.d, ctx.k
     amb = frozenset(M.universe()) if ambient is None else frozenset(ambient)
     N_dom = frozenset(N_dom)
@@ -670,10 +682,13 @@ def _prec_K_inside_M(M, N_dom, ctx, ambient=None, check_good=True):
     objs_amb = list(M.tuples(phi.r, domain=amb))
     objs_N = list(M.tuples(phi.r, domain=N_dom))
     psi = phi.swapped()
-    in_amb = SatTable(M, psi, amb)
-    cols_amb = in_amb.rows(A_match, objs_amb)
-    cols_N = in_amb.rows(A_match, objs_N)
-    cond1 = cols_N == SatTable(M, psi, N_dom).rows(A_match, objs_N)
+
+    def columns(objs, dom):
+        return [sum(1 << i for i, a in enumerate(objs) if psi.holds(M, b, a, domain=dom))
+                for b in A_match]
+    cols_amb = columns(objs_amb, amb)
+    cols_N = columns(objs_N, amb)
+    cond1 = cols_N == columns(objs_N, N_dom)
     cond2 = True
     limit = search_budget()
     multisets = itertools.combinations_with_replacement(range(len(A_match)), k)
@@ -689,8 +704,14 @@ def _prec_K_inside_M(M, N_dom, ctx, ambient=None, check_good=True):
         if sat_amb and not sat_N:
             cond2 = False
             break
+    sub, back = induced(M, amb)
+    index = {e: i for i, e in enumerate(back)}
+
+    def rel(ts):
+        return [tuple(index[e] for e in t) for t in ts]
     cond3 = fmlab.classify._average_witnesses(
-        M, ctx, amb, objs_N, cols_N, objs_amb, cols_amb)[0]
+        sub, ClassContext(phi, n, d, k, tuple(rel(ctx.A)), ctx.kappa_K, ctx.lambda_K),
+        rel(objs_N), cols_N, rel(objs_amb), cols_amb)[0]
     conds = (cond1, cond2, cond3)
     failing = next((i for i, c in enumerate(conds, start=1) if c is False), None)
     if failing is not None:

@@ -261,6 +261,25 @@ def test_bound_without_target_length_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: --fn fstar needs --k\n"
 
 
+def test_estimates_without_target_length_is_usage_error(capsys):
+    # this once died with a TypeError traceback inside the estimate
+    code = main(["indisc", "bounds", "--fn", "estimates", "--case", "2",
+                 "--p-or-n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --fn estimates needs --k\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trend_with_fewer_than_one_trial_is_usage_error(capsys, trials):
+    code = main(["experiment", "thmg1", "--k-list", "2", "--trials", trials])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: trials must be >= 1\n"
+
+
 @pytest.mark.parametrize("command", [
     ["classify", "kappa"], ["classify", "good"], ["classify", "average"],
     ["classify", "prec"], ["classify", "amalgam"], ["classify", "symmetry"],

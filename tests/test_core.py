@@ -1,5 +1,6 @@
 """Evaluation, satisfaction tables, types, and realized-type counting."""
 
+import inspect
 import itertools
 import types
 
@@ -15,11 +16,12 @@ from fmlab import (EvaluationError, FmlabError, PartitionedFormula,
                    verify_weak_order)
 from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
                         SatTable, _compile, _sat_rows)
+from fmlab.classify import _induced
 from fmlab.formats import parse_formula
 from fmlab.util import SplitMix64
 
-from conftest import (EDGE, GRAPH_SIG, all_graphs, complete_graph, empty_graph,
-                      graph, outcome, path_graph, seeded_graph)
+from conftest import (EDGE, GRAPH_SIG, all_graphs, complete_graph, digraph,
+                      empty_graph, graph, outcome, path_graph, seeded_graph)
 
 
 def test_atomic_lookup_on_triangle():
@@ -241,20 +243,20 @@ def _random_structure(rng):
     return Structure(MIXED_SIG, n, rels)
 
 
-def _random_formula(rng, scope, depth):
+def _random_formula(rng, scope, depth, sig=MIXED_SIG):
     if depth == 0 or rng.below(4) == 0:
-        name, ar = MIXED_SIG.relations[rng.below(len(MIXED_SIG.relations))]
+        name, ar = sig.relations[rng.below(len(sig.relations))]
         return Atom(name, tuple(scope[rng.below(len(scope))] for _ in range(ar)))
     pick = rng.below(7)
     if pick == 0:
-        return Not(_random_formula(rng, scope, depth - 1))
+        return Not(_random_formula(rng, scope, depth - 1, sig))
     if pick <= 4:
         op = (And, Or, Implies, Iff)[pick - 1]
-        return op(_random_formula(rng, scope, depth - 1),
-                  _random_formula(rng, scope, depth - 1))
+        return op(_random_formula(rng, scope, depth - 1, sig),
+                  _random_formula(rng, scope, depth - 1, sig))
     var = f"z{depth}"  # fresh per nesting depth, so no quantifier shadows another
     quant = Exists if pick == 5 else Forall
-    return quant(var, _random_formula(rng, scope + [var], depth - 1))
+    return quant(var, _random_formula(rng, scope + [var], depth - 1, sig))
 
 
 def test_sat_table_agrees_with_evaluate():
@@ -266,17 +268,16 @@ def test_sat_table_agrees_with_evaluate():
         ov = tuple(f"x{i}" for i in range(r))
         pv = tuple(f"y{i}" for i in range(s))
         phi = PartitionedFormula(_random_formula(rng, list(ov + pv), 4), ov, pv)
-        domain = None
+        part = None  # objects and parameters from part of the universe
         if rng.bit():
-            domain = frozenset(e for e in M.universe() if rng.bit()) or frozenset({0})
+            part = frozenset(e for e in M.universe() if rng.bit()) or frozenset({0})
         for f in (phi, phi.swapped()):
-            objs = list(M.tuples(f.r, domain=domain))
-            pars = list(M.tuples(f.s, domain=domain))
+            objs = list(M.tuples(f.r, domain=part))
+            pars = list(M.tuples(f.s, domain=part))
             expected = [[evaluate(M, f.ast, {**dict(zip(f.object_vars, a)),
-                                             **dict(zip(f.param_vars, b))},
-                                  domain=domain)
+                                             **dict(zip(f.param_vars, b))})
                          for b in pars] for a in objs]
-            table = SatTable(M, f, domain)
+            table = SatTable(M, f)
             rows = table.rows(objs, pars)
             for i, a in enumerate(objs):
                 for j, b in enumerate(pars):
@@ -345,8 +346,8 @@ REBINDING = [
 def test_compiled_sat_table_agrees_with_evaluate_on_values_and_errors():
     # values, and the message of the first error, match the reference
     # interpreter cell by cell, for rows and for memoised holds, on
-    # out-of-range blocks, out-of-range domains, re-bound variables, unbound
-    # variables, atom arity mismatches and unknown relations
+    # out-of-range blocks, re-bound variables, unbound variables, atom
+    # arity mismatches and unknown relations
     rng = SplitMix64(20261019)
     cases = [(ast, ("x0",), ("y0",)) for ast in REBINDING]
     for _ in range(120):
@@ -358,20 +359,18 @@ def test_compiled_sat_table_agrees_with_evaluate_on_values_and_errors():
     for ast, ov, pv in cases:
         M = _random_structure(rng)
         n = M.universe_size
-        domain = (None, frozenset(), frozenset(e for e in M.universe() if rng.bit()),
-                  frozenset(e for e in M.universe() if rng.bit()) | {n})[rng.below(4)]
         vals = list(M.universe()) + [n, -1]
         for f in (_partitioned(ast, ov, pv), _partitioned(ast, pv, ov)):
             objs = list(itertools.product(vals, repeat=f.r))
             pars = list(itertools.product(vals, repeat=f.s))
             if rng.bit():
                 objs = [a for a in objs if all(0 <= v < n for v in a)]
-            table = SatTable(M, f, domain)
+            table = SatTable(M, f)
             for a in objs:
                 for b in pars:
                     want = outcome(lambda: evaluate(
                         M, f.ast, {**dict(zip(f.object_vars, a)),
-                                   **dict(zip(f.param_vars, b))}, domain=domain))
+                                   **dict(zip(f.param_vars, b))}))
                     assert outcome(lambda: table.holds(a, b)) == want, (ast, a, b)
                     assert outcome(lambda: table.holds(a, b)) == want, (ast, a, b)
 
@@ -380,19 +379,20 @@ def test_compiled_sat_table_agrees_with_evaluate_on_values_and_errors():
                 for a in objs:
                     v = 0
                     for j, b in enumerate(pars):
-                        if f.holds(M, a, b, domain=domain):
+                        if f.holds(M, a, b):
                             v |= 1 << j
                     out.append(v)
                 return out
-            assert outcome(lambda: SatTable(M, f, domain).rows(objs, pars)) == \
+            assert outcome(lambda: SatTable(M, f).rows(objs, pars)) == \
                 outcome(reference_rows), ast
             for a, b in (((0,) * (f.r + 1), (0,) * f.s), ((0,) * f.r, (0,) * (f.s + 1))):
                 assert outcome(lambda: table.holds(a, b)) == \
-                    outcome(lambda: f.holds(M, a, b, domain=domain))
+                    outcome(lambda: f.holds(M, a, b))
 
 
-def _cell_rows(M, f, domain, objs, pars):
-    """Satisfaction rows cell by cell through the reference `f.holds`."""
+def _cell_rows(M, f, objs, pars, domain=None):
+    """Satisfaction rows cell by cell through the reference `f.holds`, with
+    quantifiers over `domain` (the whole universe when None)."""
     out = []
     for a in objs:
         v = 0
@@ -438,8 +438,8 @@ def _shuffled(rng, items):
 def test_bit_parallel_rows_match_a_per_cell_loop():
     # rows from the vector compiler equal a per-cell `holds` loop on whole,
     # shuffled, partial and repeated object and parameter lists, s = 1 and
-    # s = 2, whole, empty and proper-subset domains; one value outside the
-    # universe sends rows to the per-cell path, with the same first error
+    # s = 2; one value outside the universe sends rows to the per-cell path,
+    # with the same first error
     rng = SplitMix64(20261021)
     for case in range(240):
         M = _random_structure(rng)
@@ -451,11 +451,7 @@ def test_bit_parallel_rows_match_a_per_cell_loop():
         ast = (fixed[case // 2 % len(fixed)] if case % 2 else
                _random_formula(rng, list(ov + pv), 3))
         f = PartitionedFormula(ast, ov, pv)
-        proper = set(M.universe()) - {rng.below(n)}
-        domain = (None, frozenset(),
-                  frozenset(e for e in proper if rng.bit()))[case % 3]
-        key = None if domain is None else tuple(sorted(domain))
-        assert _compile(M, f, key, r + s - 1) is not None, ast
+        assert _compile(M, f, r + s - 1) is not None, ast
         objs, pars = list(M.tuples(r)), list(M.tuples(s))
         cases = [(objs, pars), (_shuffled(rng, objs), _shuffled(rng, pars)),
                  ([a for a in objs if rng.bit()], [b for b in pars if rng.bit()]),
@@ -463,25 +459,22 @@ def test_bit_parallel_rows_match_a_per_cell_loop():
         for objs_i, pars_i in cases:
             _sat_rows.cache_clear()
             calls = sum(_compile.cache_info()[:2])
-            assert SatTable(M, f, domain).rows(objs_i, pars_i) == \
-                _cell_rows(M, f, domain, objs_i, pars_i), (ast, objs_i, pars_i)
+            assert SatTable(M, f).rows(objs_i, pars_i) == \
+                _cell_rows(M, f, objs_i, pars_i), (ast, objs_i, pars_i)
             # one compile: the vector one, no scalar fallback
             assert sum(_compile.cache_info()[:2]) == calls + 1
-        # one value outside the universe: in an object, a parameter or the domain
+        # one value outside the universe: in an object or a parameter
         bad = (n, -1)[rng.bit()]
-        where = rng.below(3)
-        objs_b, pars_b, domain_b = list(objs), _shuffled(rng, pars), domain
-        if where == 0:
+        objs_b, pars_b = list(objs), _shuffled(rng, pars)
+        if rng.bit():
             i = rng.below(len(objs_b))
             objs_b[i] = objs_b[i][:-1] + (bad,)
-        elif where == 1:
+        else:
             j = rng.below(len(pars_b))
             pars_b[j] = (bad,) + pars_b[j][1:]
-        else:
-            domain_b = frozenset(domain or ()) | {bad}
         calls = sum(_compile.cache_info()[:2])
-        assert outcome(lambda: SatTable(M, f, domain_b).rows(objs_b, pars_b)) == \
-            outcome(lambda: _cell_rows(M, f, domain_b, objs_b, pars_b)), ast
+        assert outcome(lambda: SatTable(M, f).rows(objs_b, pars_b)) == \
+            outcome(lambda: _cell_rows(M, f, objs_b, pars_b)), ast
         # one compile: the scalar fallback, never the vector one
         assert sum(_compile.cache_info()[:2]) == calls + 1
 
@@ -509,15 +502,14 @@ def test_rows_over_any_free_variable_match_a_per_cell_loop():
                 Or(Atom("P", (v,)), Exists("z0", Forall(v, Atom("R", ("z0", v))))),
                 )[case // 4 % 3] if rebind else _random_formula(rng, list(names), 3))
         f = PartitionedFormula(ast, ov, pv)
-        domain = (None, frozenset(), frozenset(e for e in M.universe() if rng.bit()))[case % 3]
-        row = _compile(M, f, None if domain is None else tuple(sorted(domain)), at)
+        row = _compile(M, f, at)
         assert row is not None, ast
         for rest in itertools.product(M.universe(), repeat=r + s - 1):
             cut = rng.below(len(rest) + 1)
             want = 0
             for u in M.universe():
                 vals = rest[:at] + (u,) + rest[at:]
-                if f.holds(M, vals[:r], vals[r:], domain=domain):
+                if f.holds(M, vals[:r], vals[r:]):
                     want |= 1 << u
             assert row(rest[:cut], rest[cut:]) == want, (ast, at, rest)
         seen.update({("vector", "object" if at < r else "parameter"), ("s", s),
@@ -536,17 +528,18 @@ def test_memoised_rows_equal_a_fresh_computation():
         ov = tuple(f"x{i}" for i in range(r))
         pv = tuple(f"y{i}" for i in range(s))
         phi = PartitionedFormula(_random_formula(rng, list(ov + pv), 3), ov, pv)
-        domain = None
+        part = None  # objects from part of the universe
         if rng.bit():
-            domain = [e for e in M.universe() if rng.bit()]
-        objs = list(M.tuples(phi.r, domain=domain))
+            part = [e for e in M.universe() if rng.bit()]
+        objs = list(M.tuples(phi.r, domain=part))
         pars = list(M.tuples(phi.s))
-        first = SatTable(M, phi, domain).rows(objs, pars)
+        first = SatTable(M, phi).rows(objs, pars)
         hits = _sat_rows.cache_info().hits
-        again = SatTable(M, phi, None if domain is None else domain[::-1]).rows(objs, pars)
+        # equal lists, built afresh, hit the memo by value
+        again = SatTable(M, phi).rows(list(M.tuples(phi.r, domain=part)), list(pars))
         assert _sat_rows.cache_info().hits == hits + 1
         _sat_rows.cache_clear()
-        assert again == first == SatTable(M, phi, domain).rows(objs, pars)
+        assert again == first == SatTable(M, phi).rows(objs, pars)
 
 
 def test_equal_structures_share_one_memo_entry_and_a_hit_does_not_compile():
@@ -562,7 +555,7 @@ def test_equal_structures_share_one_memo_entry_and_a_hit_does_not_compile():
     # the first call compiled the row function once; the hit compiled nothing
     compiled = _compile.cache_info()
     assert (compiled.hits, compiled.misses, compiled.currsize) == (0, 1, 1)
-    # a row miss on the same (structure, formula, domain) reuses the compiled
+    # a row miss on the same (structure, formula) reuses the compiled
     # rows and compiles no scalar cells
     assert table.rows(objs[:2], pars) == first[:2]
     assert _sat_rows.cache_info().misses == 2
@@ -587,6 +580,97 @@ def test_memoised_rows_keep_no_error_and_no_caller_edit():
     rows.append(5)
     assert table.rows(objs, objs) == want
     assert _sat_rows.cache_info().hits == 1
+
+
+# formulas that quantify, over R alone, so every signature here has them:
+# (ast, object block, parameter block); the sentences and the formula with
+# no parameter block read a different value on each kind of domain
+QUANTIFIED = [
+    (Exists("z0", And(Atom("R", ("x0", "z0")), Atom("R", ("z0", "y0")))),
+     ("x0",), ("y0",)),
+    (Forall("z0", Implies(Atom("R", ("z0", "x0")), Atom("R", ("z0", "y0")))),
+     ("x0",), ("y0",)),
+    (And(Forall("z0", Or(Atom("R", ("z0", "z0")), Atom("R", ("x0", "z0")))),
+         Not(Atom("R", ("y1", "x0")))), ("x0",), ("y0", "y1")),
+    (Exists("z0", Forall("z1", Iff(Atom("R", ("z0", "z1")), Atom("R", ("x0", "z1"))))),
+     ("x0",), ()),
+    (Forall("z0", Exists("z1", Atom("R", ("z0", "z1")))), (), ()),
+    (Exists("z0", Not(Atom("R", ("z0", "z0")))), (), ()),
+]
+
+
+def test_inducing_a_submodel_gives_what_restricting_quantifiers_gives():
+    # SatTable rows on the substructure classify._induced builds on D, with
+    # objects and parameters relabelled by their rank in sorted(D), equal a
+    # per-cell reference `holds` on M with quantifiers over D: graphs,
+    # digraphs with loops and the P/R/T signature; empty, singleton, proper
+    # and whole domains; fixed formulas that quantify, and random ones;
+    # objects and parameters drawn inside D
+    rng = SplitMix64(20261023)
+    seen = set()
+    for case in range(288):
+        kind = ("graph", "digraph", "mixed")[case % 3]
+        n = 2 + rng.below(5)
+        if kind == "graph":
+            M = graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.bit()])
+        elif kind == "digraph":
+            M = digraph(n, [(i, j) for i in range(n) for j in range(n) if rng.bit()])
+        else:
+            M = _random_structure(rng)
+            n = M.universe_size
+        shape = ("empty", "singleton", "proper", "whole")[case // 3 % 4]
+        if shape == "empty":
+            D = frozenset()
+        elif shape == "singleton":
+            D = frozenset({rng.below(n)})
+        elif shape == "proper":
+            drop = rng.below(n)
+            D = frozenset(e for e in M.universe() if e != drop and rng.below(4))
+        else:
+            D = frozenset(M.universe())
+        fixed = case // 12 % 2 == 0
+        if fixed:
+            ast, ov, pv = QUANTIFIED[rng.below(len(QUANTIFIED))]
+        else:
+            r = 1 + rng.below(2)
+            ov = tuple(f"x{i}" for i in range(r))
+            pv = tuple(f"y{i}" for i in range(rng.below(3 - r)))
+            ast = _random_formula(rng, list(ov + pv), 3, M.signature)
+        f = PartitionedFormula(ast, ov, pv)
+        objs = [a for a in M.tuples(f.r, domain=D) if rng.below(4)]
+        pars = _shuffled(rng, M.tuples(f.s, domain=D))
+        rank = {e: i for i, e in enumerate(sorted(D))}
+
+        def relabel(ts):
+            return [tuple(rank[e] for e in t) for t in ts]
+        sub = _induced(M, D)[0]
+        assert SatTable(sub, f).rows(relabel(objs), relabel(pars)) == \
+            _cell_rows(M, f, objs, pars, domain=D), (M, sorted(D), f.text())
+        seen.update({kind, ("fixed", fixed), ("s", f.s),
+                     "empty" if not D else "whole" if len(D) == n else
+                     "singleton" if len(D) == 1 else "proper"})
+    assert seen == {"graph", "digraph", "mixed", ("fixed", True), ("fixed", False),
+                    ("s", 0), ("s", 1), ("s", 2),
+                    "empty", "singleton", "proper", "whole"}
+
+
+def test_only_the_reference_paths_restrict_quantifiers():
+    # a submodel is handed to the searches, tables and types as the induced
+    # structure; quantifiers range over a subset only in the reference
+    # interpreter, which the tests compare against, and tuples are drawn
+    # from one only by the enumerator
+    from fmlab import classify, core, detect, indisc
+    no_domain = [core.SatTable, core._compile, core._sat_rows, core.tp,
+                 indisc.TypeOracle, classify.kappa, classify._average_witnesses,
+                 detect.find_k_independence, detect.find_n_order,
+                 detect.find_weak_m_order, detect.find_cover_violation]
+    for fn in no_domain:
+        assert "domain" not in inspect.signature(fn).parameters, fn
+    for fn in (core.evaluate, core.PartitionedFormula.holds, core.Structure.tuples,
+               classify.is_good):
+        assert "domain" in inspect.signature(fn).parameters, fn
+    assert "ambient" in inspect.signature(classify.prec_K).parameters
+    assert "domains" in inspect.signature(classify.make_class_context).parameters
 
 
 def _names(code):

@@ -20,7 +20,7 @@ from fmlab.detect import first_shattered
 from fmlab.util import TooLargeError
 
 from conftest import (EDGE, LESS, all_graphs, complete_graph, cycle_graph,
-                      digraph, empty_graph, graph, linear_order, path_graph,
+                      digraph, empty_graph, graph, induced, linear_order, path_graph,
                       seeded_digraph, seeded_graph, star_graph)
 
 
@@ -296,7 +296,8 @@ def _seeded_order(n, seed):
 def test_cover_search_matches_the_enumeration(monkeypatch):
     # witness, None and BudgetExceeded.nodes agree exactly with the unpruned
     # enumeration, across structures, formulas, d, n_max, parameter lists
-    # (none, with repeats, empty), domains and budgets
+    # (none, with repeats, empty), domains and budgets; on a domain the
+    # search runs on the induced structure, and its witness is mapped back
     rng = SplitMix64(20261018)
     makers = (seeded_graph, seeded_digraph, _seeded_order)
     formulas = (EDGE, EDGE.negated(), DIST2, SEES_NOT)
@@ -310,10 +311,10 @@ def test_cover_search_matches_the_enumeration(monkeypatch):
         domain = None
         if rng.bit():
             domain = frozenset(e for e in range(n) if rng.bit())
-        every = sorted(M.tuples(phi.s))
+        every = sorted(M.tuples(phi.s, domain=domain))
         pick = rng.below(3)
         if pick == 0:
-            params, pars = None, sorted(M.tuples(phi.s, domain=domain))
+            params, pars = None, every
         elif pick == 1 and every:
             params = [every[rng.below(len(every))]
                       for _ in range(rng.below(2 * len(every) + 1))]
@@ -321,10 +322,17 @@ def test_cover_search_matches_the_enumeration(monkeypatch):
             pars = sorted(set(params))
         else:
             params, pars = [], []
+        sub, back = induced(M, domain)
+        index = {e: i for i, e in enumerate(back)}
+        sub_params = None if params is None else [
+            tuple(index[e] for e in b) for b in params]
         for limit in (1, 3, 10, 40, 200):
             monkeypatch.setenv("FMLAB_BUDGET", str(limit))
             want = _cover_by_enumeration(M, phi, d, n_max, pars, domain, limit)
-            got = find_cover_violation(M, phi, d, n_max, params=params, domain=domain)
+            got = find_cover_violation(sub, phi, d, n_max, params=sub_params)
+            if isinstance(got, CoverViolation):
+                got = CoverViolation(got.n, tuple(tuple(back[i] for i in b)
+                                                  for b in got.b))
             assert got == want, (case, limit)
             seen["witness" if isinstance(want, CoverViolation) else
                  "budget" if isinstance(want, BudgetExceeded) else "none"] += 1

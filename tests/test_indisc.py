@@ -231,6 +231,16 @@ def test_estimate_cases():
     assert got2["bound"] == beth(2, got2["inner"])
 
 
+def test_estimate_case_four_refuses_out_of_range_parameters():
+    # a negative t once gave a fractional inner value, and a negative n an
+    # inner value of (3ns)^(t+1) with the sign of n
+    for n, s, t in ((0, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 1, -2)):
+        with pytest.raises(PreconditionError,
+                           match="^case 4 needs n >= 1, s >= 0 and t >= 0$"):
+            extraction_length_estimates(4, 1, 1, n, s, t)
+    assert extraction_length_estimates(4, 1, 1, 1, 0, 0)["inner"] == 2
+
+
 def test_growth_variants():
     assert WorstCaseGrowth(2).value(3) == 2 ** 9
     assert PolynomialGrowth(3).value(2) == 8

@@ -174,6 +174,15 @@ def test_trend_guard():
         independence_trend([12], 10, 0)
 
 
+def test_trend_refuses_fewer_than_one_trial():
+    # zero trials once divided by zero, and a negative count reported an
+    # estimate of -0.0 from no trial at all
+    for trials in (0, -3):
+        with pytest.raises(PreconditionError, match="^trials must be >= 1$"):
+            independence_trend([2], trials, 0)
+    assert independence_trend([2], 1, 0)[0]["trials"] == 1
+
+
 # ---------------------------------------------------------------------------
 # r-graphs and their bounds
 # ---------------------------------------------------------------------------
