@@ -81,13 +81,7 @@ def delta_star(delta: Iterable[PartitionedFormula], n: int) -> DeltaStar:
 
 @functools.lru_cache(maxsize=_DELTA_STAR_CACHE)
 def _delta_star(delta: tuple[PartitionedFormula, ...], n: int) -> DeltaStar:
-    out: dict[tuple, PartitionedFormula] = {}
-
-    def add(pf: PartitionedFormula):
-        key = (formula_text(pf.ast), pf.object_vars, pf.param_vars)
-        if key not in out:
-            out[key] = pf
-
+    out: dict[PartitionedFormula, None] = {}  # first-seen order
     for phi in delta:
         r, s = phi.r, phi.s
         used = {int(m.group(2)) for v in bound_vars(phi.ast)
@@ -112,10 +106,9 @@ def _delta_star(delta: tuple[PartitionedFormula, ...], n: int) -> DeltaStar:
                 closure = body
                 for v in reversed(zblock):
                     closure = Exists(v, closure)
-                for g in subformulas(closure):
-                    add(_canonical(g))
+                out.update(dict.fromkeys(map(_canonical, subformulas(closure))))
 
-    formulas = tuple(sorted(out.values(), key=lambda f: (f.r, f.s, formula_text(f.ast))))
+    formulas = tuple(sorted(out, key=lambda f: (f.r, f.s, formula_text(f.ast))))
     return DeltaStar(delta, n, formulas)
 
 

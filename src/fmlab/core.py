@@ -788,15 +788,7 @@ def realized_types(delta: Sequence[PartitionedFormula], A: Iterable[tuple[int, .
 
 def closed_under_negation(delta: Sequence[PartitionedFormula]) -> list[PartitionedFormula]:
     """Normalize a formula set so each member appears with its negation."""
-    out: list[PartitionedFormula] = []
-    seen = set()
-    for f in delta:
-        for g in (f, f.negated()):
-            key = (formula_text(g.ast), g.object_vars, g.param_vars)
-            if key not in seen:
-                seen.add(key)
-                out.append(g)
-    return out
+    return list(dict.fromkeys(g for f in delta for g in (f, f.negated())))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,22 @@ def _leq_power(lhs: int, factor: int, base: int, exponent: int) -> bool:
     return e_needed <= exponent and v >= need
 
 
+def _bound_report(wit, lhs: int, factor: int, base: int, exponent: int,
+                  params: dict) -> BoundReport:
+    """The report on lhs <= factor * base**exponent, given the hypothesis
+    search's result `wit` (None: the hypothesis holds)."""
+    note = "" if wit is None else "hypothesis fails"
+    if isinstance(wit, BudgetExceeded):
+        note = "hypothesis check exhausted its budget"
+    rhs: Optional[int] = None
+    if exponent * max(base.bit_length(), 1) <= _MATERIALIZE_BITS:
+        rhs = factor * base ** exponent
+    return BoundReport(lhs=lhs, rhs=rhs, rhs_factor=factor, rhs_base=base,
+                       rhs_exponent=exponent, params=params,
+                       holds=_leq_power(lhs, factor, base, exponent),
+                       hypothesis_ok=wit is None, note=note)
+
+
 def verify_order_bound(M: Structure, phi: PartitionedFormula,
                        A: Iterable[tuple[int, ...]], n: int) -> BoundReport:
     """Check |S_phi(A,M)| <= 2n * |A|^(2^((3ns)^(t+1))) under the no-order hypothesis.
@@ -102,26 +118,11 @@ def verify_order_bound(M: Structure, phi: PartitionedFormula,
         raise PreconditionError("requires |A| >= 2")
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    s, t = phi.s, phi.t
-    k = 2 ** ((3 * n * s) ** (t + 1))
-    factor = 2 * n
-    base = len(A)
+    k = no_order_exponent(n, phi.s, phi.t)
     lhs = count_phi_types(M, phi, A)
-    rho = build_rho(phi)
-    wit = find_n_order(M, rho, n)
-    hypothesis_ok = wit is None
-    note = "" if hypothesis_ok else "hypothesis fails"
-    if isinstance(wit, BudgetExceeded):
-        hypothesis_ok = False
-        note = "hypothesis check exhausted its budget"
-    rhs: Optional[int] = None
-    if k * max(base.bit_length(), 1) <= _MATERIALIZE_BITS:
-        rhs = factor * base ** k
-    holds = _leq_power(lhs, factor, base, k)
-    return BoundReport(lhs=lhs, rhs=rhs, rhs_factor=factor, rhs_base=base,
-                       rhs_exponent=k,
-                       params={"n": n, "r": phi.r, "s": s, "t": t, "|A|": len(A)},
-                       holds=holds, hypothesis_ok=hypothesis_ok, note=note)
+    wit = find_n_order(M, build_rho(phi), n)
+    return _bound_report(wit, lhs, 2 * n, len(A), k,
+                         {"n": n, "r": phi.r, "s": phi.s, "t": phi.t, "|A|": len(A)})
 
 
 def verify_independence_bound(M: Structure, phi: PartitionedFormula,
@@ -133,22 +134,9 @@ def verify_independence_bound(M: Structure, phi: PartitionedFormula,
     if k < 1:
         raise PreconditionError("k must be >= 1")
     wit = find_k_independence(M, phi, k)
-    hypothesis_ok = wit is None
-    note = "" if hypothesis_ok else "hypothesis fails"
-    if isinstance(wit, BudgetExceeded):
-        hypothesis_ok = False
-        note = "hypothesis check exhausted its budget"
-    base = len(A)
-    exponent = phi.s * (k - 1)
     lhs = count_phi_types(M, phi, A)
-    rhs: Optional[int] = None
-    if exponent * max(base.bit_length(), 1) <= _MATERIALIZE_BITS:
-        rhs = base ** exponent
-    holds = _leq_power(lhs, 1, base, exponent) if exponent > 0 else lhs <= 1
-    return BoundReport(lhs=lhs, rhs=rhs, rhs_factor=1, rhs_base=base,
-                       rhs_exponent=exponent,
-                       params={"k": k, "r": phi.r, "s": phi.s, "t": phi.t, "|A|": len(A)},
-                       holds=holds, hypothesis_ok=hypothesis_ok, note=note)
+    return _bound_report(wit, lhs, 1, len(A), phi.s * (k - 1),
+                         {"k": k, "r": phi.r, "s": phi.s, "t": phi.t, "|A|": len(A)})
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ class FormulaSource:
 # ---------------------------------------------------------------------------
 
 _TUPLE_RE = re.compile(r"\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)")
+# the longest prefix of whitespace and tuples; a body is valid iff it is all
+_TUPLES_RE = re.compile(r"\s*(?:" + _TUPLE_RE.pattern + r"\s*)*")
 
 
 def _strip_comment(line: str) -> str:
@@ -74,25 +76,21 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_tuples(body: str, lineno: int, col0: int) -> list[tuple[int, ...]]:
-    out = []
-    pos = 0
-    while pos < len(body):
-        if body[pos].isspace():
-            pos += 1
-            continue
-        m = _TUPLE_RE.match(body, pos)
-        if not m:
-            raise ParseError("expected a tuple like (0,1)", lineno, col0 + pos + 1)
-        out.append(tuple(int(x) for x in m.group(1).split(",")))
-        pos = m.end()
-    return out
+    end = _TUPLES_RE.match(body).end()
+    if end < len(body):
+        raise ParseError("expected a tuple like (0,1)", lineno, col0 + end + 1)
+    try:
+        return [tuple(map(int, t.split(","))) for t in _TUPLE_RE.findall(body)]
+    except ValueError:  # an element with more digits than int() converts
+        raise ParseError("element out of range", lineno, col0 + 1)
 
 
 def parse_structure(text: str) -> StructureDocument:
     signature: Optional[Signature] = None
     universe: Optional[int] = None
-    relations: dict[str, list[tuple[int, ...]]] = {}
-    sets: dict[str, list[tuple[int, ...]]] = {}
+    # relations and sets keep each tuple once, as a key in first-seen order
+    relations: dict[str, dict[tuple[int, ...], None]] = {}
+    sets: dict[str, dict[tuple[int, ...], None]] = {}
     seqs: dict[str, list[tuple[int, ...]]] = {}
     submodels: dict[str, tuple[int, ...]] = {}
     warnings: list[str] = []
@@ -110,6 +108,9 @@ def parse_structure(text: str) -> StructureDocument:
         keyword, *rest = parts
         col0 = len(head) + 1
 
+        if (keyword == "signature" and signature is not None
+                or keyword == "universe" and universe is not None):
+            raise ParseError(f"repeated {keyword} line", lineno, 1)
         if keyword == "signature":
             decls = []
             for part in body.split():
@@ -135,66 +136,47 @@ def parse_structure(text: str) -> StructureDocument:
                 raise ParseError("universe must be an integer", lineno, col0 + 1)
             if universe < 0:
                 raise ParseError("universe must be a natural number", lineno, col0 + 1)
-        elif keyword == "relation":
-            if signature is None:
+        elif keyword in ("relation", "set", "seq", "submodel"):
+            if keyword == "relation" and signature is None:
                 raise ParseError("missing signature", lineno, 1)
-            if universe is None:
-                raise ParseError("missing universe", lineno, 1)
-            if len(rest) != 1:
-                raise ParseError("relation line needs a name", lineno, 1)
-            name = rest[0]
-            if not signature.has(name):
-                raise ParseError(f"unknown relation: {name}", lineno, 1)
-            ar = signature.arity(name)
-            tuples = _parse_tuples(body, lineno, col0)
-            bucket = relations.setdefault(name, [])
-            for t in tuples:
-                if len(t) != ar:
-                    raise ParseError(f"arity mismatch: {name} expects {ar}-tuples, got {t}",
-                                     lineno, col0 + 1)
-                for e in t:
-                    if not (0 <= e < universe):
-                        raise ParseError(f"element out of range: {e}", lineno, col0 + 1)
-                if t in bucket:
-                    warnings.append(f"{lineno}: duplicate tuple {t} in relation {name}")
-                else:
-                    bucket.append(t)
-        elif keyword in ("set", "seq"):
             if universe is None:
                 raise ParseError("missing universe", lineno, 1)
             if len(rest) != 1:
                 raise ParseError(f"{keyword} line needs a name", lineno, 1)
             name = rest[0]
-            tuples = _parse_tuples(body, lineno, col0)
+            arity = None
+            if keyword == "relation":
+                if not signature.has(name):
+                    raise ParseError(f"unknown relation: {name}", lineno, 1)
+                arity = signature.arity(name)
+            if keyword != "submodel":
+                tuples = _parse_tuples(body, lineno, col0)
+            else:  # vertices, range-checked in sorted order
+                try:
+                    tuples = [(v,) for v in sorted({int(x) for x in body.split()})]
+                except ValueError:
+                    raise ParseError("submodel expects whitespace-separated vertices",
+                                     lineno, col0 + 1)
             for t in tuples:
+                if arity not in (None, len(t)):
+                    raise ParseError(f"arity mismatch: {name} expects {arity}-tuples, got {t}",
+                                     lineno, col0 + 1)
                 for e in t:
                     if not (0 <= e < universe):
                         raise ParseError(f"element out of range: {e}", lineno, col0 + 1)
-            if keyword == "set":
-                bucket = sets.setdefault(name, [])
+            if keyword == "seq":
+                seq = seqs.setdefault(name, [])
+                if len({len(t) for t in seq[:1] + tuples}) > 1:
+                    raise ParseError("sequence entries must share one arity", lineno, col0 + 1)
+                seq.extend(tuples)
+            elif keyword == "submodel":
+                submodels[name] = tuple(t[0] for t in tuples)
+            else:
+                bucket = (relations if keyword == "relation" else sets).setdefault(name, {})
                 for t in tuples:
                     if t in bucket:
-                        warnings.append(f"{lineno}: duplicate tuple {t} in set {name}")
-                    else:
-                        bucket.append(t)
-            else:
-                if tuples and len({len(t) for t in tuples}) != 1:
-                    raise ParseError("sequence entries must share one arity", lineno, col0 + 1)
-                seqs.setdefault(name, []).extend(tuples)
-        elif keyword == "submodel":
-            if universe is None:
-                raise ParseError("missing universe", lineno, 1)
-            if len(rest) != 1:
-                raise ParseError("submodel line needs a name", lineno, 1)
-            name = rest[0]
-            try:
-                verts = tuple(sorted({int(x) for x in body.split()}))
-            except ValueError:
-                raise ParseError("submodel expects whitespace-separated vertices", lineno, col0 + 1)
-            for v in verts:
-                if not (0 <= v < universe):
-                    raise ParseError(f"element out of range: {v}", lineno, col0 + 1)
-            submodels[name] = verts
+                        warnings.append(f"{lineno}: duplicate tuple {t} in {keyword} {name}")
+                    bucket[t] = None
         else:
             raise ParseError(f"unknown section keyword {keyword!r}", lineno, 1)
 
@@ -203,9 +185,8 @@ def parse_structure(text: str) -> StructureDocument:
     if universe is None:
         raise ParseError("missing universe", max(1, text.count("\n") + 1), 1)
 
-    structure = Structure(signature, universe, relations)
     return StructureDocument(
-        structure=structure,
+        structure=Structure(signature, universe, relations),
         sets={n: frozenset(ts) for n, ts in sets.items()},
         seqs={n: TupleSequence.of(ts) if ts else TupleSequence((), 1)
               for n, ts in seqs.items()},
@@ -245,6 +226,9 @@ _TOKEN_RE = re.compile(r"""
   | (?P<op><->|->|[~&|().,;])
   | (?P<assign>:=)
 """, re.VERBOSE)
+
+# connective -> (level, node), loosest first
+_BINARY = {"<->": (0, Iff), "->": (1, Implies), "|": (2, Or), "&": (3, And)}
 
 _OBJ_VAR = re.compile(r"x(\d+)$")
 _PAR_VAR = re.compile(r"y(\d+)$")
@@ -335,38 +319,21 @@ class _FormulaParser:
         return names
 
     def parse(self) -> Formula:
-        f = self.parse_iff()
+        f = self.parse_binary()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.col)
         return f
 
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        while self.peek().value == "<->":
-            self.take("<->")
-            left = Iff(left, self.parse_implies())
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().value == "->":
-            self.take("->")
-            return Implies(left, self.parse_implies())  # right associative
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.peek().value == "|":
-            self.take("|")
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
+    def parse_binary(self, level: int = 0) -> Formula:
+        """Unary formulas joined by the connectives of `_BINARY` at `level` or
+        tighter: a tighter right operand is parsed first, so <->, | and &
+        associate left, and -> takes its own level on the right."""
         left = self.parse_unary()
-        while self.peek().value == "&":
-            self.take("&")
-            left = And(left, self.parse_unary())
+        while (op := self.peek().value) in _BINARY and _BINARY[op][0] >= level:
+            op_level, node = _BINARY[op]
+            self.take(op)
+            left = node(left, self.parse_binary(op_level + (op != "->")))
         return left
 
     def parse_unary(self) -> Formula:
@@ -385,12 +352,12 @@ class _FormulaParser:
                                  var.line, var.col)
             self.take(".")
             self.bound.append(var.value)
-            body = self.parse_iff()  # quantifier takes maximal scope
+            body = self.parse_binary()  # quantifier takes maximal scope
             self.bound.pop()
             return (Exists if tok.value == "exists" else Forall)(var.value, body)
         if tok.value == "(":
             self.take("(")
-            f = self.parse_iff()
+            f = self.parse_binary()
             self.take(")")
             return f
         if tok.kind == "name":

@@ -446,16 +446,17 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
     in vector mode), read at each pool candidate's element. Otherwise, or
     when the formula does not compile to rows, scalar cells run candidate
     by candidate in increasing position, selections then parameters, so
-    the first error raised is that of the first bad cell."""
+    the first error raised is that of the first bad cell. Callers make the
+    blocks fit: phi's object block covers a selection, the candidate and
+    `suffix`, and each parameter has phi's parameter arity."""
     concat = seq.concat
     entries = seq.tuples
     heads: dict[tuple[int, ...], tuple[int, ...]] = {}
     M, phi = table._key
     at = phi.r - 1 - len(suffix)  # the candidate's variable
     row = None
-    if (seq.tuple_arity == 1 and at >= 0 and all(len(b) == phi.s for b in pars)
-            and set(itertools.chain(*entries, suffix, *pars)
-                    ).issubset(range(M.universe_size))):
+    if seq.tuple_arity == 1 and set(itertools.chain(*entries, suffix, *pars)
+                                    ).issubset(range(M.universe_size)):
         row = _compile(M, phi, at)
         elem = [e for e, in entries]
         tails = [suffix + b for b in pars]  # the free values after the candidate's
@@ -468,8 +469,6 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
         return head
 
     def rows_key(sels: list[tuple[int, ...]], pool: int) -> list[int]:
-        if sels and len(sels[0]) != at:
-            return cells_key(sels, pool)  # raises the block-length error
         cands = [c for c in everyone if pool & c[0]]
         cells = []
         for sel in sels:

@@ -100,13 +100,17 @@ def stirling2(n: int, m: int) -> int:
 def coupon_q(n: int, m: int) -> Fraction:
     """Probability that n balls thrown uniformly into m boxes leave none empty.
 
-    Computed by inclusion-exclusion as an exact rational and cross-checked on
-    every call against the Stirling form m! * S(n, m) / m^n.
+    With fewer balls than boxes (n < m) some box stays empty, so 0 is
+    returned at once (S(n, m) = 0 agrees). Otherwise the value is computed by
+    inclusion-exclusion as an exact rational and cross-checked against the
+    Stirling form m! * S(n, m) / m^n.
     """
     if n < 0 or m < 0:
         raise PreconditionError("coupon_q needs naturals")
     if m == 0:
         return Fraction(1) if n == 0 else Fraction(0)
+    if n < m:
+        return Fraction(0)
     total = Fraction(0)
     for i in range(m + 1):
         term = Fraction(m - i, m) ** n

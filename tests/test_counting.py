@@ -6,11 +6,11 @@ from decimal import localcontext
 
 import pytest
 
-from fmlab import (PartitionedFormula, PreconditionError, chained_inequality,
-                   count_phi_types, exponent_dominates, find_k_independence,
-                   find_shattered, no_order_exponent, realized_types,
-                   sauer_bound, verify_independence_bound, verify_order_bound,
-                   verify_shattered)
+from fmlab import (BoundReport, PartitionedFormula, PreconditionError,
+                   chained_inequality, count_phi_types, exponent_dominates,
+                   find_k_independence, find_shattered, no_order_exponent,
+                   realized_types, sauer_bound, verify_independence_bound,
+                   verify_order_bound, verify_shattered)
 from fmlab.core import And, Atom, Exists, Not
 from fmlab.counting import compare_powers
 from fmlab.util import SplitMix64
@@ -131,6 +131,23 @@ def test_independence_bound_flags_failing_hypothesis():
     rep = verify_independence_bound(K3, EDGE, [(0,), (1,)], 1)
     assert not rep.hypothesis_ok
     assert rep.note == "hypothesis fails"
+
+
+def test_bound_reports_note_an_exhausted_hypothesis_budget(monkeypatch):
+    # one search node is too few for either hypothesis search on a 4-cycle,
+    # so both reports flag the hypothesis as unchecked; every other field is
+    # the bound arithmetic, which does not depend on the search
+    monkeypatch.setenv("FMLAB_BUDGET", "1")
+    C4 = cycle_graph(4)
+    note = "hypothesis check exhausted its budget"
+    assert verify_order_bound(C4, EDGE, [(2,), (1,)], 1) == BoundReport(
+        lhs=2, rhs=2 * 2 ** 512, rhs_factor=2, rhs_base=2, rhs_exponent=512,
+        params={"n": 1, "r": 1, "s": 1, "t": 1, "|A|": 2},
+        holds=True, hypothesis_ok=False, note=note)
+    assert verify_independence_bound(C4, EDGE, [(0,), (1,), (2,)], 2) == BoundReport(
+        lhs=2, rhs=3, rhs_factor=1, rhs_base=3, rhs_exponent=1,
+        params={"k": 2, "r": 1, "s": 1, "t": 1, "|A|": 3},
+        holds=True, hypothesis_ok=False, note=note)
 
 
 def test_independence_bound_on_seeded_graphs():

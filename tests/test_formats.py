@@ -157,6 +157,88 @@ def test_parser_never_crashes_on_fuzz():
             pass
 
 
+def _parse_error_at(text):
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    return err.value.message, err.value.line, err.value.col
+
+
+def test_sequence_continued_with_another_arity_is_a_positioned_error():
+    text = P3_TEXT + "seq I: (0) (1)\n# more\nseq I: (0,1)\n"
+    assert _parse_error_at(text) == ("sequence entries must share one arity", 6, 7)
+    # as on one line
+    assert _parse_error_at(P3_TEXT + "seq I: (0) (0,1)\n") == (
+        "sequence entries must share one arity", 4, 7)
+    # an empty line of the sequence fixes no arity
+    doc = parse_structure(P3_TEXT + "seq I:\nseq I: (0,1) (1,2)\n")
+    assert list(doc.seqs["I"]) == [(0, 1), (1, 2)]
+
+
+def test_repeated_universe_is_a_positioned_error():
+    # before any relation line the second universe used to win silently,
+    # leaving the set and the submodel naming elements past it
+    text = "universe: 5\nset A: (4)\nsubmodel M0: 3 4\nuniverse: 3\nsignature: R/2\n"
+    assert _parse_error_at(text) == ("repeated universe line", 4, 1)
+    text = "signature: R/2\nuniverse: 5\nrelation R: (3,4)\n  universe: 5\n"
+    assert _parse_error_at(text) == ("repeated universe line", 4, 1)
+
+
+def test_repeated_signature_is_a_positioned_error():
+    text = "signature: R/2\nuniverse: 2\nrelation R: (0,1)\nsignature: S/1\n"
+    assert _parse_error_at(text) == ("repeated signature line", 4, 1)
+    assert _parse_error_at("signature: R/2\n\nsignature: R/3\nuniverse: 2\n") == (
+        "repeated signature line", 3, 1)
+
+
+def test_element_too_long_to_convert_is_a_positioned_error():
+    text = "signature: R/2\nuniverse: 2\nrelation R: (0,1) (1," + "9" * 5000 + ")\n"
+    message, line, col = _parse_error_at(text)
+    assert message.startswith("element out of range") and (line, col) == (3, 12)
+
+
+def test_parser_never_crashes_on_section_lines():
+    # 1-6 lines drawn from templates of every section kind, half the time
+    # after a valid header, so sections repeat, sequences change arity
+    # between lines, and lines come before what they need; only ParseError
+    # may escape
+    templates = [
+        "signature: R/2 S/1", "signature: S/3", "signature:", "signature: R/0",
+        "signature: R/2 R/1", "signature: R", "universe: 3", "universe: 5",
+        "universe: -1", "universe: x", "relation R: (0,1) (1,0)",
+        "relation R: (0,1) (0,1)", "relation R: (0,1,2)", "relation S: (1) (4)",
+        "relation R: (4,0)", "relation R:", "relation R: (0,1) x", "relation: (0,1)",
+        "relation T: (0)", "set A: (1) (2)", "set A: (1) (1,2)", "set A: (4)",
+        "set A: (0 (1)", "set B:  ( 1 , 2 )  (0,0)", "seq I: (0) (1)", "seq I: (0,1)",
+        "seq I: (0) (0,1)", "seq I:", "seq I: (2) (2) (4)", "submodel M0: 3 4",
+        "submodel M0: 0 1", "submodel M0: a", "submodel M0: 9 -1", "foo: 1", ": x",
+        "no colon", "# comment", "",
+    ]
+    rng = SplitMix64(2020)
+    seen = {"parsed": 0}
+    for _ in range(3000):
+        lines = [templates[rng.below(len(templates))] for _ in range(1 + rng.below(6))]
+        if rng.bit():
+            lines = ["signature: R/2 S/1", "universe: 5"] + lines
+        try:
+            parse_structure("\n".join(lines))
+            seen["parsed"] += 1
+        except ParseError as e:
+            seen[e.message] = seen.get(e.message, 0) + 1
+    assert seen["parsed"] >= 100
+    for message in ("repeated signature line", "repeated universe line",
+                    "sequence entries must share one arity", "expected a tuple like (0,1)"):
+        assert seen.get(message, 0) >= 20, message
+
+
+def test_relation_listed_twice_keeps_one_copy_and_warns_per_repeat():
+    pairs = [(i, j) for i in range(60) for j in range(60) if i != j]
+    body = " ".join(f"({i},{j})" for i, j in pairs)
+    doc = parse_structure(f"signature: R/2\nuniverse: 60\nrelation R: {body}\n"
+                          f"relation R: {body}\n")
+    assert doc.structure.relations["R"] == frozenset(pairs)
+    assert doc.warnings == [f"4: duplicate tuple {t} in relation R" for t in pairs]
+
+
 def test_report_is_deterministic_and_sorted():
     value = {"b": 2, "a": Fraction(1, 3), "c": [3, 1], "d": 0.123456789012345}
     out = emit_report(value)

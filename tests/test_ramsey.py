@@ -49,6 +49,16 @@ def test_coupon_small_values_by_enumeration():
             assert coupon_q(n, m) == brute(n, m)
 
 
+def test_coupon_with_fewer_balls_than_boxes_is_zero_without_summing(monkeypatch):
+    # n < m leaves a box empty: answered before the inclusion-exclusion sum,
+    # whose m + 1 terms made coupon_q(5, 16384) take most of a minute
+    def no_comb(*args):
+        raise AssertionError("the inclusion-exclusion sum ran")
+    monkeypatch.setattr(ramsey, "comb", no_comb)
+    assert coupon_q(5, 16384) == 0
+    assert coupon_q(0, 3) == 0
+
+
 def test_stirling_recurrence_values():
     assert stirling2(0, 0) == 1
     assert stirling2(4, 2) == 7
