@@ -102,9 +102,18 @@ def first_shattered(rows: Sequence[int], k: int, full: int,
     rows[c[p]] for p in w and with its complement for every other p. The
     result pairs c with the least realizer of each cell, keyed by w. One budget
     node is one k-combination; past `limit` nodes the search returns
-    BudgetExceeded (no limit when None). The search runs depth-first over
-    prefixes, and a prefix with an empty cell is dropped together with all its
-    extensions, which still count as nodes.
+    BudgetExceeded(limit + 1) (no limit when None).
+
+    The search runs depth-first over prefixes and drops a prefix by counting
+    (the counting step of the Sauer-Shelah lemma): with `need` members still
+    to choose, each cell of the prefix must split into 2^need nonempty cells,
+    so a prefix with a cell of fewer than 2^need realizers has no shattered
+    extension. At the root this asks `full` for 2^k realizers. A dropped
+    prefix still counts all its extensions as nodes, comb(m - i - 1, need)
+    after row i, so the earliest combination and the budget marker are those
+    of the plain enumeration. At the last level each remaining row is one
+    node, tested against the cells in one loop until a cell lies wholly
+    inside or outside it; only the winning row's cells are built.
 
     The one search behind independence, Sauer-Shelah shattering and the
     r-graph fast paths; the `verify_*` checkers never call it.
@@ -112,28 +121,47 @@ def first_shattered(rows: Sequence[int], k: int, full: int,
     if k < 0:
         raise PreconditionError("k must be >= 0")
     m = len(rows)
+    if full.bit_count() < 1 << k:
+        if limit is not None and comb(m, k) > limit:
+            return BudgetExceeded(limit + 1)
+        return None
+    if k == 0:  # one node, the empty combination, with `full` its one cell
+        if limit is not None and limit < 1:
+            return BudgetExceeded(limit + 1)
+        return (), {frozenset(): (full & -full).bit_length() - 1}
     tried = 0  # combinations passed, in lexicographic order
 
     def extend(start: int, chosen: tuple[int, ...], cells: list[int]):
         # cells[w] for the prefix `chosen`: bit p of w <-> inside rows[chosen[p]]
         nonlocal tried
-        if len(chosen) == k:
-            tried += 1
-            if limit is not None and tried > limit:
-                return BudgetExceeded(tried)
-            return (chosen, cells) if all(cells) else None  # k = 0, empty full
         need = k - len(chosen) - 1
+        if need == 0:
+            end = m if limit is None else min(m, start + limit - tried)
+            for i in range(start, end):
+                row = rows[i]
+                for c in cells:
+                    x = c & row
+                    if not x or x == c:
+                        break
+                else:
+                    return (chosen + (i,), [c & ~row for c in cells]
+                            + [c & row for c in cells])
+            if end < m:
+                return BudgetExceeded(limit + 1)
+            tried += m - start
+            return None
+        least = 1 << need  # realizers each cell of the extended prefix needs
         for i in range(start, m - need):
             row = rows[i]
             split = [c & ~row for c in cells] + [c & row for c in cells]
-            if all(split):
-                got = extend(i + 1, chosen + (i,), split)
-                if got is not None:
-                    return got
-            else:
+            if min(map(int.bit_count, split)) < least:
                 tried += comb(m - i - 1, need)
                 if limit is not None and tried > limit:
                     return BudgetExceeded(limit + 1)
+            else:
+                got = extend(i + 1, chosen + (i,), split)
+                if got is not None:
+                    return got
         return None
 
     got = extend(0, (), [full])

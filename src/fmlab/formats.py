@@ -19,6 +19,9 @@ with atoms `R(v,...)`, connectives `~ & | -> <->` (precedence from tightest:
 quantifiers `exists v.` / `forall v.` taking maximal scope, and parentheses.
 Head variables must be named x0..x{r-1} and y0..y{s-1} in block order; bound
 variables must be z-prefixed.
+
+A universe holds at most `MAX_UNIVERSE` elements and a formula nests at most
+`MAX_FORMULA_DEPTH` levels; past either the parse fails with a ParseError.
 """
 
 from __future__ import annotations
@@ -64,6 +67,11 @@ class FormulaSource:
 # ---------------------------------------------------------------------------
 # .fm structures
 # ---------------------------------------------------------------------------
+
+# The largest universe a `.fm` file may declare: a structure keeps a row per
+# element for each binary relation, so a few-byte file must not ask for
+# gigabytes, and every search here is exhaustive over far smaller universes.
+MAX_UNIVERSE = 1 << 16
 
 _TUPLE_RE = re.compile(r"\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)")
 # the longest prefix of whitespace and tuples; a body is valid iff it is all
@@ -136,6 +144,8 @@ def parse_structure(text: str) -> StructureDocument:
                 raise ParseError("universe must be an integer", lineno, col0 + 1)
             if universe < 0:
                 raise ParseError("universe must be a natural number", lineno, col0 + 1)
+            if universe > MAX_UNIVERSE:
+                raise ParseError(f"universe must be at most {MAX_UNIVERSE}", lineno, col0 + 1)
         elif keyword in ("relation", "set", "seq", "submodel"):
             if keyword == "relation" and signature is None:
                 raise ParseError("missing signature", lineno, 1)
@@ -227,6 +237,13 @@ _TOKEN_RE = re.compile(r"""
   | (?P<assign>:=)
 """, re.VERBOSE)
 
+# Nesting levels a formula may have: each pair of parentheses, connective,
+# `~` and quantifier around its deepest atom counts one. The parser and the
+# formula walkers (`evaluate`, the compiler, hashing, `==`) recurse a few
+# frames per level, and this keeps them well inside Python's default
+# recursion limit of 1,000 frames.
+MAX_FORMULA_DEPTH = 200
+
 # connective -> (level, node), loosest first
 _BINARY = {"<->": (0, Iff), "->": (1, Implies), "|": (2, Or), "&": (3, And)}
 
@@ -275,6 +292,7 @@ class _FormulaParser:
         self.signature = signature
         self.declared: set[str] = set()
         self.bound: list[str] = []
+        self.depth = 0  # nesting levels open around the next token
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -319,30 +337,55 @@ class _FormulaParser:
         return names
 
     def parse(self) -> Formula:
-        f = self.parse_binary()
+        f, _ = self.parse_binary()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.col)
         return f
 
-    def parse_binary(self, level: int = 0) -> Formula:
+    def nest(self, height: int, tok: _Token) -> int:
+        """height + 1: the levels of the construct at `tok` around a formula
+        of `height` levels. A ParseError at `tok` when these and the levels
+        already open pass MAX_FORMULA_DEPTH."""
+        if self.depth + height >= MAX_FORMULA_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels",
+                             tok.line, tok.col)
+        return height + 1
+
+    def enter(self, tok: _Token) -> None:
+        self.nest(0, tok)
+        self.depth += 1
+
+    def parse_binary(self, level: int = 0,
+                     first: Optional[tuple[Formula, int]] = None
+                     ) -> tuple[Formula, int]:
         """Unary formulas joined by the connectives of `_BINARY` at `level` or
-        tighter: a tighter right operand is parsed first, so <->, | and &
-        associate left, and -> takes its own level on the right."""
-        left = self.parse_unary()
+        tighter, with the formula's nesting levels: a tighter right operand is
+        parsed first, so <->, | and & associate left, and -> takes its own
+        level on the right. `first`, when given, is the left operand, already
+        parsed."""
+        left, height = first or self.parse_unary()
         while (op := self.peek().value) in _BINARY and _BINARY[op][0] >= level:
             op_level, node = _BINARY[op]
-            self.take(op)
-            left = node(left, self.parse_binary(op_level + (op != "->")))
-        return left
+            tok = self.take(op)
+            self.enter(tok)
+            right, right_height = self.parse_binary(op_level + (op != "->"))
+            self.depth -= 1
+            # the left operand gains a level it was not parsed inside
+            left, height = node(left, right), self.nest(max(height, right_height), tok)
+        return left, height
 
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.value == "~":
-            self.take("~")
-            return Not(self.parse_unary())
-        if tok.value in ("exists", "forall"):
+    def parse_unary(self) -> tuple[Formula, int]:
+        """A run of `~` and quantifier prefixes, read in one loop, then what
+        they apply to: a parenthesised formula or an atom, and after the last
+        quantifier the rest of the binary formula too (maximal scope)."""
+        prefixes: list[_Token] = []
+        while (tok := self.peek()).value in ("~", "exists", "forall"):
             self.take(tok.value)
+            self.enter(tok)
+            prefixes.append(tok)
+            if tok.value == "~":
+                continue
             var = self.take(kind="name")
             if not _BOUND_VAR.match(var.value):
                 raise ParseError("bound variables must be named z0, z1, ...",
@@ -352,16 +395,28 @@ class _FormulaParser:
                                  var.line, var.col)
             self.take(".")
             self.bound.append(var.value)
-            body = self.parse_binary()  # quantifier takes maximal scope
-            self.bound.pop()
-            return (Exists if tok.value == "exists" else Forall)(var.value, body)
+        f, height = self.parse_primary()
+        for tok in reversed(prefixes):
+            if tok.value == "~":
+                f = Not(f)
+            else:
+                f, height = self.parse_binary(first=(f, height))
+                f = (Exists if tok.value == "exists" else Forall)(self.bound.pop(), f)
+            self.depth -= 1
+            height += 1
+        return f, height
+
+    def parse_primary(self) -> tuple[Formula, int]:
+        tok = self.peek()
         if tok.value == "(":
             self.take("(")
-            f = self.parse_binary()
+            self.enter(tok)
+            f, height = self.parse_binary()
             self.take(")")
-            return f
+            self.depth -= 1
+            return f, height + 1
         if tok.kind == "name":
-            return self.parse_atom()
+            return self.parse_atom(), 0
         raise ParseError(f"unexpected {tok.value!r}" if tok.value else "unexpected end of input",
                          tok.line, tok.col)
 

@@ -453,22 +453,24 @@ def rgraph_lacks_independence(G: RGraph, n: int) -> bool:
     For r >= 3 the all-negative cell is free (a parameter tuple with a repeated
     entry never satisfies the edge relation), so only the 2^n - 1 nonempty
     pattern cells constrain the search; for r = 2 it needs an actual
-    non-neighbor. Verified against the generic search on tiny cases in the
-    test suite.
+    non-neighbor. Verified against the generic search in the test suite.
+
+    Realizers are numbered from the edges: each (r-1)-tuple that lies in
+    some edge gets the next bit, in order of first occurrence. The tuples in
+    no edge and the tuples with a repeated entry (r >= 3) lie in no vertex's
+    mask, so they only ever fill the all-negative cell: one extra realizer
+    stands for all of them when there are any.
     """
     if G.r < 2:
         raise PreconditionError("needs r >= 2")
-    pairs = list(itertools.combinations(range(G.n), G.r - 1))
-    index = {p: i for i, p in enumerate(pairs)}
+    index: dict[tuple[int, ...], int] = {}
     # bit of p in masks[v] iff p together with v is an edge
     masks = [0] * G.n
     for e in G.edges:
         for i, v in enumerate(e):
-            masks[v] |= 1 << index[e[:i] + e[i + 1:]]
-    # for r >= 3 one extra realizer, in no mask, stands for the parameter
-    # tuples with a repeated entry: they only ever fill the all-negative cell
-    extra = 1 if G.r >= 3 else 0
-    return first_shattered(masks, n, (1 << (len(pairs) + extra)) - 1) is None
+            masks[v] |= 1 << index.setdefault(e[:i] + e[i + 1:], len(index))
+    extra = 1 if G.r >= 3 or len(index) < comb(G.n, G.r - 1) else 0
+    return first_shattered(masks, n, (1 << (len(index) + extra)) - 1) is None
 
 
 # ---------------------------------------------------------------------------

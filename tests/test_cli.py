@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 from fmlab.cli import main
+from fmlab.formats import MAX_FORMULA_DEPTH
 
 P3 = """signature: R/2
 universe: 3
@@ -441,3 +442,22 @@ def test_report_value_too_long_to_print_is_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "digits" in captured.err
+
+
+def test_deep_formula_is_a_usage_error_and_the_limit_runs(tmp_path, capsys):
+    s = tmp_path / "p3.fm"
+    s.write_text(P3)
+    f = tmp_path / "deep.fml"
+    f.write_text("phi(x0; y0) := " + "(" * 600 + "R(x0,y0)" + ")" * 600)
+    argv = ["detect", "--structure", str(s), "--formula", str(f),
+            "--property", "independence", "--k", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("parse error: 1:216: formula nested deeper than "
+                            f"{MAX_FORMULA_DEPTH} levels\n")
+    # a chain at the limit nests its syntax tree that deep, and every walker
+    # the search runs (compiler, evaluator, hashing) stays inside the stack
+    f.write_text("phi(x0; y0) := " + " & ".join(["R(x0,y0)"] * (MAX_FORMULA_DEPTH + 1)))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "witness"

@@ -109,6 +109,50 @@ def test_first_shattered_matches_its_definition():
         first_shattered([1], -1, 1)
 
 
+def _cells_of(rows, combo, full):
+    """The 2^len(combo) cells of a combination, each from its definition."""
+    cells = []
+    for w in range(1 << len(combo)):
+        c = full
+        for p, i in enumerate(combo):
+            c &= rows[i] if w >> p & 1 else ~rows[i]
+        cells.append(c)
+    return cells
+
+
+def test_first_shattered_counting_prune_matches_its_definition():
+    # sparse rows and few realizers, so that cells often hold some but fewer
+    # than the 2^need realizers a prefix needs to be extended
+    rng = SplitMix64(20261019)
+    undersized = 0  # draws with a nonempty cell below its bound
+    outcomes = set()
+    for _ in range(300):
+        nrows, nreal, k = rng.below(9), 1 + rng.below(32), 1 + rng.below(5)
+        sparse = (1 << nreal) - 1 if rng.bit() else rng.bits(nreal)
+        rows = [rng.bits(nreal) & (rng.bits(nreal) | sparse) for _ in range(nrows)]
+        full = (1 << nreal) - 1 if rng.bit() else rng.bits(nreal)
+        if rng.bit():  # fewer than 2^k realizers: nothing is shattered
+            full &= (1 << rng.below(1 << k)) - 1
+        undersized += any(
+            0 < c.bit_count() < 1 << (k - j)
+            for j in range(min(k, nrows + 1))
+            for combo in itertools.combinations(range(nrows), j)
+            for c in _cells_of(rows, combo, full))
+        # the nodes the plain enumeration passes; one fewer is the tightest
+        # limit that stops it
+        got = _first_shattered_by_definition(rows, k, full)
+        nodes = (list(itertools.combinations(range(nrows), k)).index(got[0]) + 1
+                 if got else comb(nrows, k))
+        for limit in (None, 0, 1, rng.below(comb(nrows, k) + 2),
+                      max(nodes - 1, 0), nodes):
+            want = _first_shattered_by_definition(rows, k, full, limit)
+            assert first_shattered(rows, k, full, limit) == want, \
+                (rows, k, full, limit)
+            outcomes.add(type(want).__name__)
+    assert undersized > 0
+    assert outcomes == {"tuple", "NoneType", "BudgetExceeded"}
+
+
 def _first_ordered_witness(M, phi, k):
     """The first k-tuple in itertools.product order, each cell answered by its
     least parameter tuple, that verify_independence accepts."""

@@ -8,7 +8,9 @@ import pytest
 from fmlab import (ParseError, coupon_q, emit_report, find_k_independence,
                    parse_formula, parse_structure, serialize_formula,
                    serialize_structure)
-from fmlab.core import And, Iff, Implies, Not, Or
+from fmlab import formats
+from fmlab.core import And, Exists, Forall, Iff, Implies, Not, Or
+from fmlab.formats import MAX_FORMULA_DEPTH, MAX_UNIVERSE
 from fmlab.util import SplitMix64, TooLargeError
 
 from conftest import GRAPH_SIG, complete_graph
@@ -194,6 +196,64 @@ def test_element_too_long_to_convert_is_a_positioned_error():
     text = "signature: R/2\nuniverse: 2\nrelation R: (0,1) (1," + "9" * 5000 + ")\n"
     message, line, col = _parse_error_at(text)
     assert message.startswith("element out of range") and (line, col) == (3, 12)
+
+
+def test_universe_past_the_ceiling_is_refused_before_any_structure(monkeypatch):
+    built = []
+    real = formats.Structure
+    monkeypatch.setattr(formats, "Structure",
+                        lambda *a: built.append(a) or real(*a))
+    text = f"signature: R/2\nuniverse: {MAX_UNIVERSE + 1}\nrelation R: (0,1)\n"
+    assert _parse_error_at(text) == (f"universe must be at most {MAX_UNIVERSE}", 2, 10)
+    assert built == []
+    # the ceiling itself is a universe
+    doc = parse_structure(f"signature: R/2\nuniverse: {MAX_UNIVERSE}\n")
+    assert doc.structure.universe_size == MAX_UNIVERSE and len(built) == 1
+
+
+def _formula_error_at(body):
+    with pytest.raises(ParseError) as err:
+        parse_formula("phi(x0; y0) :=\n" + body, GRAPH_SIG)
+    return err.value.message, err.value.line, err.value.col
+
+
+def test_nesting_past_the_limit_is_a_positioned_error():
+    atom = "R(x0,y0)"
+    deep = f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+    # 150 negations, then the 51st parenthesis opens level 201
+    negs = "~" * 150 + "\n"
+    assert _formula_error_at(negs + "(" * 100 + atom + ")" * 100) == (deep, 3, 51)
+    parse_formula("phi(x0; y0) := " + negs + "(" * 50 + atom + ")" * 50, GRAPH_SIG)
+    # a left-associative chain nests one level per connective: the 201st &
+    chain = " & ".join([atom] * (MAX_FORMULA_DEPTH + 2))
+    assert _formula_error_at(chain) == (deep, 2, 10 + 11 * MAX_FORMULA_DEPTH)
+    ast = parse_formula("phi(x0; y0) := " + chain[:chain.rindex(" &")],
+                        GRAPH_SIG).formula.ast
+    assert type(ast) is And and type(ast.left) is And
+    # quantifier chains are read in a loop; each quantifier is a level
+    quants = "".join(f"exists z{i}. " for i in range(MAX_FORMULA_DEPTH + 1))
+    assert _formula_error_at(quants + atom) == (deep, 2, quants.rindex("exists") + 1)
+    # nesting that used to overflow Python's stack
+    for body in ("(" * 600 + atom + ")" * 600, "~" * 600 + atom,
+                 " -> ".join([atom] * 600)):
+        assert _formula_error_at(body)[0] == deep
+
+
+def test_prefix_runs_keep_their_scopes():
+    # ~ takes the next unary formula, a quantifier the rest of the formula
+    ast = parse_formula("p(x0; y0) := exists z0. ~ R(x0,z0) & R(z0,y0)",
+                        GRAPH_SIG).formula.ast
+    assert type(ast) is Exists and type(ast.body) is And
+    assert type(ast.body.left) is Not
+    ast = parse_formula("p(x0; y0) := ~ exists z0. R(x0,z0) & R(z0,y0)",
+                        GRAPH_SIG).formula.ast
+    assert type(ast) is Not and type(ast.sub.body) is And
+    ast = parse_formula("p(x0; y0) := ~~(R(x0,y0)) | forall z0. ~R(z0,y0)",
+                        GRAPH_SIG).formula.ast
+    assert type(ast) is Or and ast.left == Not(Not(ast.left.sub.sub))
+    assert type(ast.right) is Forall and type(ast.right.body) is Not
+    with pytest.raises(ParseError, match="shadows"):
+        parse_formula("p(x0; y0) := exists z0. ~forall z0. R(z0,y0)", GRAPH_SIG)
 
 
 def test_parser_never_crashes_on_section_lines():

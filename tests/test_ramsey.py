@@ -278,6 +278,34 @@ def test_lacks_independence_fast_path_matches_generic():
                 assert rgraph_lacks_independence(G, k) == generic, (r, seed, k)
 
 
+def test_lacks_independence_edge_numbered_realizers_match_generic():
+    # the fast path numbers only the (r-1)-tuples that lie in an edge, and
+    # one extra realizer stands for the rest when there is a rest or r >= 3:
+    # cover graphs with isolated vertices, graphs whose edges hold every
+    # (r-1)-tuple, and the empty graph, at every r
+    seen = set()
+    for r in (2, 3, 4):
+        phi = atom_formula("R", ["x0"], [f"y{i}" for i in range(r - 1)])
+        for seed in range(24):
+            rng = SplitMix64(mix_seed(2026, 100 * r + seed))
+            n = r + rng.below(7 - r)
+            full = list(itertools.combinations(range(n), r))
+            if seed == 0:
+                edges = []
+            elif seed < 8:  # dense: usually every (r-1)-tuple is covered
+                edges = [e for e in full if rng.below(4)]
+            else:  # sparse, with one vertex cut off
+                cut = rng.below(n)
+                edges = [e for e in full if cut not in e and not rng.below(3)]
+            G = RGraph.of(n, r, edges)
+            covered = {e[:i] + e[i + 1:] for e in edges for i in range(r)}
+            seen.add((r == 2, len(covered) == math.comb(n, r - 1)))
+            for k in (1, 2, 3):
+                generic = find_k_independence(G.to_structure(), phi, k) is None
+                assert rgraph_lacks_independence(G, k) == generic, (r, seed, k)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_extraction_failure_is_reported_not_faked():
     # two vertices cannot supply a 3-set
     G = RGraph.of(2, 3, [])
