@@ -136,6 +136,7 @@ def first_shattered(rows: Sequence[int], k: int, full: int,
         nonlocal tried
         need = k - len(chosen) - 1
         if need == 0:
+            # rows past `end` would take the count past the limit
             end = m if limit is None else min(m, start + limit - tried)
             for i in range(start, end):
                 row = rows[i]

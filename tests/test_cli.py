@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from fmlab.cli import main
-from fmlab.formats import MAX_FORMULA_DEPTH
+from fmlab.formats import MAX_FORMULA_DEPTH, MAX_UNIVERSE
 
 P3 = """signature: R/2
 universe: 3
@@ -461,3 +461,15 @@ def test_deep_formula_is_a_usage_error_and_the_limit_runs(tmp_path, capsys):
     f.write_text("phi(x0; y0) := " + " & ".join(["R(x0,y0)"] * (MAX_FORMULA_DEPTH + 1)))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["outcome"] == "witness"
+
+
+def test_universe_past_the_ceiling_is_a_usage_error(tmp_path, capsys):
+    s = tmp_path / "huge.fm"
+    s.write_text("signature: R/2\nuniverse: 10000000000\n")
+    f = tmp_path / "edge.fml"
+    f.write_text(EDGE_FML)
+    code = main(["detect", "--structure", str(s), "--formula", str(f),
+                 "--property", "independence", "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"parse error: 2:10: universe must be at most {MAX_UNIVERSE}\n"

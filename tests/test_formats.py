@@ -264,7 +264,7 @@ def test_parser_never_crashes_on_section_lines():
     templates = [
         "signature: R/2 S/1", "signature: S/3", "signature:", "signature: R/0",
         "signature: R/2 R/1", "signature: R", "universe: 3", "universe: 5",
-        "universe: -1", "universe: x", "relation R: (0,1) (1,0)",
+        "universe: -1", "universe: x", "universe: 10000000000", "relation R: (0,1) (1,0)",
         "relation R: (0,1) (0,1)", "relation R: (0,1,2)", "relation S: (1) (4)",
         "relation R: (4,0)", "relation R:", "relation R: (0,1) x", "relation: (0,1)",
         "relation T: (0)", "set A: (1) (2)", "set A: (1) (1,2)", "set A: (4)",
@@ -286,7 +286,8 @@ def test_parser_never_crashes_on_section_lines():
             seen[e.message] = seen.get(e.message, 0) + 1
     assert seen["parsed"] >= 100
     for message in ("repeated signature line", "repeated universe line",
-                    "sequence entries must share one arity", "expected a tuple like (0,1)"):
+                    "sequence entries must share one arity", "expected a tuple like (0,1)",
+                    f"universe must be at most {MAX_UNIVERSE}"):
         assert seen.get(message, 0) >= 20, message
 
 
