@@ -108,10 +108,11 @@ def first_shattered(rows: Sequence[int], k: int, full: int,
     (the counting step of the Sauer-Shelah lemma): with `need` members still
     to choose, each cell of the prefix must split into 2^need nonempty cells,
     so a prefix with a cell of fewer than 2^need realizers has no shattered
-    extension. At the root this asks `full` for 2^k realizers. A dropped
-    prefix still counts all its extensions as nodes, comb(m - i - 1, need)
-    after row i, so the earliest combination and the budget marker are those
-    of the plain enumeration. At the last level each remaining row is one
+    extension. When `full` holds fewer than 2^k realizers, every row is
+    dropped at the first level. A dropped prefix still counts all its
+    extensions as nodes, comb(m - i - 1, need) after row i, so the earliest
+    combination and the budget marker are those of the plain enumeration.
+    With k > m there is no combination and the search ends at once. At the last level each remaining row is one
     node, tested against the cells in one loop until a cell lies wholly
     inside or outside it; only the winning row's cells are built.
 
@@ -121,14 +122,12 @@ def first_shattered(rows: Sequence[int], k: int, full: int,
     if k < 0:
         raise PreconditionError("k must be >= 0")
     m = len(rows)
-    if full.bit_count() < 1 << k:
-        if limit is not None and comb(m, k) > limit:
-            return BudgetExceeded(limit + 1)
-        return None
     if k == 0:  # one node, the empty combination, with `full` its one cell
         if limit is not None and limit < 1:
             return BudgetExceeded(limit + 1)
-        return (), {frozenset(): (full & -full).bit_length() - 1}
+        return ((), {frozenset(): (full & -full).bit_length() - 1}) if full else None
+    if k > m:  # no combination, so no node; and no 2^k is ever built
+        return None
     tried = 0  # combinations passed, in lexicographic order
 
     def extend(start: int, chosen: tuple[int, ...], cells: list[int]):

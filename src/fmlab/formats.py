@@ -20,8 +20,10 @@ quantifiers `exists v.` / `forall v.` taking maximal scope, and parentheses.
 Head variables must be named x0..x{r-1} and y0..y{s-1} in block order; bound
 variables must be z-prefixed.
 
-A universe holds at most `MAX_UNIVERSE` elements and a formula nests at most
-`MAX_FORMULA_DEPTH` levels; past either the parse fails with a ParseError.
+A universe holds at most `MAX_UNIVERSE` elements, and a formula nests at most
+`MAX_FORMULA_DEPTH` connectives, negations and quantifiers deep and at most
+that many parentheses deep; past any of these the parse fails with a
+ParseError.
 """
 
 from __future__ import annotations
@@ -237,11 +239,14 @@ _TOKEN_RE = re.compile(r"""
   | (?P<assign>:=)
 """, re.VERBOSE)
 
-# Nesting levels a formula may have: each pair of parentheses, connective,
-# `~` and quantifier around its deepest atom counts one. The parser and the
-# formula walkers (`evaluate`, the compiler, hashing, `==`) recurse a few
-# frames per level, and this keeps them well inside Python's default
-# recursion limit of 1,000 frames.
+# Levels a formula's syntax tree may have: each connective, `~` and
+# quantifier above its deepest atom counts one. The formula walkers
+# (`evaluate`, the compiler, hashing, `==`) recurse up to three frames per
+# level. Parentheses add no level, and are bounded by the same number on
+# their own: the parser recurses two frames per open pair, and one more per
+# level for a right operand. So every formula within the limit, and its
+# fully parenthesised text, stays well inside Python's default recursion
+# limit of 1,000 frames.
 MAX_FORMULA_DEPTH = 200
 
 # connective -> (level, node), loosest first
@@ -292,7 +297,8 @@ class _FormulaParser:
         self.signature = signature
         self.declared: set[str] = set()
         self.bound: list[str] = []
-        self.depth = 0  # nesting levels open around the next token
+        self.depth = 0  # syntax-tree levels open around the next token
+        self.parens = 0  # parentheses open around the next token
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -344,8 +350,8 @@ class _FormulaParser:
         return f
 
     def nest(self, height: int, tok: _Token) -> int:
-        """height + 1: the levels of the construct at `tok` around a formula
-        of `height` levels. A ParseError at `tok` when these and the levels
+        """height + 1: the levels of the node at `tok` over a formula of
+        `height` levels. A ParseError at `tok` when these and the levels
         already open pass MAX_FORMULA_DEPTH."""
         if self.depth + height >= MAX_FORMULA_DEPTH:
             raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels",
@@ -395,7 +401,18 @@ class _FormulaParser:
                                  var.line, var.col)
             self.take(".")
             self.bound.append(var.value)
-        f, height = self.parse_primary()
+        tok = self.peek()
+        if tok.value == "(":
+            self.take("(")
+            if self.parens == MAX_FORMULA_DEPTH:
+                raise ParseError("parentheses nested deeper than "
+                                 f"{MAX_FORMULA_DEPTH} levels", tok.line, tok.col)
+            self.parens += 1
+            f, height = self.parse_binary()
+            self.take(")")
+            self.parens -= 1
+        else:
+            f, height = self.parse_atom(), 0
         for tok in reversed(prefixes):
             if tok.value == "~":
                 f = Not(f)
@@ -406,22 +423,12 @@ class _FormulaParser:
             height += 1
         return f, height
 
-    def parse_primary(self) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok.value == "(":
-            self.take("(")
-            self.enter(tok)
-            f, height = self.parse_binary()
-            self.take(")")
-            self.depth -= 1
-            return f, height + 1
-        if tok.kind == "name":
-            return self.parse_atom(), 0
-        raise ParseError(f"unexpected {tok.value!r}" if tok.value else "unexpected end of input",
-                         tok.line, tok.col)
-
     def parse_atom(self) -> Formula:
-        name = self.take(kind="name")
+        name = self.peek()
+        if name.kind != "name":
+            raise ParseError(f"unexpected {name.value!r}" if name.value
+                             else "unexpected end of input", name.line, name.col)
+        self.take()
         if self.signature is not None and not self.signature.has(name.value):
             raise ParseError(f"unknown relation: {name.value}", name.line, name.col)
         self.take("(")

@@ -454,7 +454,7 @@ def test_deep_formula_is_a_usage_error_and_the_limit_runs(tmp_path, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == ("parse error: 1:216: formula nested deeper than "
+    assert captured.err == ("parse error: 1:216: parentheses nested deeper than "
                             f"{MAX_FORMULA_DEPTH} levels\n")
     # a chain at the limit nests its syntax tree that deep, and every walker
     # the search runs (compiler, evaluator, hashing) stays inside the stack
@@ -473,3 +473,18 @@ def test_universe_past_the_ceiling_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"parse error: 2:10: universe must be at most {MAX_UNIVERSE}\n"
+
+
+def test_k_past_every_combination_is_none_at_once(tmp_path, capsys):
+    # no k-combination of 3 objects or 2 members exists, and the search must
+    # say so without building a number of 2^k bits
+    s = tmp_path / "p3.fm"
+    s.write_text(P3)
+    f = tmp_path / "edge.fml"
+    f.write_text(EDGE_FML)
+    k = str(10 ** 12)
+    assert main(["detect", "--structure", str(s), "--formula", str(f),
+                 "--property", "independence", "--k", k]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "none"
+    assert main(["types", "shatter", "--member", "0,1", "--member", "1", "--k", k]) == 0
+    assert json.loads(capsys.readouterr().out)["found"] is False

@@ -153,6 +153,18 @@ def test_first_shattered_counting_prune_matches_its_definition():
     assert outcomes == {"tuple", "NoneType", "BudgetExceeded"}
 
 
+def test_first_shattered_past_every_combination_is_none():
+    # more members than rows: no combination and no node, whatever the limit,
+    # and no 2^k is built on the way
+    for limit in (None, 0, 1):
+        assert first_shattered([1, 2, 3], 4, 7, limit) is None
+        assert first_shattered([1, 2, 3], 10 ** 12, 7, limit) is None
+    # k = 0 is the one empty combination, a witness only when a realizer exists
+    assert first_shattered([1], 0, 0) is None
+    assert first_shattered([1], 0, 6) == ((), {frozenset(): 1})
+    assert first_shattered([1], 0, 0, 0) == BudgetExceeded(1)
+
+
 def _first_ordered_witness(M, phi, k):
     """The first k-tuple in itertools.product order, each cell answered by its
     least parameter tuple, that verify_independence accepts."""

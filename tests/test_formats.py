@@ -9,8 +9,9 @@ from fmlab import (ParseError, coupon_q, emit_report, find_k_independence,
                    parse_formula, parse_structure, serialize_formula,
                    serialize_structure)
 from fmlab import formats
-from fmlab.core import And, Exists, Forall, Iff, Implies, Not, Or
-from fmlab.formats import MAX_FORMULA_DEPTH, MAX_UNIVERSE
+from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
+                        PartitionedFormula)
+from fmlab.formats import MAX_FORMULA_DEPTH, MAX_UNIVERSE, FormulaSource
 from fmlab.util import SplitMix64, TooLargeError
 
 from conftest import GRAPH_SIG, complete_graph
@@ -220,10 +221,15 @@ def _formula_error_at(body):
 def test_nesting_past_the_limit_is_a_positioned_error():
     atom = "R(x0,y0)"
     deep = f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
-    # 150 negations, then the 51st parenthesis opens level 201
+    parens = f"parentheses nested deeper than {MAX_FORMULA_DEPTH} levels"
+    # 150 negations, then the 51st of the next line opens level 201
     negs = "~" * 150 + "\n"
-    assert _formula_error_at(negs + "(" * 100 + atom + ")" * 100) == (deep, 3, 51)
-    parse_formula("phi(x0; y0) := " + negs + "(" * 50 + atom + ")" * 50, GRAPH_SIG)
+    assert _formula_error_at(negs + "~" * 51 + atom) == (deep, 3, 51)
+    # parentheses add no level, and have a limit of their own
+    parse_formula("phi(x0; y0) := " + negs + "~" * 50 + "(" * MAX_FORMULA_DEPTH
+                  + atom + ")" * MAX_FORMULA_DEPTH, GRAPH_SIG)
+    wrapped = negs + "(" * (MAX_FORMULA_DEPTH + 1) + atom
+    assert _formula_error_at(wrapped) == (parens, 3, MAX_FORMULA_DEPTH + 1)
     # a left-associative chain nests one level per connective: the 201st &
     chain = " & ".join([atom] * (MAX_FORMULA_DEPTH + 2))
     assert _formula_error_at(chain) == (deep, 2, 10 + 11 * MAX_FORMULA_DEPTH)
@@ -234,9 +240,37 @@ def test_nesting_past_the_limit_is_a_positioned_error():
     quants = "".join(f"exists z{i}. " for i in range(MAX_FORMULA_DEPTH + 1))
     assert _formula_error_at(quants + atom) == (deep, 2, quants.rindex("exists") + 1)
     # nesting that used to overflow Python's stack
-    for body in ("(" * 600 + atom + ")" * 600, "~" * 600 + atom,
-                 " -> ".join([atom] * 600)):
-        assert _formula_error_at(body)[0] == deep
+    for body, message in (("(" * 600 + atom + ")" * 600, parens),
+                          ("~" * 600 + atom, deep),
+                          (" -> ".join([atom] * 600), deep)):
+        assert _formula_error_at(body)[0] == message
+
+
+def _deepest(shape, depth):
+    """A formula with `depth` levels, `shape` choosing the node of each."""
+    f = Atom("R", ("x0", "y0"))
+    for i in range(depth):
+        f = shape(i, f)
+    return f
+
+
+@pytest.mark.parametrize("shape", [
+    lambda i, f: And(Atom("R", ("x0", "y0")), f),
+    lambda i, f: And(f, Atom("R", ("y0", "x0"))),
+    lambda i, f: Implies(Atom("R", ("x0", "y0")), f),
+    lambda i, f: (Exists if i % 2 else Forall)(f"z{i}", f),
+    lambda i, f: [Not(f), Or(Atom("R", ("y0", "x0")), f),
+                  Iff(f, Atom("R", ("x0", "y0")))][i % 3],
+], ids=["right-and", "left-and", "implies", "quantifiers", "mixed"])
+def test_text_of_a_formula_at_the_limit_parses_back(shape):
+    # formula_text parenthesises every connective and quantifier, so its text
+    # nests as many parentheses as the formula has levels
+    at_limit = PartitionedFormula(_deepest(shape, MAX_FORMULA_DEPTH), ("x0",), ("y0",))
+    src = FormulaSource("phi", at_limit)
+    assert parse_formula(serialize_formula(src), GRAPH_SIG) == src
+    past = PartitionedFormula(_deepest(shape, MAX_FORMULA_DEPTH + 1), ("x0",), ("y0",))
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_formula(serialize_formula(FormulaSource("phi", past)), GRAPH_SIG)
 
 
 def test_prefix_runs_keep_their_scopes():
