@@ -4,7 +4,8 @@ Sauer-Shelah shattering finder.
 Bound right-hand sides are computed in exact integer arithmetic. When a bound
 is too large to materialize (the no-order-pattern bound has a doubly
 exponential exponent), the comparison is still decided exactly by comparing
-exponents; nothing ever saturates silently.
+exponents; an exponent past the size guard is refused with TooLargeError
+before it is built, and nothing ever saturates silently.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Iterable, Optional
 from .core import PartitionedFormula, SatTable, Structure
 from .detect import (build_rho, find_k_independence, find_n_order,
                      first_shattered)
+from .indisc import _power
 from .util import BudgetExceeded, PreconditionError, TooLargeError
 
 # materialize bound values only up to this many bits
@@ -203,8 +205,9 @@ def verify_shattered(w: ShatterWitness) -> bool:
 
 
 def no_order_exponent(n: int, s: int, t: int) -> int:
-    """The exponent k = 2^((3ns)^(t+1)) of the no-order type bound, exact."""
-    return 2 ** ((3 * n * s) ** (t + 1))
+    """The exponent k = 2^((3ns)^(t+1)) of the no-order type bound, exact;
+    TooLargeError when it passes the size guard."""
+    return _power(2, _power(3 * n * s, t + 1))
 
 
 def compare_powers(base1: int, exp1: int, base2: int, exp2: int) -> int:

@@ -20,10 +20,11 @@ quantifiers `exists v.` / `forall v.` taking maximal scope, and parentheses.
 Head variables must be named x0..x{r-1} and y0..y{s-1} in block order; bound
 variables must be z-prefixed.
 
-A universe holds at most `MAX_UNIVERSE` elements, and a formula nests at most
-`MAX_FORMULA_DEPTH` connectives, negations and quantifiers deep and at most
-that many parentheses deep; past any of these the parse fails with a
-ParseError.
+A universe holds at most `MAX_UNIVERSE` elements, the number of binary
+relations times the universe size is at most `MAX_BINARY_ROWS`, and a formula
+nests at most `MAX_FORMULA_DEPTH` connectives, negations and quantifiers deep
+and at most that many parentheses deep; past any of these the parse fails
+with a ParseError.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class FormulaSource:
 # element for each binary relation, so a few-byte file must not ask for
 # gigabytes, and every search here is exhaustive over far smaller universes.
 MAX_UNIVERSE = 1 << 16
+# The most such rows the binary relations of one structure may keep together.
+MAX_BINARY_ROWS = 1 << 20
 
 _TUPLE_RE = re.compile(r"\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)")
 # the longest prefix of whitespace and tuples; a body is valid iff it is all
@@ -191,6 +194,13 @@ def parse_structure(text: str) -> StructureDocument:
                     bucket[t] = None
         else:
             raise ParseError(f"unknown section keyword {keyword!r}", lineno, 1)
+        if (keyword in ("signature", "universe")
+                and signature is not None and universe is not None):
+            binary = sum(ar == 2 for _, ar in signature.relations)
+            if binary * universe > MAX_BINARY_ROWS:
+                raise ParseError(f"{binary} binary relations over a universe of "
+                                 f"{universe} keep more than {MAX_BINARY_ROWS} rows",
+                                 lineno, col0 + 1)
 
     if signature is None:
         raise ParseError("missing signature", max(1, text.count("\n") + 1), 1)

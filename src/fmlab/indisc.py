@@ -120,7 +120,7 @@ def _power(base: int, exp: int) -> int:
     """base ** exp, refused before it is built when it has more bits than the
     size guard allows."""
     if base > 1 and min(exp, SIZE_GUARD_BITS) * math.log2(base) >= SIZE_GUARD_BITS:
-        raise TooLargeError("growth value exceeds the size guard")
+        raise TooLargeError("exact power exceeds the size guard")
     return base ** exp
 
 
@@ -275,7 +275,9 @@ def g_func(params: BoundParams, i: int, x: int) -> int:
     suffix-fixed formula, and recurses one level down at target x-1, so the
     bound composes the end-extraction need with the next level's bound. The
     class-count argument at level l is widened by the i*r*(i-l) elements
-    already frozen into the formula above it.
+    already frozen into the formula above it. The levels are composed in a
+    loop from the deepest one the recursion reaches (level 1, or target 0
+    with bound 1) up to level i.
     """
     if x < 0:
         raise PreconditionError("bound underflow")
@@ -283,22 +285,14 @@ def g_func(params: BoundParams, i: int, x: int) -> int:
         raise PreconditionError("level must be a natural")
     if i == 0:
         return x
-    top = i
-
-    def go(level: int, x: int) -> int:
-        if x == 0:
-            return 1
-        if level == 1:
-            K = x + 1
-        else:
-            inner = go(level - 1, x - 1)
-            if inner > _EVAL_GUARD:
-                raise TooLargeError("length bound too large to compose")
-            K = inner + 1
-        offset = top * params.r * (top - level)
-        return _end_need(params.F, params.alpha, params.r, level, K, offset)
-
-    return go(i, x)
+    F, alpha, r = params.F, params.alpha, params.r
+    d = min(i - 1, x)  # levels below i, each at a target one less
+    v = 1 if d == x else _end_need(F, alpha, r, 1, x - d + 1, i * r * (i - 1))
+    for level in range(i - d + 1, i + 1):
+        if v > _EVAL_GUARD:
+            raise TooLargeError("length bound too large to compose")
+        v = _end_need(F, alpha, r, level, v + 1, i * r * (i - level))
+    return v
 
 
 def beth(i: int, x: int) -> int:
@@ -348,7 +342,7 @@ def extraction_length_estimates(case: int, m: int, k: int,
     if case == 4:
         if p_or_n is None or s is None or t is None or p_or_n < 1 or s < 0 or t < 0:
             raise PreconditionError("case 4 needs n >= 1, s >= 0 and t >= 0")
-        inner = 2 * k + ceil_log2(k) + (3 * p_or_n * s) ** (t + 1)
+        inner = 2 * k + ceil_log2(k) + _power(3 * p_or_n * s, t + 1)
         return {"case": 4, "inner": inner, "bound": beth(m, inner)}
     raise PreconditionError(f"unknown case {case}")
 

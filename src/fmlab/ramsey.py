@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -18,11 +19,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .core import Signature, Structure
 from .detect import first_shattered
-from .indisc import (_EVAL_GUARD, ExtractionFailure, HypergraphBoundedGrowth,
-                     HypergraphWorstGrowth, bound_step, ceil_log2,
+from .indisc import (BoundParams, ExtractionFailure, HypergraphBoundedGrowth,
+                     HypergraphWorstGrowth, _power, ceil_log2, f_star,
                      greedy_end_extraction)
-from .util import (SIZE_GUARD_BITS, FmlabError, PreconditionError, SplitMix64,
-                   TooLargeError, mix_seed)
+from .util import FmlabError, PreconditionError, SplitMix64, mix_seed
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +101,10 @@ def coupon_q(n: int, m: int) -> Fraction:
     """Probability that n balls thrown uniformly into m boxes leave none empty.
 
     With fewer balls than boxes (n < m) some box stays empty, so 0 is
-    returned at once (S(n, m) = 0 agrees). Otherwise the value is computed by
-    inclusion-exclusion as an exact rational and cross-checked against the
-    Stirling form m! * S(n, m) / m^n.
+    returned at once (S(n, m) = 0 agrees), and m = 1 gives 1. Otherwise the
+    value is computed by inclusion-exclusion as an exact rational and
+    cross-checked against the Stirling form m! * S(n, m) / m^n, after
+    `_power` has refused an m^n past the size guard.
     """
     if n < 0 or m < 0:
         raise PreconditionError("coupon_q needs naturals")
@@ -111,11 +112,14 @@ def coupon_q(n: int, m: int) -> Fraction:
         return Fraction(1) if n == 0 else Fraction(0)
     if n < m:
         return Fraction(0)
+    if m == 1:  # S(n, 1) = 1
+        return Fraction(1)
+    m_to_n = _power(m, n)
     total = Fraction(0)
     for i in range(m + 1):
         term = Fraction(m - i, m) ** n
         total += (term if i % 2 == 0 else -term) * comb(m, i)
-    stirling_form = Fraction(factorial(m) * stirling2(n, m), m ** n)
+    stirling_form = Fraction(factorial(m) * stirling2(n, m), m_to_n)
     if total != stirling_form:
         raise FmlabError("internal inconsistency between the two coupon forms")
     return total
@@ -168,6 +172,22 @@ class ExperimentConfig:
             raise PreconditionError("trials must be >= 1")
 
 
+def _check_float_range(k: int, log2_n: float) -> None:
+    """Refuse a row whose n^k, from log2 n or a lower bound of it, is past
+    the float range; its other floats are smaller (2^k < n^k as k < n)."""
+    if k * log2_n >= sys.float_info.max_exp:
+        raise PreconditionError(f"k={k}: n^k is past the float range")
+
+
+def _estimate_row(hits: int, trials: int, n: int, k: int) -> dict:
+    """The estimate, its standard error, the per-tuple coupon value
+    q(n-k, 2^k) and the union bound n^k e^(-lambda) of a row."""
+    p = hits / trials
+    return {"estimate": p, "stderr": math.sqrt(p * (1 - p) / trials),
+            "exact_per_tuple": coupon_q(n - k, 2 ** k),
+            "union_bound": (n ** k) * math.exp(-lambda_nk(n, k))}
+
+
 def independence_probability_mc(config: ExperimentConfig) -> dict:
     """Monte Carlo estimate of the probability that a random graph has the
     k-independence property, with the per-tuple coupon value and union bound.
@@ -178,19 +198,24 @@ def independence_probability_mc(config: ExperimentConfig) -> dict:
     n, k = config.n, config.k
     if not (n > k >= 1):
         raise PreconditionError("need n > k >= 1")
+    _check_float_range(k, math.log2(n))
     hits = 0
     for t in range(config.trials):
         rng = SplitMix64(mix_seed(config.seed, t))
         rows = sample_graph_rows(n, rng)
         if graph_has_k_independence(rows, n, k):
             hits += 1
-    p = hits / config.trials
-    stderr = math.sqrt(p * (1 - p) / config.trials)
-    lam = lambda_nk(n, k)
     return {"n": n, "k": k, "trials": config.trials, "seed": config.seed,
-            "estimate": p, "stderr": stderr,
-            "exact_per_tuple": coupon_q(n - k, 2 ** k),
-            "union_bound": (n ** k) * math.exp(-lam)}
+            **_estimate_row(hits, config.trials, n, k)}
+
+
+def _insider_patterns(k: int, inner: Sequence[int]) -> set[int]:
+    """The traces of the fixed vertices 0..k-1 on each other, given the bits
+    of their inner edges in row-major order (0,1), (0,2), ..., (k-2,k-1):
+    bit j of vertex i's trace is its adjacency to j, and never j = i."""
+    edge = dict(zip(itertools.combinations(range(k), 2), inner))
+    return {sum(1 << j for j in range(k) if j != i and edge[min(i, j), max(i, j)])
+            for i in range(k)}
 
 
 def fixed_witness_trial(n: int, k: int, rng: SplitMix64) -> bool:
@@ -201,17 +226,7 @@ def fixed_witness_trial(n: int, k: int, rng: SplitMix64) -> bool:
     of the trace is adjacency to vertex i). Realizing tuples may be any
     vertex, so the insider traces (which exclude self-adjacency) count too.
     """
-    inner = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            inner[(i, j)] = rng.bit()
-    patterns = set()
-    for i in range(k):
-        t = 0
-        for j in range(k):
-            if j != i and inner[(min(i, j), max(i, j))]:
-                t |= 1 << j
-        patterns.add(t)
+    patterns = _insider_patterns(k, [rng.bit() for _ in range(comb(k, 2))])
     for _ in range(n - k):
         t = 0
         for i in range(k):
@@ -230,19 +245,7 @@ def exact_fixed_witness_probability(n: int, k: int) -> Fraction:
     total = Fraction(0)
     one = Fraction(1, 2 ** (k * outer))
     for mask in range(1 << inner_bits):
-        bits = {}
-        idx = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                bits[(i, j)] = (mask >> idx) & 1
-                idx += 1
-        insider = set()
-        for i in range(k):
-            t = 0
-            for j in range(k):
-                if j != i and bits[(min(i, j), max(i, j))]:
-                    t |= 1 << j
-            insider.add(t)
+        insider = _insider_patterns(k, [mask >> idx & 1 for idx in range(inner_bits)])
         count = 0
         for traces in itertools.product(range(npat), repeat=outer):
             if insider.union(traces) == set(range(npat)):
@@ -264,6 +267,7 @@ def independence_trend(k_list: Sequence[int], trials: int, seed: int) -> list[di
     for k in k_list:
         if k < 2:
             raise PreconditionError("trend needs k >= 2")
+        _check_float_range(k, k)  # n > 2^k
         n = k + math.ceil((2 ** k) * math.log(k))
         if n > 3001:
             raise PreconditionError(f"k={k} exceeds the desk-scale guard (n={n})")
@@ -273,13 +277,8 @@ def independence_trend(k_list: Sequence[int], trials: int, seed: int) -> list[di
             rng = SplitMix64(mix_seed(row_seed, t))
             if fixed_witness_trial(n, k, rng):
                 hits += 1
-        p = hits / trials
-        stderr = math.sqrt(p * (1 - p) / trials)
-        lam = lambda_nk(n, k)
         rows.append({"k": k, "n": n, "trials": trials,
-                     "estimate": p, "stderr": stderr,
-                     "exact_per_tuple": coupon_q(n - k, 2 ** k),
-                     "union_bound": (n ** k) * math.exp(-lam)})
+                     **_estimate_row(hits, trials, n, k)})
     return rows
 
 
@@ -311,17 +310,15 @@ def hypergraph_fstar(r: int, variant: str, k: int, n: Optional[int] = None) -> i
     """Multiplicative envelope G(0)=1, G(t+1) = 1 + G(t) * F(r t), evaluated at k.
 
     In the worst case it stays below 2^(k^r); in the bounded case below
-    k^((r-1)(n-1)k). TooLargeError when a value passes the size guard, or
-    before any stage when k is past `indisc._EVAL_GUARD`.
+    k^((r-1)(n-1)k). It is `f_star` at alpha = 0 and m = 1, whose k
+    multiplicative stages are these, so it refuses what `f_star` refuses;
+    the arguments are checked before any stage.
     """
     if k < 0:
         raise PreconditionError("k must be a natural")
-    if k > _EVAL_GUARD:
-        raise TooLargeError("the envelope has too many stages to evaluate")
-    v = 1
-    for t in range(k):
-        v = bound_step(v, hypergraph_F(r, variant, r * t, n=n), "envelope")
-    return v
+    hypergraph_F(r, variant, 0, n)  # checks r, the variant and n
+    F = HypergraphWorstGrowth(r) if variant == "worst" else HypergraphBoundedGrowth(r, n)
+    return f_star(BoundParams(F, 0, r, 1, k + 3), k)
 
 
 def E_bound(p: int, j: int, x: int) -> int:
@@ -330,10 +327,7 @@ def E_bound(p: int, j: int, x: int) -> int:
         raise PreconditionError("need p >= 1, j >= 1, x >= 0")
     v = x
     for _ in range(j):
-        bits = (v + 1).bit_length() * p * (v + 1)
-        if bits > SIZE_GUARD_BITS:
-            raise TooLargeError("iterate exceeds the size guard")
-        v = (v + 1) ** (p * (v + 1))
+        v = _power(v + 1, p * (v + 1))
     return v
 
 
@@ -478,12 +472,6 @@ def rgraph_lacks_independence(G: RGraph, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def floor_log2(x: int) -> int:
-    if x < 1:
-        raise PreconditionError("floor_log2 needs a positive integer")
-    return x.bit_length() - 1
-
-
 def bound_compare(r: int, n: int, k: int) -> dict:
     """Log-level comparison of the general Ramsey bound against the bound for
     r-graphs without the n-independence property.
@@ -491,7 +479,8 @@ def bound_compare(r: int, n: int, k: int) -> dict:
     The a-side value is log^(r-1) of the general bound (exactly 4k at r = 3,
     ceiling-log convention above); the b-side double log is the bit length of
     n*k*(2^(2k)+2); the coefficient c reported satisfies "bounded side is
-    roughly 2^(c(n-1))"; and b_smaller is the exact crossover n*k < 2^(2k-2).
+    roughly 2^(c(n-1))"; and b_smaller is the exact crossover n*k < 2^(2k-2),
+    decided as 4nk < 4^k. TooLargeError when 4^k passes the size guard.
     """
     if r < 3:
         raise PreconditionError("comparison is for r >= 3")
@@ -503,12 +492,13 @@ def bound_compare(r: int, n: int, k: int) -> dict:
         a_log = 4 * k + ceil_log2(3)
     else:
         a_log = 4 * k + ceil_log2(3) + (r - 4)
-    b_loglog = ceil_log2(n * k * (2 ** (2 * k) + 2))
-    base = 2 ** (2 * k) + 1
-    b_coefficient = 2 * base * floor_log2(base)
+    four_k = _power(4, k)
+    b_loglog = ceil_log2(n * k * (four_k + 2))
+    # 2 B log2 B at B = 4^k + 1, whose floor log is 2k
+    b_coefficient = 2 * (four_k + 1) * 2 * k
     return {"r": r, "n": n, "k": k,
             "a_side_log_level": r - 1, "a_side": a_log,
             "b_loglog": b_loglog,
             "b_coefficient": b_coefficient,
             "b_general_loglog": 2 * k + ceil_log2(k) + ceil_log2(n),
-            "b_smaller": n * k < 2 ** (2 * k - 2)}
+            "b_smaller": 4 * n * k < four_k}

@@ -2,12 +2,17 @@
 
 import gc
 import json
+import os
+import pathlib
+import resource
+import subprocess
 import sys
 import time
 import warnings
 
 import pytest
 
+import fmlab
 from fmlab.cli import main
 from fmlab.formats import MAX_FORMULA_DEPTH, MAX_UNIVERSE
 
@@ -488,3 +493,51 @@ def test_k_past_every_combination_is_none_at_once(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["outcome"] == "none"
     assert main(["types", "shatter", "--member", "0,1", "--member", "1", "--k", k]) == 0
     assert json.loads(capsys.readouterr().out)["found"] is False
+
+
+def test_runaway_inputs_end_in_one_error_line_under_a_memory_cap(p3_files, tmp_path):
+    # each command once ended in a MemoryError, OverflowError or
+    # RecursionError traceback, or ran for minutes; a subprocess under a 1 GB
+    # address-space cap and a 10 s timeout lets a regression fail safely
+    s, f = p3_files
+    many = tmp_path / "many.fm"
+    many.write_text("signature: R/2 " + " ".join(f"R{i}/2" for i in range(1, 2000))
+                    + f"\nuniverse: {MAX_UNIVERSE}\n")
+    one = tmp_path / "one.fm"
+    one.write_text(f"signature: R/2\nuniverse: {MAX_UNIVERSE}\nrelation R: (0,1) (1,0)\n")
+    refused = [
+        ["types", "verify-order-bound", "--structure", s, "--formula", f,
+         "--set", "A", "--n", "100000"],
+        ["indisc", "bounds", "--fn", "estimates", "--case", "4", "--m", "1",
+         "--k", "1", "--p-or-n", "10", "--s", "10", "--t", "1000000000"],
+        ["indisc", "bounds", "--fn", "g", "--i", "5000", "--x", "5000", "--k", "10"],
+        ["ramsey", "compare-bounds", "--r", "3", "--n", "1", "--k", "10000000000"],
+        ["experiment", "independence-mc", "--n", "200", "--k", "150", "--trials", "1"],
+        ["experiment", "thmg1", "--k-list", "2000", "--trials", "1"],
+        ["experiment", "coupon", "--n", "1000000000000", "--m", "2"],
+        ["detect", "--structure", str(many), "--formula", f,
+         "--property", "independence", "--k", "1"],
+    ]
+    answered = [
+        ["experiment", "coupon", "--n", "1000000000000", "--m", "1"],
+        ["detect", "--structure", str(one), "--formula", f,
+         "--property", "independence", "--k", "1"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fmlab.__file__).parents[1]))
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    def fmlab_cli(argv):
+        return subprocess.run([sys.executable, "-m", "fmlab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=10,
+                              preexec_fn=capped)
+
+    for argv in refused:
+        got = fmlab_cli(argv)
+        assert got.returncode == 2 and got.stdout == "", (argv, got.stderr[-300:])
+        assert got.stderr.count("\n") == 1 and "error: " in got.stderr, argv
+    got = [fmlab_cli(argv) for argv in answered]
+    assert [g.returncode for g in got] == [0, 0], [g.stderr[-300:] for g in got]
+    assert json.loads(got[0].stdout)["q"] == "1/1"
+    assert json.loads(got[1].stdout)["outcome"] == "witness"

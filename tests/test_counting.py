@@ -2,6 +2,7 @@
 the exact big-integer arithmetic behind the headline inequality."""
 
 import itertools
+import time
 from decimal import localcontext
 
 import pytest
@@ -13,7 +14,7 @@ from fmlab import (BoundReport, PartitionedFormula, PreconditionError,
                    verify_order_bound, verify_shattered)
 from fmlab.core import And, Atom, Exists, Not
 from fmlab.counting import compare_powers
-from fmlab.util import SplitMix64
+from fmlab.util import SplitMix64, TooLargeError
 from conftest import (EDGE, all_graphs, complete_graph, cycle_graph,
                       empty_graph, linear_order, outcome, path_graph,
                       seeded_digraph, seeded_graph)
@@ -238,6 +239,15 @@ def test_shattering_bridges_to_independence():
 def test_no_order_exponent_values():
     assert no_order_exponent(1, 1, 1) == 2 ** 9
     assert no_order_exponent(2, 1, 1) == 2 ** 36
+
+
+def test_no_order_exponent_refuses_past_the_guard():
+    # 2^(2100^2) has 4,410,001 bits and was built
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match="size guard"):
+        no_order_exponent(700, 1, 1)
+    assert time.perf_counter() - start < 0.1
+    assert no_order_exponent(666, 1, 1).bit_length() == 1998 ** 2 + 1
 
 
 def test_chained_inequality_over_small_grid():

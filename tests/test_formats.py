@@ -11,7 +11,8 @@ from fmlab import (ParseError, coupon_q, emit_report, find_k_independence,
 from fmlab import formats
 from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
                         PartitionedFormula)
-from fmlab.formats import MAX_FORMULA_DEPTH, MAX_UNIVERSE, FormulaSource
+from fmlab.formats import (MAX_BINARY_ROWS, MAX_FORMULA_DEPTH, MAX_UNIVERSE,
+                           FormulaSource)
 from fmlab.util import SplitMix64, TooLargeError
 
 from conftest import GRAPH_SIG, complete_graph
@@ -210,6 +211,29 @@ def test_universe_past_the_ceiling_is_refused_before_any_structure(monkeypatch):
     # the ceiling itself is a universe
     doc = parse_structure(f"signature: R/2\nuniverse: {MAX_UNIVERSE}\n")
     assert doc.structure.universe_size == MAX_UNIVERSE and len(built) == 1
+
+
+def test_many_binary_relations_are_refused_before_any_structure(monkeypatch):
+    # a structure keeps one row per element for each binary relation, so a
+    # long signature line at a large universe once asked for gigabytes
+    built = []
+    real = formats.Structure
+    monkeypatch.setattr(formats, "Structure",
+                        lambda *a: built.append(a) or real(*a))
+    sig = "signature: R/2 " + " ".join(f"R{i}/2" for i in range(1, 2000))
+    message = (f"2000 binary relations over a universe of {MAX_UNIVERSE} keep "
+               f"more than {MAX_BINARY_ROWS} rows")
+    # refused at the later of the two lines, whichever comes first
+    assert _parse_error_at(f"{sig}\nuniverse: {MAX_UNIVERSE}\n") == (message, 2, 10)
+    assert _parse_error_at(f"universe: {MAX_UNIVERSE}\n{sig}\n") == (message, 2, 11)
+    assert built == []
+    # the product at the limit parses, and other arities keep no rows
+    limit = MAX_BINARY_ROWS // MAX_UNIVERSE
+    sig = " ".join([f"R{i}/2" for i in range(limit)] + [f"S{i}/1" for i in range(2000)])
+    doc = parse_structure(f"signature: {sig} T/3\nuniverse: {MAX_UNIVERSE}\n")
+    assert len(doc.structure.signature.relations) == limit + 2001 and len(built) == 1
+    with pytest.raises(ParseError, match=f"^2:10: {limit + 1} binary relations"):
+        parse_structure(f"signature: {sig} R/2\nuniverse: {MAX_UNIVERSE}\n")
 
 
 def _formula_error_at(body):

@@ -185,6 +185,61 @@ def test_constant_growth_end_need_answers_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def _g_by_recursion(params, i, x):
+    """`g_func` as it was written, one recursive call per level."""
+    if x < 0:
+        raise PreconditionError("bound underflow")
+    if i < 0:
+        raise PreconditionError("level must be a natural")
+    if i == 0:
+        return x
+
+    def go(level, x):
+        if x == 0:
+            return 1
+        if level == 1:
+            K = x + 1
+        else:
+            inner = go(level - 1, x - 1)
+            if inner > _EVAL_GUARD:
+                raise TooLargeError("length bound too large to compose")
+            K = inner + 1
+        offset = i * params.r * (i - level)
+        return _end_need(params.F, params.alpha, params.r, level, K, offset)
+
+    return go(i, x)
+
+
+def test_g_func_loop_matches_the_recursion():
+    # 768 cases; larger targets at the faster-growing functions take seconds
+    # of million-bit arithmetic each, in either version
+    growths = [PolynomialGrowth(1), PolynomialGrowth(2), ConstantGrowth(1),
+               ConstantGrowth(3), HypergraphBoundedGrowth(3, 2),
+               WorstCaseGrowth(1), WorstCaseGrowth(2)]
+    seen = set()
+    for F in growths:
+        xs = range(-1, 5) if isinstance(F, ConstantGrowth) else range(-1, 3)
+        for alpha, r, i, x in itertools.product((0, 2), (1, 2), range(-1, 5), xs):
+            params = BoundParams(F, alpha, r, 1, 9)
+            got = outcome(lambda: g_func(params, i, x))
+            assert got == outcome(lambda: _g_by_recursion(params, i, x)), (F, alpha, r, i, x)
+            seen.add(got[1] if isinstance(got, tuple) else int)
+    assert seen == {int, "bound underflow", "level must be a natural",
+                    "length bound too large to compose",
+                    "exact power exceeds the size guard"}
+
+
+def test_g_func_composes_thousands_of_levels():
+    # the recursion ran out of stack frames here
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match="size guard"):
+        g_func(BoundParams(WorstCaseGrowth(1), 0, 1, 1, 10), 5000, 5000)
+    # F = 1: each level above the first needs one more element
+    assert g_func(BoundParams(ConstantGrowth(1), 0, 1, 1, 10), 5000, 5000) == 5001
+    assert g_func(BoundParams(ConstantGrowth(1), 0, 1, 1, 10), 5000, 20) == 21
+    assert time.perf_counter() - start < 1.0
+
+
 def test_size_guard_keeps_every_value_below_it():
     # sha256 of the hex values (or "too large") of the exact recurrences on a
     # fixed grid; values up to 1.25M bits, two of them past the guard
@@ -239,6 +294,14 @@ def test_estimate_case_four_refuses_out_of_range_parameters():
                            match="^case 4 needs n >= 1, s >= 0 and t >= 0$"):
             extraction_length_estimates(4, 1, 1, n, s, t)
     assert extraction_length_estimates(4, 1, 1, 1, 0, 0)["inner"] == 2
+
+
+def test_estimate_case_four_refuses_a_huge_power_at_once():
+    # (3ns)^(t+1) = 300^(10^6 + 1) was built before beth refused the bound
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match="size guard"):
+        extraction_length_estimates(4, 1, 1, 10, 10, 10 ** 6)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_growth_variants():

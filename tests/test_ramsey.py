@@ -16,12 +16,13 @@ from fmlab import (E_bound, ExperimentConfig, ExtractionFailure,
                    independence_probability_mc, lambda_nk,
                    rgraph_lacks_independence, sample_graph_rows, stirling2,
                    independence_trend, verify_homogeneous)
-from fmlab import ramsey
+from fmlab import no_order_exponent, ramsey
 from fmlab.core import Signature, Structure, atom_formula
-from fmlab.util import SplitMix64, TooLargeError, mix_seed
+from fmlab.indisc import _EVAL_GUARD, bound_step, ceil_log2
+from fmlab.util import SIZE_GUARD_BITS, SplitMix64, TooLargeError, mix_seed
 
-from conftest import (per_candidate_greedy, seeded_3graphs_lacking_independence,
-                      sparse_3graph)
+from conftest import (outcome, per_candidate_greedy,
+                      seeded_3graphs_lacking_independence, sparse_3graph)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,13 @@ def test_coupon_with_fewer_balls_than_boxes_is_zero_without_summing(monkeypatch)
     monkeypatch.setattr(ramsey, "comb", no_comb)
     assert coupon_q(5, 16384) == 0
     assert coupon_q(0, 3) == 0
+
+
+def test_coupon_with_one_box_is_one_at_once():
+    # S(n, 1) = 1; the Stirling cross-check once took n steps to agree
+    start = time.perf_counter()
+    assert coupon_q(10 ** 12, 1) == 1
+    assert time.perf_counter() - start < 0.1
 
 
 def test_stirling_recurrence_values():
@@ -184,6 +192,37 @@ def test_trend_guard():
         independence_trend([12], 10, 0)
 
 
+def test_rows_keep_their_values():
+    # sha256 of the rows' repr, taken before the two experiments shared one
+    # row builder and the fixed-witness draws one insider-pattern helper
+    import hashlib
+    rows = independence_trend([2, 3, 4, 5, 6], 40, 7)
+    rows += [independence_probability_mc(ExperimentConfig(n, k, 25, 3))
+             for n, k in ((9, 3), (14, 4), (256, 127))]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "fddae352b218d9611515532470e83b1474b14e226dc4040f01dd103919dc22d4"
+
+
+def test_rows_past_the_float_range_are_refused_before_sampling(monkeypatch):
+    # n^k and 2^k ln k once overflowed a float after every trial had run
+    def no_sampling(*args):
+        raise AssertionError("a trial ran")
+    for name in ("sample_graph_rows", "fixed_witness_trial"):
+        monkeypatch.setattr(ramsey, name, no_sampling)
+    # 256^128 = 2^1024 is past the float range and 256^127 = 2^1016 is not;
+    # the row at 256^127 keeps its value in test_rows_keep_their_values
+    for n, k in ((200, 150), (256, 128), (10 ** 6, 10 ** 5)):
+        with pytest.raises(PreconditionError,
+                           match=f"^k={k}: n\\^k is past the float range$"):
+            independence_probability_mc(ExperimentConfig(n, k, 1, 0))
+    # n > 2^k at the threshold size, so n^k passes the float range at k = 32
+    for k in (32, 2000, 10 ** 12):
+        with pytest.raises(PreconditionError, match=f"^k={k}: n\\^k is past"):
+            independence_trend([k], 1, 0)
+    with pytest.raises(PreconditionError, match="^k=31 exceeds the desk-scale guard"):
+        independence_trend([31], 1, 0)
+
+
 def test_trend_refuses_fewer_than_one_trial():
     # zero trials once divided by zero, and a negative count reported an
     # estimate of -0.0 from no trial at all
@@ -225,6 +264,17 @@ def test_hypergraph_envelope_refuses_too_many_stages_at_once():
     with pytest.raises(TooLargeError, match="stages"):
         hypergraph_fstar(3, "bounded", 10 ** 9, n=1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_hypergraph_envelope_checks_its_arguments_before_any_stage():
+    # k = 0 runs no stage, yet r = 1 once returned 1
+    for args, message in (((1, "worst", 0), "r must be >= 2"),
+                          ((3, "other", 0), "unknown variant 'other'"),
+                          ((3, "bounded", 0), "bounded variant needs n >= 1"),
+                          ((3, "worst", -1), "k must be a natural")):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            hypergraph_fstar(*args)
+    assert hypergraph_fstar(3, "worst", 0) == 1
 
 
 def test_E_iterates():
@@ -387,3 +437,79 @@ def test_a_side_grows_slowly_with_uniformity():
     vals = [bound_compare(r, 2, k)["a_side"] for r in (3, 4, 5, 6)]
     assert vals[0] == 4 * k
     assert all(b - a <= 2 for a, b in zip(vals, vals[1:]))
+
+
+def test_bound_compare_refuses_past_the_guard():
+    # 4^k has 2k + 1 bits; 4^(2,000,001) was built three times before
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match="size guard"):
+        bound_compare(3, 1, 2_000_001)
+    assert time.perf_counter() - start < 0.1
+
+
+# ---------------------------------------------------------------------------
+# the exact bounds against their earlier bodies
+# ---------------------------------------------------------------------------
+
+
+def _envelope_before(r, variant, k, n=None):
+    if k < 0:
+        raise PreconditionError("k must be a natural")
+    if k > _EVAL_GUARD:
+        raise TooLargeError("the envelope has too many stages to evaluate")
+    v = 1
+    for t in range(k):
+        v = bound_step(v, hypergraph_F(r, variant, r * t, n=n), "envelope")
+    return v
+
+
+def _E_before(p, j, x):
+    if p < 1 or j < 1 or x < 0:
+        raise PreconditionError("need p >= 1, j >= 1, x >= 0")
+    v = x
+    for _ in range(j):
+        if (v + 1).bit_length() * p * (v + 1) > SIZE_GUARD_BITS:
+            raise TooLargeError("iterate exceeds the size guard")
+        v = (v + 1) ** (p * (v + 1))
+    return v
+
+
+def _compare_before(r, n, k):
+    if r == 3:
+        a_log = 4 * k
+    elif r == 4:
+        a_log = 4 * k + ceil_log2(3)
+    else:
+        a_log = 4 * k + ceil_log2(3) + (r - 4)
+    b_loglog = ceil_log2(n * k * (2 ** (2 * k) + 2))
+    base = 2 ** (2 * k) + 1
+    return {"r": r, "n": n, "k": k,
+            "a_side_log_level": r - 1, "a_side": a_log,
+            "b_loglog": b_loglog,
+            "b_coefficient": 2 * base * (base.bit_length() - 1),
+            "b_general_loglog": 2 * k + ceil_log2(k) + ceil_log2(n),
+            "b_smaller": n * k < 2 ** (2 * k - 2)}
+
+
+def test_exact_bounds_match_their_earlier_bodies():
+    def same(fn, before, *args):
+        got = outcome(lambda: fn(*args))
+        want = outcome(lambda: before(*args))
+        # past the guard both refuse, each in its own words
+        if isinstance(want, tuple) and want[0] is TooLargeError:
+            assert got[0] is TooLargeError, args
+        else:
+            assert got == want, args
+        return got
+
+    got = [same(hypergraph_fstar, _envelope_before, r, "worst", k)
+           for r, k in itertools.product((2, 3), range(16))]
+    got += [same(hypergraph_fstar, _envelope_before, 3, "bounded", k, n)
+            for n, k in ((2, 0), (2, 3), (2, 6), (1, 5), (1, _EVAL_GUARD + 1))]
+    got += [same(E_bound, _E_before, p, j, x)
+            for p, j, x in itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2, 10))]
+    got += [same(bound_compare, _compare_before, r, n, k)
+            for r, n, k in itertools.product(range(3, 7), (1, 2, 1000), range(1, 40))]
+    got += [same(no_order_exponent, lambda n, s, t: 2 ** ((3 * n * s) ** (t + 1)), n, s, t)
+            for n, s, t in itertools.product((1, 2, 3), (0, 1, 2), range(4))]
+    assert sum(isinstance(g, tuple) for g in got) == 12
