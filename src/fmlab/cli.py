@@ -4,7 +4,9 @@ report emission.
 Each action of types/indisc/ramsey/experiment/classify takes
 --format/--seed/--threads and only the flags its handler reads, spelled in
 full; any other flag is a usage error, and the report's `config` echoes
-exactly those flags.
+exactly those flags. Each handler returns its report and exit code (and, for
+the two tabular experiment actions, the CSV rows); `main` emits the report
+once, so format, config echo and print limit live in one place.
 
 Exit codes: 0 on success, 1 when an assertion-style subcommand is refuted
 (bound verification fails, a relation check comes back false), 2 on usage or
@@ -42,18 +44,20 @@ from .ramsey import (E_bound, ExperimentConfig, RGraph, bound_compare,
 from .util import BudgetExceeded, FmlabError
 
 
-def _load_structure(path):
+def _read(path, flag):
     if path is None:
-        raise FmlabError("--structure is required for this subcommand")
+        raise FmlabError(f"--{flag} is required for this subcommand")
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_structure(fh.read())
+        return fh.read()
 
 
-def _load_formula(path, signature):
-    if path is None:
-        raise FmlabError("--formula is required for this subcommand")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_formula(fh.read(), signature)
+def _load(args):
+    """The structure file, its structure, and the formula parsed over its
+    signature."""
+    doc = parse_structure(_read(args.structure, "structure"))
+    M = doc.structure
+    phi = parse_formula(_read(args.formula, "formula"), M.signature).formula
+    return doc, M, phi
 
 
 def _named(sections, name, kind):
@@ -108,37 +112,32 @@ def _outcome(value):
 # ---------------------------------------------------------------------------
 
 
+# the detect properties answered by one search: (search, the flag that sizes
+# it, the checker that re-verifies its witness)
+_SEARCHES = {
+    "independence": (find_k_independence, "k", verify_independence),
+    "order": (find_n_order, "n", lambda M, phi, w: verify_order(M, phi, w.a)),
+    "weak-order": (find_weak_m_order, "m", verify_weak_order),
+}
+
+
 def _cmd_detect(args):
-    doc = _load_structure(args.structure)
-    M = doc.structure
-    src = _load_formula(args.formula, M.signature)
-    phi = src.formula
-    if args.property == "independence":
-        res = find_k_independence(M, phi, args.k)
-        report = {"property": "independence", "k": args.k,
-                  "outcome": _outcome(res)}
-        if res is not None and not isinstance(res, BudgetExceeded):
+    doc, M, phi = _load(args)
+    if args.property in _SEARCHES:
+        search, flag, check = _SEARCHES[args.property]
+        size = getattr(args, flag)
+        res = search(M, phi, size)
+        report = {"property": args.property, flag: size, "outcome": _outcome(res)}
+        if report["outcome"] == "witness":
             report["witness"] = res
-            report["verified"] = verify_independence(M, phi, res)
-    elif args.property == "order":
-        res = find_n_order(M, phi, args.n)
-        report = {"property": "order", "n": args.n, "outcome": _outcome(res)}
-        if res is not None and not isinstance(res, BudgetExceeded):
-            report["witness"] = res
-            report["verified"] = verify_order(M, phi, res.a)
-    elif args.property == "weak-order":
-        res = find_weak_m_order(M, phi, args.m)
-        report = {"property": "weak-order", "m": args.m, "outcome": _outcome(res)}
-        if res is not None and not isinstance(res, BudgetExceeded):
-            report["witness"] = res
-            report["verified"] = verify_weak_order(M, phi, res)
+            report["verified"] = check(M, phi, res)
     elif args.property == "cover":
         n_max = args.n_max if args.n_max is not None else max(
             M.universe_size ** phi.s, args.d)
         res = find_cover_violation(M, phi, args.d, n_max)
         report = {"property": "cover", "d": args.d, "n_max": n_max,
                   "outcome": _outcome(res)}
-        if res is not None and not isinstance(res, BudgetExceeded):
+        if report["outcome"] == "witness":
             report["witness"] = res
     else:  # splitting
         A = sorted(_named(doc.sets, args.params_set, "set"))
@@ -152,37 +151,31 @@ def _cmd_detect(args):
         report = {"property": "splitting", "splits": ok}
         if wit is not None:
             report["witness"] = wit
-    _emit(args, report)
-    return 0
+    return report, 0
 
 
 def _cmd_types(args):
     if args.action == "shatter":
         family = [frozenset(_tuple_arg(m, "--member")) for m in args.member]
         wit = find_shattered(family, args.k)
-        report = {"action": "shatter", "k": args.k,
-                  "found": wit is not None}
-        if wit is not None:
+        report = {"action": "shatter", "k": args.k, "found": wit is not None}
+        if isinstance(wit, BudgetExceeded):
+            report["found"] = "budget"
+        elif wit is not None:
             report["witness"] = wit
-        _emit(args, report)
-        return 0
-    doc = _load_structure(args.structure)
-    M = doc.structure
-    src = _load_formula(args.formula, M.signature)
-    phi = src.formula
+        return report, 0
+    doc, M, phi = _load(args)
     A = (sorted(_named(doc.sets, args.set, "set")) if args.set
          else sorted(M.tuples(phi.s)))
     if args.action == "count":
-        report = {"action": "count", "count": count_phi_types(M, phi, A),
-                  "params": len(A)}
-        _emit(args, report)
-        return 0
+        return {"action": "count", "count": count_phi_types(M, phi, A),
+                "params": len(A)}, 0
     if args.action == "verify-order-bound":
         rep = verify_order_bound(M, phi, A, args.n)
     else:
         rep = verify_independence_bound(M, phi, A, args.k)
-    _emit(args, {"action": args.action, "report": rep})
-    return 0 if (rep.holds and rep.hypothesis_ok) else 1
+    return ({"action": args.action, "report": rep},
+            0 if (rep.holds and rep.hypothesis_ok) else 1)
 
 
 def _growth(args):
@@ -198,118 +191,89 @@ def _cmd_indisc(args):
         if args.fn != "beth" and args.k is None:
             raise FmlabError(f"--fn {args.fn} needs --k")
         if args.fn == "beth":
-            report = {"fn": "beth", "value": beth(args.i, args.x)}
+            value = beth(args.i, args.x)
         elif args.fn == "estimates":
-            report = {"fn": "estimates",
-                      "value": extraction_length_estimates(args.case, args.m, args.k,
-                                              args.p_or_n, args.s, args.t)}
+            value = extraction_length_estimates(args.case, args.m, args.k,
+                                                args.p_or_n, args.s, args.t)
         else:
             params = BoundParams(_growth(args), args.alpha, args.r, args.m, args.k)
-            if args.fn == "fstar":
-                report = {"fn": "fstar", "value": f_star(params, args.j)}
-            else:
-                report = {"fn": "g", "value": g_func(params, args.i, args.x)}
-        _emit(args, report)
-        return 0
-    doc = _load_structure(args.structure)
-    M = doc.structure
-    src = _load_formula(args.formula, M.signature)
-    phi = src.formula
+            value = (f_star(params, args.j) if args.fn == "fstar"
+                     else g_func(params, args.i, args.x))
+        return {"fn": args.fn, "value": value}, 0
+    doc, M, phi = _load(args)
     I = _named(doc.seqs, args.seq, "seq")
     A = sorted(_named(doc.sets, args.set, "set")) if args.set else []
     if args.action == "check":
         cert = check_indiscernible(I, [phi, phi.negated()], args.m, A, M,
                                    mode=args.mode)
-        _emit(args, {"action": "check", "certificate": cert})
-        return 0 if cert.verified else 1
+        return {"action": "check", "certificate": cert}, 0 if cert.verified else 1
     if args.action == "extract-end":
         got = extract_end_indiscernible(I, phi, args.m, A, M, k=args.k)
-        if isinstance(got, ExtractionFailure):
-            _emit(args, {"action": "extract-end", "failure": got})
-            return 1
-        seq, trace = got
-        _emit(args, {"action": "extract-end", "sequence": seq, "trace": trace})
-        return 0
-    got = extract_indiscernible(I, phi, args.m, A, M, args.k)
+    else:
+        got = extract_indiscernible(I, phi, args.m, A, M, args.k)
     if isinstance(got, ExtractionFailure):
-        _emit(args, {"action": "extract", "failure": got})
-        return 1
-    _emit(args, {"action": "extract", "sequence": got})
-    return 0
+        return {"action": args.action, "failure": got}, 1
+    if args.action == "extract-end":
+        seq, trace = got
+        return {"action": "extract-end", "sequence": seq, "trace": trace}, 0
+    return {"action": "extract", "sequence": got}, 0
 
 
 def _cmd_ramsey(args):
     if args.action == "arrow":
         holds = arrow_check(args.x, args.y, args.a, args.b)
-        _emit(args, {"action": "arrow", "x": args.x, "y": args.y,
-                     "a": args.a, "b": args.b, "holds": holds})
-        return 0 if holds else 1
+        return ({"action": "arrow", "x": args.x, "y": args.y, "a": args.a,
+                 "b": args.b, "holds": holds}, 0 if holds else 1)
     if args.action == "compare-bounds":
-        _emit(args, {"action": "compare-bounds",
-                     "comparison": bound_compare(args.r, args.n, args.k)})
-        return 0
+        return {"action": "compare-bounds",
+                "comparison": bound_compare(args.r, args.n, args.k)}, 0
     if args.action == "e-bound":
-        _emit(args, {"action": "e-bound",
-                     "value": E_bound(args.p, args.j, args.x)})
-        return 0
-    doc = _load_structure(args.structure)
+        return {"action": "e-bound", "value": E_bound(args.p, args.j, args.x)}, 0
+    doc = parse_structure(_read(args.structure, "structure"))
     G = RGraph.from_structure(doc.structure, args.relation)
     got = extract_homogeneous(G, args.n, args.k)
     if isinstance(got, ExtractionFailure):
-        _emit(args, {"action": "homogeneous", "failure": got})
-        return 1
+        return {"action": "homogeneous", "failure": got}, 1
     vertices, tag = got
-    _emit(args, {"action": "homogeneous", "vertices": sorted(vertices),
-                 "tag": tag})
-    return 0
+    return {"action": "homogeneous", "vertices": sorted(vertices), "tag": tag}, 0
 
 
 def _cmd_experiment(args):
     if args.action == "coupon":
-        q = coupon_q(args.n, args.m)
-        _emit(args, {"action": "coupon", "n": args.n, "m": args.m, "q": q})
-        return 0
+        return {"action": "coupon", "n": args.n, "m": args.m,
+                "q": coupon_q(args.n, args.m)}, 0
     if args.action == "independence-mc":
         row = independence_probability_mc(
             ExperimentConfig(args.n, args.k, args.trials, args.seed))
-        _emit(args, {"action": "independence-mc", "row": row}, rows=[row])
-        return 0
+        return {"action": "independence-mc", "row": row}, 0, [row]
     rows = independence_trend(_tuple_arg(args.k_list, "--k-list"),
                               args.trials, args.seed)
-    _emit(args, {"action": "thmg1", "rows": rows}, rows=rows)
-    return 0
+    return {"action": "thmg1", "rows": rows}, 0, rows
 
 
 def _cmd_classify(args):
     if args.action == "delta-star":
-        src = _load_formula(args.formula, None)
-        star = delta_star([src.formula, src.formula.negated()], args.n)
-        _emit(args, {"action": "delta-star", "size": len(star.formulas),
-                     "formulas": [f.text() for f in star.formulas]})
-        return 0
-    doc = _load_structure(args.structure)
-    M = doc.structure
-    src = _load_formula(args.formula, M.signature)
-    phi = src.formula
+        phi = parse_formula(_read(args.formula, "formula"), None).formula
+        star = delta_star([phi, phi.negated()], args.n)
+        return {"action": "delta-star", "size": len(star.formulas),
+                "formulas": [f.text() for f in star.formulas]}, 0
+    doc, M, phi = _load(args)
     if args.action == "kappa":
         res = kappa(M, [phi, phi.negated()], args.n, max_len=args.max_len)
         report = {"action": "kappa", "result": res}
         if isinstance(res, BudgetExceeded):
             report["outcome"] = _outcome(res)
-        _emit(args, report)
-        return 0
+        return report, 0
     if args.action == "good":
         got = is_good(M, phi, args.n, args.d)
-        _emit(args, {"action": "good", "result": got})
-        return 0 if not isinstance(got, GoodnessRefutation) else 1
+        return ({"action": "good", "result": got},
+                1 if isinstance(got, GoodnessRefutation) else 0)
     if args.action == "average":
         I = _named(doc.seqs, args.seq, "seq")
         A = sorted(_named(doc.sets, args.set, "set"))
         av = average_type(I, [phi, phi.negated()], A, M, args.kappa, n=args.n)
-        _emit(args, {"action": "average",
-                     "entries": [[f.text(), list(b), s]
-                                 for f, b, s in av.sorted_entries()]})
-        return 0
+        return {"action": "average", "entries": [
+            [f.text(), list(b), s] for f, b, s in av.sorted_entries()]}, 0
     A = sorted(_named(doc.sets, args.set, "set"))
     domains = [frozenset(_named(doc.submodels, name, "submodel"))
                for name in args.submodels.split(",")]
@@ -318,22 +282,19 @@ def _cmd_classify(args):
                          f"got {len(domains)}")
     ctx = make_class_context(M, [None] + domains, phi, args.n, args.d, args.k, A)
     if isinstance(ctx, GoodnessRefutation):
-        _emit(args, {"action": args.action, "error": "class is not good",
-                     "refutation": ctx})
-        return 1
+        return {"action": args.action, "error": "class is not good",
+                "refutation": ctx}, 1
     if args.action == "prec":
         rep = prec_K(M, domains[0], ctx)
-        _emit(args, {"action": "prec", "report": rep})
-        return 0 if rep.holds is True else 1
+        return {"action": "prec", "report": rep}, 0 if rep.holds is True else 1
     config = AmalgamConfig(M, domains[0], domains[1], domains[2], ctx)
     if args.action == "amalgam":
         res = stable_amalgam(config)
-        _emit(args, {"action": "amalgam", "result": res})
-        return 0 if res.holds is True else 1
+        return {"action": "amalgam", "result": res}, 0 if res.holds is True else 1
     res = symmetry_test(config)
-    _emit(args, {"action": "symmetry", "forward": res["forward"],
-                 "backward": res["backward"], "symmetric": res["symmetric"]})
-    return 0 if res["symmetric"] else 1
+    return ({"action": "symmetry", "forward": res["forward"],
+             "backward": res["backward"], "symmetric": res["symmetric"]},
+            0 if res["symmetric"] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +439,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        report, code, *rows = args.func(args)
+        _emit(args, report, *rows)
+        return code
     except ParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return 2

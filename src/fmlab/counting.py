@@ -13,13 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .core import PartitionedFormula, SatTable, Structure
 from .detect import (build_rho, find_k_independence, find_n_order,
                      first_shattered)
 from .indisc import _power
-from .util import BudgetExceeded, PreconditionError, TooLargeError
+from .util import BudgetExceeded, PreconditionError, TooLargeError, search_budget
 
 # materialize bound values only up to this many bits
 _MATERIALIZE_BITS = 1 << 20
@@ -154,13 +154,14 @@ def sauer_bound(ground_size: int, k: int) -> int:
 
 def find_shattered(family: Iterable[Iterable[int]], k: int,
                    ground: Optional[Iterable[int]] = None
-                   ) -> Optional[ShatterWitness]:
-    """First k-subset of the ground set shattered by the family, or None.
+                   ) -> Union[ShatterWitness, None, BudgetExceeded]:
+    """First k-subset of the ground set shattered by the family, None when
+    there is none, or BudgetExceeded when the search budget runs out.
 
     Candidates are enumerated lexicographically by `detect.first_shattered`,
-    with the family members as realizers; a candidate is accepted only when
-    all 2^k trace cells are inhabited, and each selector is the first member
-    in its cell.
+    with the family members as realizers, one budget node per k-subset; a
+    candidate is accepted only when all 2^k trace cells are inhabited, and
+    each selector is the first member in its cell.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
@@ -179,9 +180,9 @@ def find_shattered(family: Iterable[Iterable[int]], k: int,
         for e in s:
             if e in pos:
                 rows[pos[e]] |= 1 << idx
-    got = first_shattered(rows, k, (1 << len(sets)) - 1)
-    if got is None:
-        return None
+    got = first_shattered(rows, k, (1 << len(sets)) - 1, search_budget())
+    if got is None or isinstance(got, BudgetExceeded):
+        return got
     cand, least = got
     return ShatterWitness(tuple(ground_list[e] for e in cand),
                           {w: sets[idx] for w, idx in least.items()})
@@ -241,6 +242,19 @@ def compare_powers(base1: int, exp1: int, base2: int, exp2: int) -> int:
     raise TooLargeError("could not separate the two powers at precision 1000")
 
 
+def _chain_terms(n: int, s: int, t: int) -> Optional[tuple[int, int, int]]:
+    """k = 2^((3ns)^(t+1)), q = (3ns)^(2n) and c_exp = 2 + (3sn)^t of the
+    chained inequality, or None when q passes the size guard: k passed it,
+    so q then exceeds k and both readings of the inequality fail. While k
+    passes, c_exp * s is below k's bit count, so 2^(c_exp * s) passes too."""
+    k = no_order_exponent(n, s, t)
+    try:
+        q = _power(3 * n * s, 2 * n)
+    except TooLargeError:
+        return None
+    return k, q, 2 + _power(3 * s * n, t)
+
+
 def chained_inequality(n: int, s: int, t: int, m: int) -> bool:
     """The exact inequality m^(k - (3ns)^(2n)) > 2^(c^s) * c^((3ns)^(2n))
     with c = 2^(2 + (3sn)^t) and k = 2^((3ns)^(t+1)).
@@ -251,10 +265,11 @@ def chained_inequality(n: int, s: int, t: int, m: int) -> bool:
     """
     if m < 2:
         raise PreconditionError("m must be >= 2")
-    k = no_order_exponent(n, s, t)
-    q = (3 * n * s) ** (2 * n)
-    c_exp = 2 + (3 * s * n) ** t          # c = 2^c_exp
-    rhs_exp2 = 2 ** (c_exp * s) + q * c_exp   # log2 of 2^(c^s) * c^q
+    terms = _chain_terms(n, s, t)
+    if terms is None:
+        return False
+    k, q, c_exp = terms                       # c = 2^c_exp
+    rhs_exp2 = _power(2, c_exp * s) + q * c_exp   # log2 of 2^(c^s) * c^q
     lhs_exp = k - q
     if lhs_exp < 0:
         return False
@@ -269,12 +284,13 @@ def exponent_dominates(n: int, s: int, t: int, reading: str = "closed-early") ->
     closed-early: k > (c^s + (3ns)^(2n) * (2 + (3ns)^t)) + (3ns)^(2n)
     late:         k > c^s + (3ns)^(2n) * (2 + (3ns)^t + (3ns)^(2n))
     """
-    k = no_order_exponent(n, s, t)
-    q = (3 * n * s) ** (2 * n)
-    c_exp = 2 + (3 * s * n) ** t
-    cs = 2 ** (c_exp * s)
+    if reading not in ("closed-early", "late"):
+        raise PreconditionError(f"unknown reading {reading!r}")
+    terms = _chain_terms(n, s, t)
+    if terms is None:
+        return False
+    k, q, c_exp = terms
+    cs = _power(2, c_exp * s)
     if reading == "closed-early":
         return k > (cs + q * c_exp) + q
-    if reading == "late":
-        return k > cs + q * (c_exp + q)
-    raise PreconditionError(f"unknown reading {reading!r}")
+    return k > cs + q * (c_exp + q)

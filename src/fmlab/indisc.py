@@ -244,10 +244,21 @@ def _end_need(F: GrowthFunction, alpha: int, r: int, m: int, K: int,
         raise TooLargeError("length bound has too many stages to evaluate")
     if isinstance(F, ConstantGrowth):
         return (m - 1) + _geometric_need(max(F.c, 1), K - m)
+    stages = range(K - 2, m - 2, -1)
+
+    def divisor(j):
+        return max(F.value(alpha + offset + m * r * j), 1)
+
+    # req ends above the product of the divisors, so their summed bit counts
+    # refuse a bound past the guard before any product is built
+    bits = 0
+    for j in stages:
+        bits += divisor(j).bit_length() - 1
+        if bits >= SIZE_GUARD_BITS:
+            raise TooLargeError("length bound exceeds the size guard")
     req = 1
-    for j in range(K - 2, m - 2, -1):
-        divisor = max(F.value(alpha + offset + m * r * j), 1)
-        req = bound_step(req, divisor, "length bound")
+    for j in stages:
+        req = bound_step(req, divisor(j), "length bound")
     return (m - 1) + req
 
 

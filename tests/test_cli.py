@@ -131,6 +131,17 @@ def test_types_shatter(capsys):
     assert json.loads(out)["found"] is True
 
 
+def test_types_shatter_reports_a_spent_budget(capsys, monkeypatch):
+    monkeypatch.setenv("FMLAB_BUDGET", "0")
+    family = ["--member", "0,1", "--member", "0", "--member", "1", "--member", ""]
+    code, out = run(capsys, ["types", "shatter", *family, "--k", "2"])
+    report = json.loads(out)
+    assert code == 0 and report["found"] == "budget" and "witness" not in report
+    # no k-subset exists, so no node is spent and the search is exhausted
+    code, out = run(capsys, ["types", "shatter", *family, "--k", str(10 ** 12)])
+    assert code == 0 and json.loads(out)["found"] is False
+
+
 def test_indisc_check_and_extract(p3_files, capsys):
     s, f = p3_files
     code, out = run(capsys, ["indisc", "check", "--structure", s,
@@ -511,6 +522,8 @@ def test_runaway_inputs_end_in_one_error_line_under_a_memory_cap(p3_files, tmp_p
         ["indisc", "bounds", "--fn", "estimates", "--case", "4", "--m", "1",
          "--k", "1", "--p-or-n", "10", "--s", "10", "--t", "1000000000"],
         ["indisc", "bounds", "--fn", "g", "--i", "5000", "--x", "5000", "--k", "10"],
+        ["indisc", "bounds", "--fn", "g", "--growth", "poly", "--growth-p", "1",
+         "--i", "3", "--x", "3", "--k", "10"],
         ["ramsey", "compare-bounds", "--r", "3", "--n", "1", "--k", "10000000000"],
         ["experiment", "independence-mc", "--n", "200", "--k", "150", "--trials", "1"],
         ["experiment", "thmg1", "--k-list", "2000", "--trials", "1"],

@@ -14,7 +14,7 @@ from fmlab import (BoundReport, PartitionedFormula, PreconditionError,
                    verify_order_bound, verify_shattered)
 from fmlab.core import And, Atom, Exists, Not
 from fmlab.counting import compare_powers
-from fmlab.util import SplitMix64, TooLargeError
+from fmlab.util import BudgetExceeded, SplitMix64, TooLargeError
 from conftest import (EDGE, all_graphs, complete_graph, cycle_graph,
                       empty_graph, linear_order, outcome, path_graph,
                       seeded_digraph, seeded_graph)
@@ -216,6 +216,13 @@ def test_families_above_threshold_always_shatter_exhaustive():
                 assert w is not None and verify_shattered(w)
 
 
+def test_shatter_search_obeys_the_budget(monkeypatch):
+    # the search once ran with no budget at all
+    monkeypatch.setenv("FMLAB_BUDGET", "0")
+    assert find_shattered([set(), {0}, {1}, {0, 1}], 2) == BudgetExceeded(1)
+    assert find_shattered([{0, 1}, {1}], 10 ** 12) is None
+
+
 def test_shattering_bridges_to_independence():
     # identifying each realized type with its positive-instance set, a
     # shattered k-subset of instances yields a k-independence witness
@@ -271,3 +278,16 @@ def test_exponent_dominates_both_readings():
             for t in (1, 2):
                 assert exponent_dominates(n, s, t, reading="closed-early")
                 assert exponent_dominates(n, s, t, reading="late")
+
+
+@pytest.mark.parametrize("check", [
+    lambda: exponent_dominates(10 ** 6, 1, 0),
+    lambda: exponent_dominates(10 ** 6, 1, 0, reading="late"),
+    lambda: chained_inequality(10 ** 6, 1, 0, 3),
+])
+def test_chain_past_the_guard_is_false_at_once(check):
+    # (3ns)^(2n) = (3 * 10^6)^(2 * 10^6) has 43M bits and was built, though k
+    # = 2^(3 * 10^6) passes the guard and is already smaller
+    start = time.perf_counter()
+    assert check() is False
+    assert time.perf_counter() - start < 0.5
