@@ -75,20 +75,11 @@ def count_phi_types(M: Structure, phi: PartitionedFormula,
 
 
 def _leq_power(lhs: int, factor: int, base: int, exponent: int) -> bool:
-    """Decide lhs <= factor * base**exponent without materializing the power."""
-    if lhs <= factor:
-        return True
-    if base <= 1:
-        return lhs <= factor * base ** min(exponent, 1)
-    # lhs <= factor * base^e  iff  ceil(lhs/factor) <= base^e
+    """Decide lhs <= factor * base**exponent, that is need <= base**exponent
+    with need = ceil(lhs/factor), for base >= 2. base^e >= 2^e passes need
+    once e reaches need's bit count, so the power is built only below it."""
     need = -(-lhs // factor)
-    # compare bit lengths first, then logarithms via exact integer powers
-    e_needed = 0
-    v = 1
-    while v < need and e_needed <= exponent:
-        v *= base
-        e_needed += 1
-    return e_needed <= exponent and v >= need
+    return exponent >= need.bit_length() or need <= base ** exponent
 
 
 def _bound_report(wit, lhs: int, factor: int, base: int, exponent: int,
@@ -273,8 +264,6 @@ def chained_inequality(n: int, s: int, t: int, m: int) -> bool:
     lhs_exp = k - q
     if lhs_exp < 0:
         return False
-    if m == 2:
-        return lhs_exp > rhs_exp2
     return compare_powers(m, lhs_exp, 2, rhs_exp2) > 0
 
 

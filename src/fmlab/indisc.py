@@ -206,14 +206,55 @@ class BoundParams:
 _EVAL_GUARD = 2_000_000
 
 
+def _staged(factor: Callable[[int], int], stages: int, constant: bool,
+            what: str) -> int:
+    """v = 1 + v * factor(s) for s = 0 .. stages-1 in order, from v = 1.
+
+    v is at least the product of the factors since the last zero one, so
+    their summed `bit_length() - 1` refuses a value past the size guard
+    before any product is built. A `constant` factor d is summed in closed
+    form, 1 + d + ... + d^stages, by doubling the number of terms, so it
+    takes products but no long division; otherwise the stages run through
+    `bound_step`. A factor that `_power` refuses is raised after the stages
+    before it, so the first refusal is the one a plain loop meets.
+    """
+    if constant and stages:
+        d = factor(0)
+        if stages * (d.bit_length() - 1) >= SIZE_GUARD_BITS:
+            raise TooLargeError(f"{what} exceeds the size guard")
+        v, p = 0, 1  # 1 + d + ... + d^(t-1) and d^t, t taking the top bits of stages
+        for bit in bin(stages)[2:]:
+            v, p = v * (1 + p), p * p
+            if bit == "1":
+                v, p = 1 + d * v, p * d
+        return bound_step(v, d, what)
+    factors, bits, late = [], 0, None
+    for s in range(stages):
+        try:
+            d = factor(s)
+        except TooLargeError as e:
+            late = e
+            break
+        bits = bits + d.bit_length() - 1 if d else 0
+        if bits >= SIZE_GUARD_BITS:
+            raise TooLargeError(f"{what} exceeds the size guard")
+        factors.append(d)
+    v = 1
+    for d in factors:
+        v = bound_step(v, d, what)
+    if late is not None:
+        raise late
+    return v
+
+
 def f_star(params: BoundParams, j: int) -> int:
     """The staged recursion F*(0)=1, F*(j+1) = 1 + F*(j) * F(alpha + m*r*j) while
     j < k-2-m, switching to F*(j+1) = 1 + F*(j) on the final m stages.
 
     Exact integers throughout; j must satisfy 0 <= j <= k-2. TooLargeError
     when a value passes the size guard, or when more than `_EVAL_GUARD`
-    multiplicative stages would be evaluated; the final additive stages are
-    added in one step.
+    multiplicative stages would be evaluated; the multiplicative stages go
+    through `_staged` and the final additive stages are added in one step.
     """
     k, m = params.k, params.m
     if not (0 <= j <= k - 2):
@@ -221,10 +262,9 @@ def f_star(params: BoundParams, j: int) -> int:
     stages = min(j, max(k - 2 - m, 0))
     if stages > _EVAL_GUARD:
         raise TooLargeError("F* has too many stages to evaluate")
-    v = 1
-    for jj in range(stages):
-        f = params.F.value(params.alpha + m * params.r * jj)
-        v = bound_step(v, f, "F*")
+    F, step = params.F, m * params.r
+    v = _staged(lambda jj: F.value(params.alpha + step * jj), stages,
+                isinstance(F, ConstantGrowth) or step == 0, "F*")
     return v + (j - stages)
 
 
@@ -232,50 +272,20 @@ def _end_need(F: GrowthFunction, alpha: int, r: int, m: int, K: int,
               offset: int = 0) -> int:
     """Input length guaranteeing the greedy end-extraction reaches length K.
 
-    Backward pigeonhole bookkeeping over the refinement steps j = m-1 .. K-2,
-    where at step j the candidate pool splits into at most
+    Backward pigeonhole bookkeeping over the refinement steps j = K-2 down
+    to m-1, where at step j the candidate pool splits into at most
     F(alpha + offset + m*r*j) classes; `offset` accounts for elements already
-    frozen into the formula by outer recursion levels. Exact integers; growth
-    is doubly exponential in general.
+    frozen into the formula by outer recursion levels. Exact integers through
+    `_staged`; growth is doubly exponential in general.
     """
     if K <= m:
         return max(K, 0)
     if K - 2 > _EVAL_GUARD:
         raise TooLargeError("length bound has too many stages to evaluate")
-    if isinstance(F, ConstantGrowth):
-        return (m - 1) + _geometric_need(max(F.c, 1), K - m)
-    stages = range(K - 2, m - 2, -1)
-
-    def divisor(j):
-        return max(F.value(alpha + offset + m * r * j), 1)
-
-    # req ends above the product of the divisors, so their summed bit counts
-    # refuse a bound past the guard before any product is built
-    bits = 0
-    for j in stages:
-        bits += divisor(j).bit_length() - 1
-        if bits >= SIZE_GUARD_BITS:
-            raise TooLargeError("length bound exceeds the size guard")
-    req = 1
-    for j in stages:
-        req = bound_step(req, divisor(j), "length bound")
+    step = m * r
+    req = _staged(lambda s: max(F.value(alpha + offset + step * (K - 2 - s)), 1),
+                  K - m, isinstance(F, ConstantGrowth) or step == 0, "length bound")
     return (m - 1) + req
-
-
-def _geometric_need(d: int, steps: int) -> int:
-    """The loop of `_end_need` at a constant divisor d: req = 1 + req * d,
-    `steps` times from 1, is 1 + d + ... + d^steps. The sum only grows, so
-    the loop passes the size guard exactly when this final value does."""
-    if d == 1:
-        return steps + 1
-    # the sum exceeds d^steps, so an estimate past the guard by more than
-    # its rounding refuses before anything is built
-    if steps * math.log2(d) > SIZE_GUARD_BITS + 1:
-        raise TooLargeError("length bound exceeds the size guard")
-    req = (d ** (steps + 1) - 1) // (d - 1)
-    if req.bit_length() > SIZE_GUARD_BITS:
-        raise TooLargeError("length bound exceeds the size guard")
-    return req
 
 
 def g_func(params: BoundParams, i: int, x: int) -> int:

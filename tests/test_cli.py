@@ -524,6 +524,10 @@ def test_runaway_inputs_end_in_one_error_line_under_a_memory_cap(p3_files, tmp_p
         ["indisc", "bounds", "--fn", "g", "--i", "5000", "--x", "5000", "--k", "10"],
         ["indisc", "bounds", "--fn", "g", "--growth", "poly", "--growth-p", "1",
          "--i", "3", "--x", "3", "--k", "10"],
+        ["indisc", "bounds", "--fn", "fstar", "--growth", "poly", "--growth-p", "1",
+         "--k", "1000000", "--j", "999990"],
+        ["indisc", "bounds", "--fn", "g", "--growth", "poly", "--growth-p", "1",
+         "--alpha", "3", "--r", "0", "--i", "1", "--x", "1500000", "--k", "10"],
         ["ramsey", "compare-bounds", "--r", "3", "--n", "1", "--k", "10000000000"],
         ["experiment", "independence-mc", "--n", "200", "--k", "150", "--trials", "1"],
         ["experiment", "thmg1", "--k-list", "2000", "--trials", "1"],

@@ -13,7 +13,7 @@ from fmlab import (BoundParams, ConstantGrowth, ExtractionFailure,
                    extract_end_indiscernible, extract_indiscernible, f_star,
                    g_func)
 from fmlab import indisc
-from fmlab.indisc import (_EVAL_GUARD, _end_need, _formula_key,
+from fmlab.indisc import (_EVAL_GUARD, _end_need, _formula_key, bound_step,
                           greedy_end_extraction)
 from fmlab.ramsey import _halving_chain
 from fmlab.util import (SIZE_GUARD_BITS, EvaluationError, SplitMix64,
@@ -238,6 +238,109 @@ def test_g_func_composes_thousands_of_levels():
     assert g_func(BoundParams(ConstantGrowth(1), 0, 1, 1, 10), 5000, 5000) == 5001
     assert g_func(BoundParams(ConstantGrowth(1), 0, 1, 1, 10), 5000, 20) == 21
     assert time.perf_counter() - start < 1.0
+
+
+def test_staged_bounds_answer_long_stage_counts_at_once():
+    # each ran for minutes: F* multiplied stage by stage past the guard with
+    # no bit-count check, and a constant divisor at r = 0 was summed one
+    # stage at a time
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match=r"^F\* exceeds the size guard$"):
+        f_star(BoundParams(PolynomialGrowth(1), 0, 1, 1, 10 ** 6), 999_990)
+    assert time.perf_counter() - start < 1.0
+    want = (3 ** 1_500_001 - 1) // 2
+    start = time.perf_counter()
+    assert _end_need(PolynomialGrowth(1), 3, 0, 1, 1_500_001) == want
+    assert time.perf_counter() - start < 1.0
+
+
+def _f_star_by_loop(params, j):
+    """`f_star` as it was written, one `bound_step` per multiplicative stage."""
+    k, m = params.k, params.m
+    if not (0 <= j <= k - 2):
+        raise PreconditionError(f"j must satisfy 0 <= j <= k-2 = {k - 2}")
+    stages = min(j, max(k - 2 - m, 0))
+    if stages > _EVAL_GUARD:
+        raise TooLargeError("F* has too many stages to evaluate")
+    v = 1
+    for jj in range(stages):
+        v = bound_step(v, params.F.value(params.alpha + m * params.r * jj), "F*")
+    return v + (j - stages)
+
+
+def _end_need_by_loop(F, alpha, r, m, K, offset):
+    """`_end_need` as it was written: a pass summing the divisors' bit counts,
+    then one `bound_step` per refinement step j = K-2 down to m-1."""
+    if K <= m:
+        return max(K, 0)
+    if K - 2 > _EVAL_GUARD:
+        raise TooLargeError("length bound has too many stages to evaluate")
+    steps = range(K - 2, m - 2, -1)
+
+    def divisor(j):
+        return max(F.value(alpha + offset + m * r * j), 1)
+
+    bits = 0
+    for j in steps:
+        bits += divisor(j).bit_length() - 1
+        if bits >= SIZE_GUARD_BITS:
+            raise TooLargeError("length bound exceeds the size guard")
+    req = 1
+    for j in steps:
+        req = bound_step(req, divisor(j), "length bound")
+    return (m - 1) + req
+
+
+def test_staged_bounds_match_the_stage_loops(monkeypatch):
+    # seeded stage counts over every growth class. Under PolynomialGrowth(G-1)
+    # F(2) = 2^(G-1) stays under the bit sum but is refused by bound_step,
+    # and F(3) is refused by _power
+    growths = [WorstCaseGrowth(1), WorstCaseGrowth(3), PolynomialGrowth(1),
+               PolynomialGrowth(2), PolynomialGrowth(SIZE_GUARD_BITS - 1),
+               HypergraphWorstGrowth(3), HypergraphBoundedGrowth(3, 2),
+               ConstantGrowth(0), ConstantGrowth(1), ConstantGrowth(3)]
+    stepped = []
+
+    def spied_step(v, factor, what):
+        try:
+            return bound_step(v, factor, what)
+        except TooLargeError:
+            stepped.append(what)
+            raise
+
+    monkeypatch.setattr(indisc, "bound_step", spied_step)
+    rng = SplitMix64(2424)
+    seen, cases = set(), 0
+
+    def compare(new, ref, case):
+        nonlocal cases
+        stepped.clear()
+        got = outcome(new)
+        assert got == outcome(ref), case
+        cases += 1
+        if isinstance(got, tuple) and got[1].endswith("exceeds the size guard"):
+            seen.add("_power" if got[1].startswith("exact power")
+                     else "bound_step" if stepped else "bit sum")
+
+    for F, alpha, r, m in itertools.product(growths, (0, 3), (0, 1, 2), (0, 1, 2, 3)):
+        for _ in range(2):
+            k = rng.below(30)
+            j = rng.below(k + 1) - 1
+            params = BoundParams(F, alpha, r, m, k)
+            compare(lambda: f_star(params, j), lambda: _f_star_by_loop(params, j),
+                    (params, j))
+            if 0 < min(j, k - 2 - m):
+                if alpha == 0 and F.value(0) == 0:
+                    seen.add("zero factor")
+                if not isinstance(F, ConstantGrowth) and m * r == 0:
+                    seen.add("m*r = 0")
+            for offset in (0, 5):
+                K = rng.below(30) - 1
+                compare(lambda: _end_need(F, alpha, r, m, K, offset),
+                        lambda: _end_need_by_loop(F, alpha, r, m, K, offset),
+                        (F, alpha, r, m, K, offset))
+    assert cases == 1440
+    assert seen == {"zero factor", "m*r = 0", "_power", "bound_step", "bit sum"}
 
 
 def test_size_guard_keeps_every_value_below_it():
