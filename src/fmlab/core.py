@@ -434,18 +434,15 @@ class SatTable:
     (`classify._induced`).
 
     `holds` is the compiled scalar cell function; it keeps no cell, so a
-    search that re-reads cells keeps its own memo (`find_n_order` wraps it
-    in `functools.cache`). `rows` computes each row bit-parallel in vector
-    mode, one formula pass per (object, parameter head), and takes the mask
-    itself as the row when the parameters are the whole universe in order.
-    Scalar cells run instead, with their values and first error, when
-    s = 0, when a block has the wrong length, when an object or parameter
-    value lies outside the universe, or when the formula does not compile
-    to rows. Compiled functions are memoised by value on (structure,
-    formula, mode) in a 16-entry LRU; whole rows in
-    `_sat_rows`, a 64-entry LRU keyed by value that also takes the object
-    and parameter tuples, so a hit compiles nothing. An error is never
-    stored, and each caller gets a fresh list.
+    search that re-reads cells keeps its own memo (`find_n_order`). `rows`
+    computes each row bit-parallel in vector mode, one formula pass per
+    (object, parameter head), or takes the mask itself when the parameters
+    are the whole universe in order; scalar cells run instead, with their
+    values and first error, when s = 0, a block has the wrong length, a
+    value lies outside the universe or the formula does not compile to
+    rows. Whole rows are memoised by value in `_sat_rows` (64 entries), so
+    a hit compiles nothing; an error is never stored, and each caller gets
+    a fresh list.
 
     Search-side only: the witness checkers, `check_indiscernible` and `tp`
     stay on `evaluate`, so a fault here cannot hide from them. The
@@ -470,20 +467,28 @@ class SatTable:
         return list(_sat_rows(*self._key, tuple(objs), tuple(pars)))
 
 
-@functools.lru_cache(maxsize=16)
 def _compile(M: Structure, phi: PartitionedFormula, vector: Optional[int]):
-    """phi walked once into closures over a slot-indexed environment, every
-    node returning an int mask; quantifiers range over the whole universe.
+    """`_compile_shape`'s closures bound to M: run, or row (None if deferred)."""
+    bind = _compile_shape(M.signature, M.universe_size, phi, vector)
+    return bind and bind(M)
 
-    Scalar mode (`vector` None) has full = 1 and returns run(obj, par),
-    which answers what `phi.holds(M, obj, par)` answers,
-    value or first error. Vector mode has full = 2^n - 1, and `vector` is
-    the index of the free variable that is the vector, in
-    `object_vars + param_vars`. It returns row(a, b): a + b gives the
-    values of the other free variables, in that order, and bit u of the
-    row is set iff phi holds with u in the vector's place, for u in the
-    universe. `_sat_rows` takes the last parameter as the vector, the
-    greedy's formula key the candidate's object variable.
+
+@functools.lru_cache(maxsize=64)
+def _compile_shape(sig: Signature, n: int, phi: PartitionedFormula,
+                   vector: Optional[int]):
+    """phi walked once into closures over a slot-indexed environment, every
+    node returning an int mask; quantifiers range over range(n). Returns
+    bind(M), for any M of signature sig and size n, which fills the env
+    slots after the quantifiers' with what atoms read of M: bit rows,
+    tuple sets, diagonal masks, `holds_atom` and a cache of columns.
+
+    Scalar mode (`vector` None, full = 1) binds run(obj, par), which
+    answers what `phi.holds(M, obj, par)` answers, value or first error.
+    Vector mode (full = 2^n - 1) binds row(a, b), where `vector` indexes
+    the vector variable in `object_vars + param_vars`, a + b gives the
+    other free variables' values in order, and bit u of the row is set iff
+    phi holds with u in the vector's place: the last parameter for
+    `_sat_rows` and `find_n_order`, the candidate's variable for the greedy.
 
     Both modes share every connective and quantifier, with the same
     short-circuit points: And at 0, Or at full, Implies at 0, Exists at
@@ -492,36 +497,32 @@ def _compile(M: Structure, phi: PartitionedFormula, vector: Optional[int]):
     so a re-bound variable shadows the outer one (a quantifier that re-binds
     the vector variable gives it a scalar slot).
 
-    Only atoms differ between the modes; their arities and relation lookups
-    are settled here. Scalar atoms check their values against the universe
-    in `evaluate`'s order. Vector atoms check nothing, since `_sat_rows`
-    passes objects and heads inside the universe: one that does
-    not read the vector returns 0 or full, and one that does reads a bit
-    row, a transposed column or a constant mask, or tries each element. An
-    atom that names an unbound variable, has the wrong number of arguments
-    or an unknown relation, and an ill-formed node, raise `evaluate`'s
-    error at the cell that reaches them; in vector mode they make the
-    result None, so the caller runs scalar cells.
+    Only atoms differ between the modes. Scalar atoms check their values
+    against the universe in `evaluate`'s order; vector atoms check nothing,
+    since their callers pass values inside the universe. An atom that names
+    an unbound variable, has the wrong number of arguments or an unknown
+    relation, and an ill-formed node, raise `evaluate`'s error at the cell
+    that reaches them; in vector mode they make the result None, so the
+    caller runs scalar cells.
     """
     r, s = phi.r, phi.s
     scalar = vector is None
-    n = M.universe_size
     full = 1 if scalar else (1 << n) - 1
     universe = range(n)
-    sig, bitrows, relations = M.signature, M._bitrows, M.relations
     arities = dict(sig.relations)
     width = base = r + s - (not scalar)
     VEC = -1  # the vector's slot: element by element atoms put u there
-    deferred = False
+    deferred = []
+    held: dict[tuple, tuple] = {}  # (what, relation) -> (slot, fetch)
 
     def defer(error):
-        # the error waits for a cell to reach the node; rows give up
-        nonlocal deferred
-        deferred = True
+        deferred.append(error)  # it waits for a cell to reach it; rows give up
         return error
 
-    def out_of_range(val):
-        return EvaluationError(f"element out of range: {val}")
+    def data(what, rel, fetch):
+        # one slot per (what, relation), counted from the end before the
+        # vector's, which bind fills with fetch(M)
+        return held.setdefault((what, rel), (-len(held) - 1 - (not scalar), fetch))[0]
 
     def atom(node, slots):
         rel, names = node.rel, node.args
@@ -533,50 +534,51 @@ def _compile(M: Structure, phi: PartitionedFormula, vector: Optional[int]):
                     if i is None:
                         raise EvaluationError(f"unbound variable: {v}")
                     if not 0 <= env[i] < n:
-                        raise out_of_range(env[i])
+                        raise EvaluationError(f"element out of range: {env[i]}")
                 if sig.arity(rel) != len(names):
                     raise EvaluationError(f"arity mismatch in atom {rel}")
             return defer(bad)
-        rows, tuples = bitrows.get(rel), relations[rel]
+        if all(i == VEC for i in idx):
+            D = data("diagonal", rel, lambda M: sum(
+                1 << u for u in universe if (u,) * len(idx) in M.relations[rel]))
+            return lambda env: env[D]
+        binary = len(idx) == 2  # a binary relation has bit rows
+        if binary:
+            i, j = idx
+            R = data("rows", rel, lambda M: M._bitrows[rel])
+        elif not scalar:
+            T = data("tuples", rel, lambda M: M.relations[rel])
         if scalar:
             # values checked in evaluate's order; the answer is the one bit
-            if rows is not None:
-                i, j = idx
-
-                def binary(env):
+            if binary:
+                def binary_atom(env):
                     a, b = env[i], env[j]
-                    if not 0 <= a < n:
-                        raise out_of_range(a)
-                    if not 0 <= b < n:
-                        raise out_of_range(b)
-                    return rows[a] >> b & 1
-                return binary
-            return lambda env: M.holds_atom(rel, tuple([env[i] for i in idx]))
+                    if 0 <= a < n and 0 <= b < n:
+                        return env[R][a] >> b & 1
+                    raise EvaluationError(f"element out of range: {b if 0 <= a < n else a}")
+                return binary_atom
+            H = data("holds", None, lambda M: M.holds_atom)
+            return lambda env: env[H](rel, tuple([env[i] for i in idx]))
         if VEC not in idx:
-            if rows is not None:
-                i, j = idx
-                return lambda env: full if rows[env[i]] >> env[j] & 1 else 0
-            return lambda env: full if tuple([env[i] for i in idx]) in tuples else 0
-        if all(i == VEC for i in idx):
-            mask = sum(1 << u for u in range(n) if (u,) * len(idx) in tuples)
-            return lambda env: mask
-        if rows is not None:
-            i, j = idx
+            if binary:
+                return lambda env: full if env[R][env[i]] >> env[j] & 1 else 0
+            return lambda env: full if tuple([env[i] for i in idx]) in env[T] else 0
+        if binary:
             if j == VEC:
-                return lambda env: rows[env[i]]
-            cols = [None] * n  # transposed columns, each built on first use
+                return lambda env: env[R][env[i]]
+            C = data("columns", rel, lambda M: {})  # each built on first use
 
             def column(env):
-                b = env[j]
-                col = cols[b]
+                b, cols = env[j], env[C]
+                col = cols.get(b)
                 if col is None:
-                    col = cols[b] = sum([1 << a for a in range(n) if rows[a] >> b & 1])
+                    col = cols[b] = sum([1 << a for a in universe if env[R][a] >> b & 1])
                 return col
             return column
 
         def other(env):
-            mask = 0
-            for u in range(n):
+            mask, tuples = 0, env[T]
+            for u in universe:
                 env[VEC] = u
                 if tuple([env[i] for i in idx]) in tuples:
                     mask |= 1 << u
@@ -643,37 +645,37 @@ def _compile(M: Structure, phi: PartitionedFormula, vector: Optional[int]):
     if not scalar:
         free[names[vector]] = VEC
     top = comp(phi.ast, free)
-    pad = [0] * (width - base + (not scalar))  # quantifier slots, then the vector's
-    if not scalar:
-        return None if deferred else lambda a, b: top([*a, *b, *pad])
+    if deferred and not scalar:
+        return None
 
-    def run(obj, par):
-        if len(obj) != r or len(par) != s:
-            raise EvaluationError(
-                f"arity mismatch: expected blocks {r}/{s}, "
-                f"got {len(obj)}/{len(par)}")
-        return top([*obj, *par, *pad]) == 1
-    return run
+    def bind(M):
+        # quantifier slots, data slots, then the vector's
+        tail = [0] * (width - base) + [fetch(M) for _, fetch in reversed(held.values())]
+        tail += [0] * (not scalar)
+        if not scalar:
+            return lambda a, b: top([*a, *b, *tail])
+
+        def run(obj, par):
+            if len(obj) != r or len(par) != s:
+                raise EvaluationError(
+                    f"arity mismatch: expected blocks {r}/{s}, "
+                    f"got {len(obj)}/{len(par)}")
+            return top([*obj, *par, *tail]) == 1
+        return run
+    return bind
 
 
 @functools.lru_cache(maxsize=64)
 def _sat_rows(M: Structure, phi: PartitionedFormula,
               objs: tuple, pars: tuple) -> tuple[int, ...]:
     universe = range(M.universe_size)
-    row = None
-    if (phi.s and {len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
-            and set(itertools.chain(*objs, *pars)).issubset(universe)):
-        row = _compile(M, phi, phi.r + phi.s - 1)
+    fits = (phi.s and {len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
+            and set(itertools.chain(*objs, *pars)).issubset(universe))
+    row = _compile(M, phi, phi.r + phi.s - 1) if fits else None
     if row is None:
         run = _compile(M, phi, None)
-        out = []
-        for a in objs:
-            v = 0
-            for j, b in enumerate(pars):
-                if run(a, b):
-                    v |= 1 << j
-            out.append(v)
-        return tuple(out)
+        return tuple([sum([1 << j for j, b in enumerate(pars) if run(a, b)])
+                      for a in objs])
     if pars == tuple(zip(universe)):
         # every search over the whole universe: the row is the mask itself
         return tuple([row(a, ()) for a in objs])
@@ -683,12 +685,8 @@ def _sat_rows(M: Structure, phi: PartitionedFormula,
         groups.setdefault(b[:-1], []).append((j, b[-1]))
     out = []
     for a in objs:
-        v = 0
-        for head, cells in groups.items():
-            mask = row(a, head)
-            for j, u in cells:
-                v |= (mask >> u & 1) << j
-        out.append(v)
+        masks = [(row(a, head), cells) for head, cells in groups.items()]
+        out.append(sum([(mask >> u & 1) << j for mask, cells in masks for j, u in cells]))
     return tuple(out)
 
 

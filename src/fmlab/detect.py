@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (Iff, PartitionedFormula, PhiType, SatTable, Structure,
-                   rename_free, tp)
+                   _compile, rename_free, tp)
 from .formats import subset_key
 from .util import (BudgetExceeded, PreconditionError, TooLargeError,
                    search_budget)
@@ -216,16 +216,29 @@ def _powerset(items) -> Iterable[tuple]:
 
 def find_n_order(M: Structure, phi: PartitionedFormula, n: int
                  ) -> Union[OrderWitness, None, BudgetExceeded]:
-    """First n-tuple ordering itself under phi, by depth-first lexicographic search."""
+    """First n-tuple ordering itself under phi, by depth-first lexicographic search.
+
+    Cells are read lazily and memoised, since the search re-reads them and,
+    on the 3-block formula rho (`verify_order_bound`), reads far fewer than
+    a table holds. With s >= 1 and a formula that compiles to rows, holds(a,
+    b) is bit b[-1] of the row over the last parameter, computed once per
+    (a, b[:-1]); otherwise each cell is a scalar `SatTable.holds`, with its
+    first error.
+    """
     if n < 1:
         raise PreconditionError("n must be >= 1")
     if phi.r != phi.s:
         raise PreconditionError("order search requires l(x) = l(y)")
     limit = search_budget()
     objs = sorted(M.tuples(phi.r))
-    # memoised, since the search re-reads cells, and lazy: on the 3-block
-    # formula rho (verify_order_bound) it reads far fewer cells than a table holds
-    holds = functools.cache(SatTable(M, phi).holds)
+    row = _compile(M, phi, 2 * phi.s - 1) if phi.s else None
+    if row is None:
+        holds = functools.cache(SatTable(M, phi).holds)
+    else:
+        row = functools.cache(row)
+
+        def holds(a, b):
+            return row(a, b[:-1]) >> b[-1] & 1
     nodes = 0
     chosen: list[tuple[int, ...]] = []
 
@@ -333,7 +346,12 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
     from index i on), when
     (a) its intersection meets the intersection of every column from index
         i on, so no extension has an empty whole (at the root: all columns
-        meet); or
+        meet). For d >= 2 the empty columns are left out of that
+        intersection: an extension without one has a whole that holds the
+        prefix's intersection met with it, which is not empty, and an
+        extension with one has an unsatisfiable (d-1)-subfamily, which
+        holds that column. For d = 1 an empty column is itself a
+        violation, so every column counts; or
     (b) its intersection is empty. Let S be a least empty subfamily of an
         extension. If |S| < d, a (d-1)-subfamily holding S is
         unsatisfiable; otherwise S is a violation of fewer members, and the
@@ -353,9 +371,11 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
     cols = SatTable(M, phi.swapped()).rows(pars, objs)
     full = (1 << len(objs)) - 1
     m = len(pars)
-    suffix = [full] * (m + 1)  # suffix[i]: the objects under every column from i on
+    # suffix[i]: the objects under every column from i on, for d >= 2
+    # every non-empty one
+    suffix = [full] * (m + 1)
     for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] & cols[i]
+        suffix[i] = suffix[i + 1] & (cols[i] if d == 1 else cols[i] or full)
     nodes = 0
 
     def extend(start: int, chosen: tuple[int, ...], meet: int, n: int):

@@ -134,10 +134,19 @@ def bound_step(v: int, factor: int, what: str) -> int:
     raise TooLargeError(f"{what} exceeds the size guard")
 
 
+def _natural_parameter(value: int) -> None:
+    # a negative exponent or constant makes no type count
+    if value < 0:
+        raise PreconditionError(f"growth parameter must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class WorstCaseGrowth:
     """F(i) = 2^(i^m): no assumption on how many types a parameter set allows."""
     m: int
+
+    def __post_init__(self):
+        _natural_parameter(self.m)
 
     def value(self, i: int) -> int:
         return _power(2, _power(i, self.m))
@@ -147,6 +156,9 @@ class WorstCaseGrowth:
 class PolynomialGrowth:
     """F(i) = i^p: the polynomial-type-count regime."""
     p: int
+
+    def __post_init__(self):
+        _natural_parameter(self.p)
 
     def value(self, i: int) -> int:
         return _power(i, self.p)
@@ -177,6 +189,9 @@ class HypergraphBoundedGrowth:
 class ConstantGrowth:
     """F(i) = c: totally homogeneous relations."""
     c: int
+
+    def __post_init__(self):
+        _natural_parameter(self.c)
 
     def value(self, i: int) -> int:
         return self.c

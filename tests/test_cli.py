@@ -528,6 +528,12 @@ def test_runaway_inputs_end_in_one_error_line_under_a_memory_cap(p3_files, tmp_p
          "--k", "1000000", "--j", "999990"],
         ["indisc", "bounds", "--fn", "g", "--growth", "poly", "--growth-p", "1",
          "--alpha", "3", "--r", "0", "--i", "1", "--x", "1500000", "--k", "10"],
+        ["indisc", "bounds", "--fn", "g", "--growth", "poly", "--growth-p", "-1",
+         "--k", "8", "--i", "1", "--x", "4"],
+        ["indisc", "bounds", "--fn", "fstar", "--growth", "worst", "--growth-m", "-1",
+         "--k", "8", "--j", "5"],
+        ["indisc", "bounds", "--fn", "fstar", "--growth", "const", "--growth-c", "-3",
+         "--k", "8", "--j", "5"],
         ["ramsey", "compare-bounds", "--r", "3", "--n", "1", "--k", "10000000000"],
         ["experiment", "independence-mc", "--n", "200", "--k", "150", "--trials", "1"],
         ["experiment", "thmg1", "--k-list", "2000", "--trials", "1"],

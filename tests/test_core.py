@@ -15,7 +15,7 @@ from fmlab import (EvaluationError, FmlabError, PartitionedFormula,
                    verify_order, verify_order_bound, verify_shattered,
                    verify_weak_order)
 from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
-                        SatTable, _compile, _sat_rows)
+                        SatTable, _compile, _compile_shape, _sat_rows)
 from fmlab.classify import _induced
 from fmlab.formats import parse_formula
 from fmlab.util import SplitMix64
@@ -458,11 +458,11 @@ def test_bit_parallel_rows_match_a_per_cell_loop():
                  (objs + objs[:2], _shuffled(rng, pars + pars[:: 2] + pars[:1]))]
         for objs_i, pars_i in cases:
             _sat_rows.cache_clear()
-            calls = sum(_compile.cache_info()[:2])
+            calls = sum(_compile_shape.cache_info()[:2])
             assert SatTable(M, f).rows(objs_i, pars_i) == \
                 _cell_rows(M, f, objs_i, pars_i), (ast, objs_i, pars_i)
             # one compile: the vector one, no scalar fallback
-            assert sum(_compile.cache_info()[:2]) == calls + 1
+            assert sum(_compile_shape.cache_info()[:2]) == calls + 1
         # one value outside the universe: in an object or a parameter
         bad = (n, -1)[rng.bit()]
         objs_b, pars_b = list(objs), _shuffled(rng, pars)
@@ -472,11 +472,11 @@ def test_bit_parallel_rows_match_a_per_cell_loop():
         else:
             j = rng.below(len(pars_b))
             pars_b[j] = (bad,) + pars_b[j][1:]
-        calls = sum(_compile.cache_info()[:2])
+        calls = sum(_compile_shape.cache_info()[:2])
         assert outcome(lambda: SatTable(M, f).rows(objs_b, pars_b)) == \
             outcome(lambda: _cell_rows(M, f, objs_b, pars_b)), ast
         # one compile: the scalar fallback, never the vector one
-        assert sum(_compile.cache_info()[:2]) == calls + 1
+        assert sum(_compile_shape.cache_info()[:2]) == calls + 1
 
 
 def test_rows_over_any_free_variable_match_a_per_cell_loop():
@@ -553,17 +553,27 @@ def test_equal_structures_share_one_memo_entry_and_a_hit_does_not_compile():
     info = _sat_rows.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     # the first call compiled the row function once; the hit compiled nothing
-    compiled = _compile.cache_info()
+    compiled = _compile_shape.cache_info()
     assert (compiled.hits, compiled.misses, compiled.currsize) == (0, 1, 1)
     # a row miss on the same (structure, formula) reuses the compiled
     # rows and compiles no scalar cells
     assert table.rows(objs[:2], pars) == first[:2]
     assert _sat_rows.cache_info().misses == 2
-    compiled = _compile.cache_info()
+    compiled = _compile_shape.cache_info()
     assert (compiled.hits, compiled.misses, compiled.currsize) == (1, 1, 1)
     assert table.holds((0,), (1,)) is True
-    compiled = _compile.cache_info()
+    compiled = _compile_shape.cache_info()
     assert (compiled.hits, compiled.misses, compiled.currsize) == (1, 2, 2)
+    # an unequal structure of the same signature and size has its own rows
+    # from the same compiled closures, in both modes
+    M3 = graph(4, [(0, 2), (0, 3)])
+    other = SatTable(M3, EDGE)
+    assert other.rows(objs, pars) == [0b1100, 0, 0b0001, 0b0001]
+    assert other.holds((0,), (2,)) is True and other.holds((0,), (1,)) is False
+    assert table.rows(objs, pars) == first == [0b0010, 0b0101, 0b1010, 0b0100]
+    assert _sat_rows.cache_info().currsize == 3
+    compiled = _compile_shape.cache_info()
+    assert (compiled.hits, compiled.misses, compiled.currsize) == (4, 2, 2)
 
 
 def test_memoised_rows_keep_no_error_and_no_caller_edit():
@@ -715,6 +725,8 @@ def test_reference_path_never_reaches_the_compiler():
     for fn in reference:
         names = _reachable_names(fn, set())
         assert "_compile" not in names, fn.__qualname__
+        assert "_compile_shape" not in names, fn.__qualname__
+        assert "_sat_rows" not in names, fn.__qualname__
         assert "SatTable" not in names, fn.__qualname__
 
 

@@ -1,5 +1,6 @@
 """Witness searches and their independent verifiers."""
 
+import functools
 import itertools
 import time
 from math import comb
@@ -15,13 +16,13 @@ from fmlab import (BudgetExceeded, CoverViolation, IndependenceWitness,
                    find_weak_m_order, parse_formula, splitting_order_witness,
                    splits, stirling_threshold, tp, verify_cover_violation,
                    verify_independence, verify_order, verify_weak_order)
-from fmlab.core import And, Atom, Exists, Not
+from fmlab.core import And, Atom, Exists, Not, SatTable
 from fmlab.detect import first_shattered
-from fmlab.util import TooLargeError
+from fmlab.util import TooLargeError, search_budget
 
 from conftest import (EDGE, LESS, all_graphs, complete_graph, cycle_graph,
-                      digraph, empty_graph, graph, induced, linear_order, path_graph,
-                      seeded_digraph, seeded_graph, star_graph)
+                      digraph, empty_graph, graph, induced, linear_order, outcome,
+                      path_graph, seeded_digraph, seeded_graph, star_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +243,92 @@ def test_order_requires_equal_blocks():
     assert src.r == src.s
 
 
+def _order_by_scalar_cells(M, phi, n):
+    """find_n_order before it read rows, kept literally: every cell a
+    memoised scalar `SatTable.holds`."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    if phi.r != phi.s:
+        raise PreconditionError("order search requires l(x) = l(y)")
+    limit = search_budget()
+    objs = sorted(M.tuples(phi.r))
+    holds = functools.cache(SatTable(M, phi).holds)
+    nodes = 0
+    chosen = []
+
+    def extend():
+        nonlocal nodes
+        if len(chosen) == n:
+            return OrderWitness(tuple(chosen))
+        for a in objs:
+            nodes += 1
+            if nodes > limit:
+                return BudgetExceeded(nodes)
+            if holds(a, a):
+                continue
+            ok = True
+            for c in chosen:
+                if not (holds(c, a) and not holds(a, c)):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            chosen.append(a)
+            res = extend()
+            if res is not None:
+                return res
+            chosen.pop()
+        return None
+
+    return extend()
+
+
+def _unbound(ast):
+    """EDGE's blocks over an ast that names a variable outside both; the
+    constructor refuses those, so it is set in afterwards."""
+    phi = PartitionedFormula(Atom("R", ("x0", "y0")), ("x0",), ("y0",))
+    object.__setattr__(phi, "ast", ast)
+    return phi
+
+
+# formulas whose vector compile defers: each error waits for a cell whose
+# first conjunct holds, so a search that meets none ends without one
+DEFERRED = [
+    PartitionedFormula(And(Atom("R", ("x0", "y0")), Atom("R", ("x0",))),
+                       ("x0",), ("y0",)),
+    _unbound(And(Atom("R", ("y0", "x0")), Atom("R", ("x0", "w0")))),
+]
+
+
+def test_order_search_on_rows_matches_the_scalar_search(monkeypatch):
+    # witness, None, BudgetExceeded.nodes and the first error agree with
+    # the scalar search on graphs, digraphs and linear orders: atomic and
+    # quantified formulas and their negations, build_rho(EDGE) (the path
+    # verify_order_bound takes), and formulas that only scalar cells run
+    rng = SplitMix64(20261025)
+    makers = (seeded_graph, seeded_digraph, _seeded_order)
+    formulas = [EDGE, EDGE.negated(), DIST2, DIST2.negated()]
+    rho = build_rho(EDGE)
+    seen = {"witness": 0, "none": 0, "budget": 0, "error": 0}
+    for case in range(150):
+        pick = case % 6
+        size = 6 if pick == 4 else 9  # rho's blocks have three entries
+        M = makers[case % 3](rng.below(size), 9000 + case)
+        phi = (formulas + [rho] + [DEFERRED[case % 2]])[pick]
+        for n in range(1, 5):
+            for limit in (1, 3, 10, 40, None):
+                if limit is None:
+                    monkeypatch.delenv("FMLAB_BUDGET", raising=False)
+                else:
+                    monkeypatch.setenv("FMLAB_BUDGET", str(limit))
+                want = outcome(lambda: _order_by_scalar_cells(M, phi, n))
+                assert outcome(lambda: find_n_order(M, phi, n)) == want, (case, n, limit)
+                seen["witness" if isinstance(want, OrderWitness) else
+                     "budget" if isinstance(want, BudgetExceeded) else
+                     "none" if want is None else "error"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 # ---------------------------------------------------------------------------
 # weak order
 # ---------------------------------------------------------------------------
@@ -393,6 +480,45 @@ def test_cover_search_matches_the_enumeration(monkeypatch):
             seen["witness" if isinstance(want, CoverViolation) else
                  "budget" if isinstance(want, BudgetExceeded) else "none"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def test_cover_search_sees_past_empty_columns(monkeypatch):
+    # one or two isolated vertices, first, middle or last, give empty
+    # columns, which the prune leaves out for d >= 2; witness, None and
+    # BudgetExceeded.nodes still agree with the unpruned enumeration, over
+    # whole and partial parameter lists. At d = 1 the first empty column is
+    # the level-1 witness
+    rng = SplitMix64(20261026)
+    seen = {"witness": 0, "none": 0, "budget": 0}
+    for case in range(180):
+        n = 3 + rng.below(6)
+        spots = [0, n // 2, n - 1]
+        isolated = {spots[case % 3]}
+        if case % 2:
+            isolated.add(spots[(case // 3 + 1) % 3])
+        base = (seeded_graph, seeded_digraph, _seeded_order)[case // 6 % 3](n, 8000 + case)
+        M = digraph(n, [e for e in base.relations["R"] if not isolated & set(e)])
+        phi = (EDGE, DIST2, SEES_NOT)[case // 18 % 3]
+        d = 1 + case // 54 % 3
+        n_max = d + rng.below(5)
+        every = sorted(M.tuples(phi.s))
+        params = None if rng.bit() else [b for b in every if rng.below(3)]
+        pars = every if params is None else params
+        for limit in (1, 2, 5, 20, 60, 200):
+            monkeypatch.setenv("FMLAB_BUDGET", str(limit))
+            want = _cover_by_enumeration(M, phi, d, n_max, pars, None, limit)
+            got = find_cover_violation(M, phi, d, n_max, params=params)
+            assert got == want, (case, limit)
+            seen["witness" if isinstance(want, CoverViolation) else
+                 "budget" if isinstance(want, BudgetExceeded) else "none"] += 1
+        # an isolated vertex's column is empty, and so may be others
+        empty = [b for b in pars if not any(phi.holds(M, a, b) for a in M.tuples(1))]
+        assert {b for b in pars if b[0] in isolated} <= set(empty)
+        if d == 1 and empty:
+            monkeypatch.delenv("FMLAB_BUDGET")
+            assert find_cover_violation(M, phi, 1, n_max, params=params) == \
+                CoverViolation(1, (empty[0],)), case
+    assert min(seen.values()) >= 50, seen
 
 
 def test_cover_search_ignores_repeated_parameters(monkeypatch):

@@ -144,6 +144,18 @@ def test_g_identity_and_monotone():
         g_func(params, 1, -1)
 
 
+def test_growth_functions_refuse_a_negative_parameter():
+    # each is refused when built, before any bound reads it; zero is a
+    # natural parameter and still answers
+    for growth in (WorstCaseGrowth, PolynomialGrowth, ConstantGrowth):
+        for bad in (-1, -3):
+            with pytest.raises(PreconditionError, match=f"got {bad}"):
+                growth(bad)
+        F = growth(0)
+        assert g_func(BoundParams(F, 0, 1, 1, 8), 1, 4) >= 4
+        assert f_star(BoundParams(F, 0, 1, 1, 8), 5) >= 1
+
+
 def test_f_star_refuses_too_many_stages_at_once():
     params = BoundParams(ConstantGrowth(1), 0, 1, 1, 10 ** 9)
     start = time.perf_counter()
