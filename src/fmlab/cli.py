@@ -251,7 +251,17 @@ def _cmd_experiment(args):
     return {"action": "thmg1", "rows": rows}, 0, rows
 
 
+# every classify action builds delta_star of [phi, ~phi] at width --n: one
+# realizability formula per sign pattern of each width 1..n, 2^(n+1) - 2 in
+# all, plus subformulas; each step of n doubles them and about doubles the
+# time (on a 2-core x86 box, seconds at n = 10 and 7 s at n = 11)
+_MAX_SIGN_PATTERNS = 2046
+
+
 def _cmd_classify(args):
+    if args.n > 1 and (1 << min(args.n, 64) + 1) - 2 > _MAX_SIGN_PATTERNS:
+        raise FmlabError(f"--n {args.n} needs 2^{args.n + 1} - 2 realizability "
+                         f"formulas, past the cap of {_MAX_SIGN_PATTERNS}")
     if args.action == "delta-star":
         phi = parse_formula(_read(args.formula, "formula"), None).formula
         star = delta_star([phi, phi.negated()], args.n)

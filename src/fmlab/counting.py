@@ -179,10 +179,18 @@ def find_shattered(family: Iterable[Iterable[int]], k: int,
                           {w: sets[idx] for w, idx in least.items()})
 
 
-def verify_shattered(w: ShatterWitness) -> bool:
+def verify_shattered(w: ShatterWitness, family: Iterable[Iterable[int]]) -> bool:
+    """Whether `family` shatters w's alphas as w claims: the alphas are
+    distinct, there is a selector for every subset w of their indices, each
+    selector is a member of `family`, and alpha_i is in A_w iff i is in w."""
     k = len(w.alphas)
+    if len(set(w.alphas)) != k:
+        return False
     if set(w.selectors) != {frozenset(c) for r in range(k + 1)
                             for c in itertools.combinations(range(k), r)}:
+        return False
+    members = {frozenset(s) for s in family}
+    if not all(chosen in members for chosen in w.selectors.values()):
         return False
     for wset, chosen in w.selectors.items():
         for i, alpha in enumerate(w.alphas):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (PartitionedFormula, SatTable, Structure, TupleSequence,
@@ -426,7 +427,11 @@ def greedy_end_extraction(length: int, m: int,
     classes are the non-empty blocks of refining the pool by every cell
     (partition refinement, Paige & Tarjan 1987), which are the classes of
     the candidates' tuples of cell values, so the choices and the trace are
-    those of a per-candidate key. The trace counts the blocks.
+    those of a per-candidate key. The trace counts the blocks. A cell that
+    is empty or the whole pool once restricted to it splits no block and is
+    skipped, and refinement stops once every block is a single candidate;
+    `key_of` has returned every cell by then, so neither changes which
+    cells are evaluated or the first error raised.
 
     The surviving pool already agrees on every selection without the newest
     chosen position, so `key_of` is passed only the selections that can
@@ -444,7 +449,11 @@ def greedy_end_extraction(length: int, m: int,
     sels = list(itertools.combinations(chosen, m - 1))
     while pool and len(chosen) < (length if target is None else target):
         blocks = [pool]
+        singletons = pool.bit_count()
         for cell in key_of(sels, pool):
+            cell &= pool
+            if not cell or cell == pool:
+                continue
             split = []
             for block in blocks:
                 part = block & cell
@@ -453,6 +462,8 @@ def greedy_end_extraction(length: int, m: int,
                 else:
                     split.append(block)
             blocks = split
+            if len(blocks) == singletons:
+                break
         best = max(blocks, key=lambda b: (b.bit_count(), -(b & -b)))
         steps.append((len(chosen), len(blocks), best.bit_count()))
         new = (best & -best).bit_length() - 1
@@ -463,6 +474,23 @@ def greedy_end_extraction(length: int, m: int,
     return chosen, ExtractionTrace(tuple(chosen), tuple(steps))
 
 
+class _ByteTable(dict):
+    """Position masks by byte value for eight consecutive universe elements:
+    entry v is the sum of the (disjoint) position masks of the elements
+    whose bits are set in v. Entries are made on first lookup."""
+
+    __slots__ = ("_at",)
+
+    def __init__(self, at: list[int]):
+        super().__init__()
+        self._at = at
+
+    def __missing__(self, v: int) -> int:
+        at = self._at
+        got = self[v] = sum([at[b] for b in range(8) if v >> b & 1])
+        return got
+
+
 def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
                  suffix: tuple[int, ...] = ()):
     """Key function for `greedy_end_extraction`: one mask over pool positions
@@ -471,14 +499,20 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
     parameter. Each selection's entries are flattened once per key function.
 
     When entries are single elements, and every entry, suffix element and
-    parameter lies in the universe, each cell is one row
-    of the compiled formula over the candidate's variable (`core._compile`
-    in vector mode), read at each pool candidate's element. Otherwise, or
-    when the formula does not compile to rows, scalar cells run candidate
-    by candidate in increasing position, selections then parameters, so
-    the first error raised is that of the first bad cell. Callers make the
-    blocks fit: phi's object block covers a selection, the candidate and
-    `suffix`, and each parameter has phi's parameter arity."""
+    parameter lies in the universe, each cell is one row of the compiled
+    formula over the candidate's variable (`core._compile` in vector mode),
+    a mask over universe elements. It becomes a mask over positions by
+    table lookup, a byte at a time (the "Four Russians" method, Arlazarov
+    et al. 1970): each element maps to the positions that hold it, repeated
+    entries included, and each universe byte from the lowest to the
+    highest that holds an entry has a `_ByteTable`. A position holds one
+    element, so the bytes' masks are disjoint, and their sum restricted to
+    the pool is the cell. Otherwise, or when the formula does not compile
+    to rows, scalar cells run candidate by candidate in increasing
+    position, selections then parameters, so the first error raised is that
+    of the first bad cell. Callers make the blocks fit: phi's object block
+    covers a selection, the candidate and `suffix`, and each parameter has
+    phi's parameter arity."""
     concat = seq.concat
     entries = seq.tuples
     heads: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -488,8 +522,15 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
     if seq.tuple_arity == 1 and set(itertools.chain(*entries, suffix, *pars)
                                     ).issubset(range(M.universe_size)):
         row = _compile(M, phi, at)
-        elem = [e for e, in entries]
+    if row is not None:
         tails = [suffix + b for b in pars]  # the free values after the candidate's
+        at_elem: dict[int, int] = {}  # element -> the positions holding it
+        for p, (e,) in enumerate(entries):
+            at_elem[e] = at_elem.get(e, 0) | 1 << p
+        low = min(at_elem, default=0) >> 3
+        tables = [_ByteTable([at_elem.get(e, 0) for e in range(8 * i, 8 * i + 8)])
+                  for i in range(low, (max(at_elem, default=-1) >> 3) + 1)]
+        shift, width = 8 * low, ((M.universe_size + 7) >> 3) - low
     everyone = [(1 << p, p) for p in range(len(entries))]  # (bit, position)s
 
     def head_of(sel):
@@ -499,13 +540,12 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
         return head
 
     def rows_key(sels: list[tuple[int, ...]], pool: int) -> list[int]:
-        cands = [c for c in everyone if pool & c[0]]
         cells = []
         for sel in sels:
             head = head_of(sel)
             for tail in tails:
-                mask = row(head, tail)
-                cells.append(sum([bit for bit, p in cands if mask >> elem[p] & 1]))
+                got = (row(head, tail) >> shift).to_bytes(width, "little")
+                cells.append(sum(map(getitem, tables, got)) & pool)
         return cells
 
     def cells_key(sels: list[tuple[int, ...]], pool: int) -> list[int]:

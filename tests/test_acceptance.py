@@ -135,7 +135,7 @@ def test_a04_shattering_completeness():
             for k in range(1, g + 1):
                 if size > thresholds[k]:
                     w = find_shattered(fam, k, ground=range(g))
-                    if w is None or not verify_shattered(w):
+                    if w is None or not verify_shattered(w, fam):
                         failures += 1
     # seeded families with grounds up to 12
     rng = SplitMix64(314)
@@ -147,7 +147,7 @@ def test_a04_shattering_completeness():
         for k in range(1, g + 1):
             if len(fam) > sauer_bound(g, k):
                 w = find_shattered(fam, k, ground=range(g))
-                if w is None or not verify_shattered(w):
+                if w is None or not verify_shattered(w, fam):
                     failures += 1
     dt = time.time() - t0
     report(4, failures == 0 and dt < 120, f"{failures} failures ({dt:.1f}s)")
@@ -269,39 +269,49 @@ def test_a07_sequences_are_sets_without_order():
     # exhaustive over all simple graphs on up to 6 vertices; the transfer is
     # false on asymmetric relations with a formula-local hypothesis (see the
     # documented digraph boundary case in test_indisc.py), so the declared
-    # family is the symmetric one the claim is about
+    # family is the symmetric one the claim is about. Each (n+1)-subset is
+    # read once into a pair mask, bit i*(n+1) + j set iff its i-th vertex
+    # relates to its j-th; an ordering of the subset is
+    # sequence-indiscernible iff its forward pairs are all set or all clear,
+    # and set-indiscernible iff all the subset's pairs are
     t0 = time.time()
     counterexamples = 0
     structures = 0
     spot_checked = 0
-
-    def bit(rows, u, v):
-        return (rows[u] >> v) & 1
+    forward = {}  # n -> (orderings of the places with their forward-pair masks, all pairs)
+    for n in (2, 3):
+        k = n + 1
+        forward[n] = ([(order, sum(1 << order[a] * k + order[b]
+                                   for a, b in itertools.combinations(range(k), 2)))
+                       for order in itertools.permutations(range(k))],
+                      sum(1 << i * k + j for i in range(k) for j in range(k) if i != j))
 
     def scan(M, n):
         nonlocal counterexamples, spot_checked
         if find_n_order(M, EDGE, n) is not None:
             return
         rows = _rows_of(M)
-        N = M.universe_size
-        for sel in itertools.permutations(range(N), n + 1):
-            vals = {bit(rows, sel[i], sel[j])
-                    for i in range(n + 1) for j in range(i + 1, n + 1)}
-            if len(vals) != 1:
-                continue  # not even sequence-indiscernible
-            allvals = {bit(rows, u, v) for u in sel for v in sel if u != v}
-            if len(allvals) != 1:
-                counterexamples += 1
-            if spot_checked < 40:
-                # tie the inlined bit logic to the public checker
-                I = TupleSequence.of([(v,) for v in sel])
-                cert = check_indiscernible(I, [EDGE_PAIR], 2, [], M,
-                                           mode="sequence")
-                certset = check_indiscernible(I, [EDGE_PAIR], 2, [], M,
-                                              mode="set")
-                assert cert.verified == (len(vals) == 1)
-                assert certset.verified == (len(allvals) == 1)
-                spot_checked += 1
+        k = n + 1
+        orders, every = forward[n]
+        for sub in itertools.combinations(range(M.universe_size), k):
+            pairs = sum(1 << i * k + j for i, u in enumerate(sub)
+                        for j, v in enumerate(sub) if i != j and rows[u] >> v & 1)
+            uniform = pairs in (0, every)
+            for order, fwd in orders:
+                if pairs & fwd not in (0, fwd):
+                    continue  # not even sequence-indiscernible
+                if not uniform:
+                    counterexamples += 1
+                if spot_checked < 40:
+                    # tie the pair masks to the public checker
+                    I = TupleSequence.of([(sub[i],) for i in order])
+                    cert = check_indiscernible(I, [EDGE_PAIR], 2, [], M,
+                                               mode="sequence")
+                    certset = check_indiscernible(I, [EDGE_PAIR], 2, [], M,
+                                                  mode="set")
+                    assert cert.verified
+                    assert certset.verified == uniform
+                    spot_checked += 1
 
     for size in (3, 4, 5, 6):
         for M in all_graphs(size):

@@ -540,6 +540,7 @@ def test_runaway_inputs_end_in_one_error_line_under_a_memory_cap(p3_files, tmp_p
         ["experiment", "coupon", "--n", "1000000000000", "--m", "2"],
         ["detect", "--structure", str(many), "--formula", f,
          "--property", "independence", "--k", "1"],
+        ["classify", "delta-star", "--formula", f, "--n", "30"],
     ]
     answered = [
         ["experiment", "coupon", "--n", "1000000000000", "--m", "1"],

@@ -8,10 +8,11 @@ from decimal import localcontext
 import pytest
 
 from fmlab import (BoundReport, PartitionedFormula, PreconditionError,
-                   chained_inequality, count_phi_types, exponent_dominates,
-                   find_k_independence, find_shattered, no_order_exponent,
-                   realized_types, sauer_bound, verify_independence_bound,
-                   verify_order_bound, verify_shattered)
+                   ShatterWitness, chained_inequality, count_phi_types,
+                   exponent_dominates, find_k_independence, find_shattered,
+                   no_order_exponent, realized_types, sauer_bound,
+                   verify_independence_bound, verify_order_bound,
+                   verify_shattered)
 from fmlab.core import And, Atom, Exists, Not
 from fmlab.counting import compare_powers
 from fmlab.util import BudgetExceeded, SplitMix64, TooLargeError
@@ -188,7 +189,7 @@ def test_power_set_shatters_itself():
     fam = [set(), {0}, {1}, {0, 1}]
     w = find_shattered(fam, 2, ground=[0, 1])
     assert w.alphas == (0, 1)
-    assert verify_shattered(w)
+    assert verify_shattered(w, fam)
 
 
 def test_tight_family_does_not_shatter():
@@ -198,9 +199,10 @@ def test_tight_family_does_not_shatter():
 
 
 def test_single_point_shatter():
-    w = find_shattered([set(), {0}], 1, ground=[0])
+    fam = [set(), {0}]
+    w = find_shattered(fam, 1, ground=[0])
     assert w.alphas == (0,)
-    assert verify_shattered(w)
+    assert verify_shattered(w, fam)
 
 
 def test_families_above_threshold_always_shatter_exhaustive():
@@ -213,7 +215,25 @@ def test_families_above_threshold_always_shatter_exhaustive():
         for k in range(1, 4):
             if len(fam) > sauer_bound(3, k):
                 w = find_shattered(fam, k, ground=ground)
-                assert w is not None and verify_shattered(w)
+                assert w is not None and verify_shattered(w, fam)
+
+
+def test_verify_shattered_rejects_a_false_witness():
+    # the checker once took no family, so invented selectors verified while
+    # the search rightly found nothing
+    fake = ShatterWitness((1, 2), {frozenset(): frozenset(),
+                                   frozenset({0}): frozenset({1}),
+                                   frozenset({1}): frozenset({2}),
+                                   frozenset({0, 1}): frozenset({1, 2})})
+    assert find_shattered([{1}], 2) is None
+    assert not verify_shattered(fake, [{1}])
+    assert not verify_shattered(fake, [set(), {1}, {2}])
+    assert verify_shattered(fake, [set(), {1}, {2}, {1, 2}, {3}])
+    twice = ShatterWitness((1, 1), {frozenset(): frozenset(),
+                                    frozenset({0}): frozenset({1}),
+                                    frozenset({1}): frozenset({1}),
+                                    frozenset({0, 1}): frozenset({1})})
+    assert not verify_shattered(twice, [set(), {1}])
 
 
 def test_shatter_search_obeys_the_budget(monkeypatch):

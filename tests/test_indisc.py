@@ -828,6 +828,115 @@ def test_row_formula_key_matches_the_scalar_fallback(monkeypatch):
                     ("split", False), ("cells", True), ("cells", False)}
 
 
+def test_row_formula_key_matches_the_scalar_fallback_past_one_byte(monkeypatch):
+    # universes of 9..40 elements, so rows span two to five bytes and each
+    # row becomes a position mask through several byte tables; the
+    # sequences draw from some of the bytes only (the lowest one skipped,
+    # or one in the middle), distinct or repeated, and the cells must
+    # match the scalar fallback call by call
+    rng = SplitMix64(1426)
+    seen = set()
+    for trial in range(240):
+        n = 9 + rng.below(32)
+        seed = mix_seed(1426, trial)
+        M = seeded_graph(n, seed) if rng.bit() else seeded_digraph(n, seed)
+        m = 1 + trial % 3
+        suffix = tuple(rng.below(n) for _ in range(rng.below(2)))
+        s = rng.below(3)
+        phi = _seeded_formula(rng, m + len(suffix), s)
+        pars = ([()] if s == 0 else
+                sorted({tuple(rng.below(n) for _ in range(s)) for _ in range(1 + rng.below(3))}))
+        spans = range((n + 7) // 8)
+        used = [b for b in spans if rng.below(3)] or [rng.below(len(spans))]
+        elems = [e for e in range(n) if e >> 3 in used]
+        if trial % 2:
+            elems = [e for e in _shuffled(rng, elems) if rng.below(4)][:16]
+            seq = TupleSequence.of([(e,) for e in elems], 1)
+        else:
+            seq = TupleSequence.of([(elems[rng.below(len(elems))],)
+                                    for _ in range(rng.below(17))], 1)
+        target = (None, rng.below(len(seq) + 1))[trial % 4 == 3]
+        runs = []
+        for path in ("rows", "cells"):
+            with monkeypatch.context() as patch:
+                if path == "cells":
+                    patch.setattr(indisc, "_compile", lambda *args: None)
+                key = _formula_key(seq, SatTable(M, phi), pars, suffix)
+            assert key.__name__ == path + "_key", trial
+            calls = []
+
+            def logged(sels, pool, key=key, calls=calls):
+                cells = key(sels, pool)
+                calls.append((list(sels), pool, list(cells)))
+                return cells
+
+            runs.append((greedy_end_extraction(len(seq), m, logged, target), calls))
+        assert runs[0] == runs[1], trial
+        (_, trace), calls = runs[0]
+        touched = {e >> 3 for e, in seq}
+        seen.update({("m", m), ("s", s), ("suffix", len(suffix) > 0),
+                     ("repeated", len(set(seq)) < len(seq)),
+                     ("low byte unused", bool(touched) and 0 not in touched),
+                     ("gap", any(b not in touched
+                                 for b in range(min(touched, default=0),
+                                                max(touched, default=0)))),
+                     ("bytes", min(len(touched), 3)),
+                     ("split", any(c > 1 for _, c, _ in trace.steps))})
+    assert seen == {("m", 1), ("m", 2), ("m", 3), ("s", 0), ("s", 1), ("s", 2),
+                    ("suffix", True), ("suffix", False), ("repeated", True),
+                    ("repeated", False), ("low byte unused", True),
+                    ("low byte unused", False), ("gap", True), ("gap", False),
+                    ("bytes", 0), ("bytes", 1), ("bytes", 2), ("bytes", 3),
+                    ("split", True), ("split", False)}
+
+
+def _separated_before_the_last_cell(pool, cells):
+    """Whether a proper prefix of `cells` already tells every candidate in
+    `pool` apart, so the refinement may stop before the last cell."""
+    cands = [p for p in range(pool.bit_length()) if pool >> p & 1]
+    return any(len({tuple(c >> p & 1 for c in cells[:i]) for p in cands}) == len(cands)
+               for i in range(1, len(cells)))
+
+
+def test_greedy_skips_dead_cells_and_stops_at_singletons():
+    # seeded colourings keyed by cell masks that carry bits outside the
+    # pool, past the sequence too, mixed with cells that are empty or the
+    # whole pool once restricted to it; none of these may change a class,
+    # and refining may stop once every candidate is apart
+    rng = SplitMix64(1427)
+    seen = set()
+    for trial in range(300):
+        m = 1 + trial % 3
+        length = rng.below(14)
+        colours = 1 + rng.below(8)
+        colour = {t: rng.below(colours)
+                  for t in itertools.combinations(range(length), m)}
+        target = None if rng.bit() else rng.below(length + 2)
+        stops = []
+
+        def key_of(sels, pool):
+            cells = []
+            for sel in sels:
+                for bit in (1, 2, 4):
+                    cell = sum(1 << c for c in range(length)
+                               if pool >> c & 1 and colour[sel + (c,)] & bit)
+                    junk = rng.bits(length + 4) & ~pool
+                    cells += [cell | junk] + [(0, pool, junk, pool | junk)[rng.below(4)]
+                                              for _ in range(rng.below(2))]
+            stops.append(_separated_before_the_last_cell(pool, [c & pool for c in cells]))
+            return cells
+
+        def reference_key(sels, cand):
+            return tuple(colour[sel + (cand,)] for sel in sels)
+
+        got = greedy_end_extraction(length, m, key_of, target)
+        assert got == per_candidate_greedy(length, m, reference_key, target), trial
+        seen.update({("m", m), ("stop", any(stops)),
+                     ("split", any(c > 1 for _, c, _ in got[1].steps))})
+    assert seen == {("m", 1), ("m", 2), ("m", 3), ("stop", True), ("stop", False),
+                    ("split", True), ("split", False)}
+
+
 def _shuffled(rng, items):
     items = list(items)
     for i in range(len(items) - 1, 0, -1):
