@@ -33,7 +33,7 @@ from .detect import (arrow_check, find_cover_violation,
                      splits, verify_independence, verify_order,
                      verify_weak_order)
 from .formats import (ParseError, emit_report, parse_formula, parse_structure,
-                      reportable)
+                      refuse_unprintable_power, reportable)
 from .indisc import (BoundParams, ConstantGrowth, PolynomialGrowth,
                      WorstCaseGrowth, beth, check_indiscernible,
                      extraction_length_estimates, extract_end_indiscernible,
@@ -173,6 +173,8 @@ def _cmd_types(args):
     if args.action == "verify-order-bound":
         rep = verify_order_bound(M, phi, A, args.n)
     else:
+        # rhs = |A|^(s(k-1)), refused unbuilt when it surely cannot print
+        refuse_unprintable_power(1, len(A), phi.s * (args.k - 1))
         rep = verify_independence_bound(M, phi, A, args.k)
     return ({"action": args.action, "report": rep},
             0 if (rep.holds and rep.hypothesis_ok) else 1)

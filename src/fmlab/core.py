@@ -434,7 +434,8 @@ class SatTable:
     (`classify._induced`).
 
     `holds` is the compiled scalar cell function; it keeps no cell, so a
-    search that re-reads cells keeps its own memo (`find_n_order`). `rows`
+    search that re-reads cells keeps its own memo (`find_n_order` for
+    r = s > 1, or a formula that does not compile to rows). `rows`
     computes each row bit-parallel in vector mode, one formula pass per
     (object, parameter head), or takes the mask itself when the parameters
     are the whole universe in order; scalar cells run instead, with their
@@ -442,7 +443,9 @@ class SatTable:
     value lies outside the universe or the formula does not compile to
     rows. Whole rows are memoised by value in `_sat_rows` (64 entries), so
     a hit compiles nothing; an error is never stored, and each caller gets
-    a fresh list.
+    a fresh list. `columns` transposes those rows when they come from the
+    vector compile, memoised in `_sat_columns`, so the searches of one
+    query compile one table.
 
     Search-side only: the witness checkers, `check_indiscernible` and `tp`
     stay on `evaluate`, so a fault here cannot hide from them. The
@@ -465,6 +468,11 @@ class SatTable:
              pars: Sequence[tuple[int, ...]]) -> list[int]:
         """Bitmask rows: bit j of row i is set iff phi[objs[i]; pars[j]] holds."""
         return list(_sat_rows(*self._key, tuple(objs), tuple(pars)))
+
+    def columns(self, objs: Sequence[tuple[int, ...]],
+                pars: Sequence[tuple[int, ...]]) -> list[int]:
+        """Bitmask columns: bit i of column j is set iff phi[objs[i]; pars[j]]."""
+        return list(_sat_columns(*self._key, tuple(objs), tuple(pars)))
 
 
 def _compile(M: Structure, phi: PartitionedFormula, vector: Optional[int]):
@@ -665,13 +673,19 @@ def _compile_shape(sig: Signature, n: int, phi: PartitionedFormula,
     return bind
 
 
+def _row_function(M: Structure, phi: PartitionedFormula, objs, pars):
+    """The vector-mode row(a, head) that `_sat_rows` reads the table of
+    objs x pars through, or None when it runs scalar cells instead."""
+    fits = (phi.s and {len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
+            and set(itertools.chain(*objs, *pars)).issubset(range(M.universe_size)))
+    return _compile(M, phi, phi.r + phi.s - 1) if fits else None
+
+
 @functools.lru_cache(maxsize=64)
 def _sat_rows(M: Structure, phi: PartitionedFormula,
               objs: tuple, pars: tuple) -> tuple[int, ...]:
     universe = range(M.universe_size)
-    fits = (phi.s and {len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
-            and set(itertools.chain(*objs, *pars)).issubset(universe))
-    row = _compile(M, phi, phi.r + phi.s - 1) if fits else None
+    row = _row_function(M, phi, objs, pars)
     if row is None:
         run = _compile(M, phi, None)
         return tuple([sum([1 << j for j, b in enumerate(pars) if run(a, b)])
@@ -688,6 +702,24 @@ def _sat_rows(M: Structure, phi: PartitionedFormula,
         masks = [(row(a, head), cells) for head, cells in groups.items()]
         out.append(sum([(mask >> u & 1) << j for mask, cells in masks for j, u in cells]))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _sat_columns(M: Structure, phi: PartitionedFormula,
+                 objs: tuple, pars: tuple) -> tuple[int, ...]:
+    # phi's memoised rows, transposed, when they come from the vector
+    # compile, where no cell can raise; otherwise phi.swapped()'s rows, whose
+    # scalar cells run column by column and so keep that order's first error
+    if _row_function(M, phi, objs, pars) is None:
+        return _sat_rows(M, phi.swapped(), pars, objs)
+    cols = [0] * len(pars)
+    for i, row in enumerate(_sat_rows(M, phi, objs, pars)):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -218,20 +218,29 @@ def find_n_order(M: Structure, phi: PartitionedFormula, n: int
                  ) -> Union[OrderWitness, None, BudgetExceeded]:
     """First n-tuple ordering itself under phi, by depth-first lexicographic search.
 
-    Cells are read lazily and memoised, since the search re-reads them and,
-    on the 3-block formula rho (`verify_order_bound`), reads far fewer than
-    a table holds. With s >= 1 and a formula that compiles to rows, holds(a,
-    b) is bit b[-1] of the row over the last parameter, computed once per
-    (a, b[:-1]); otherwise each cell is a scalar `SatTable.holds`, with its
+    Each object tried is one budget node, rejected ones too. With r = s = 1
+    and a formula that compiles to rows, the search reads the memoised
+    `SatTable` rows and columns, the table the other searches of a query
+    read, and takes each level as one mask (`_order_on_rows`). Otherwise,
+    for r = s > 1 (rho) or a formula that does not compile, cells are
+    read lazily and memoised, since the search re-reads them and, on the
+    3-block formula rho (`verify_order_bound`), reads far fewer than a table
+    holds: with s >= 1 and a formula that compiles to rows, holds(a, b) is
+    bit b[-1] of the row over the last parameter, computed once per (a,
+    b[:-1]); otherwise each cell is a scalar `SatTable.holds`, with its
     first error.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
     if phi.r != phi.s:
         raise PreconditionError("order search requires l(x) = l(y)")
-    limit = search_budget()
+    limit = max(search_budget(), 0)  # a negative budget stops at the first node too
     objs = sorted(M.tuples(phi.r))
     row = _compile(M, phi, 2 * phi.s - 1) if phi.s else None
+    if row is not None and phi.s == 1:
+        table = SatTable(M, phi)
+        return _order_on_rows(objs, table.rows(objs, objs),
+                              table.columns(objs, objs), n, limit)
     if row is None:
         holds = functools.cache(SatTable(M, phi).holds)
     else:
@@ -269,6 +278,47 @@ def find_n_order(M: Structure, phi: PartitionedFormula, n: int
     return extend()
 
 
+def _order_on_rows(objs: list, rows: list[int], back: list[int], n: int,
+                   limit: int) -> Union[OrderWitness, None, BudgetExceeded]:
+    """`find_n_order` on a bit table, one mask per level (the bitset style
+    of exact clique search): rows[c] >> a & 1 and back[a] >> c & 1 are both
+    holds(c, a).
+
+    The objects that extend a chain c_1..c_t are those outside the diagonal
+    and inside rows[c_i] & ~back[c_i] for every i; a level walks that mask's
+    set bits in increasing order. Nodes are those of the one-by-one walk:
+    descending to index i counts the i + 1 - pos objects from pos, the first
+    not yet counted at this level, and a level that runs out counts the rest
+    of `objs`.
+    """
+    off_diagonal = sum([1 << a for a, row in enumerate(rows) if not row >> a & 1])
+    chosen: list[int] = []
+    nodes = 0
+
+    def extend(fits: int) -> Union[OrderWitness, None, BudgetExceeded]:
+        nonlocal nodes
+        if len(chosen) == n:
+            return OrderWitness(tuple(objs[c] for c in chosen))
+        pos, rest = 0, fits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            nodes += i + 1 - pos
+            if nodes > limit:
+                return BudgetExceeded(limit + 1)
+            pos = i + 1
+            chosen.append(i)
+            got = extend(fits & rows[i] & ~back[i])
+            if got is not None:
+                return got
+            chosen.pop()
+        nodes += len(objs) - pos
+        return BudgetExceeded(limit + 1) if nodes > limit else None
+
+    return extend(off_diagonal)
+
+
 def verify_order(M: Structure, phi: PartitionedFormula,
                  a: Sequence[tuple[int, ...]]) -> bool:
     for i, ai in enumerate(a):
@@ -280,38 +330,68 @@ def verify_order(M: Structure, phi: PartitionedFormula,
 
 def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int
                       ) -> Union[WeakOrderWitness, None, BudgetExceeded]:
-    """First d-list admitting realizers x_j with phi(x;d_i) exactly for i >= j.
+    """First d-list admitting realizers x_j with phi(x;d_i) exactly for i >= j,
+    each realizer the least such object.
+
     A repeated d_i would force phi and ~phi on one realizer, so only lists of
-    m distinct tuples are tried, in lexicographic order: one budget node each."""
+    m distinct tuples are tried, in lexicographic order: one budget node
+    each. The columns are `SatTable.columns`: phi's table, which the other
+    searches of a query read too, transposed.
+
+    The search runs depth-first over prefixes d_0..d_{t-1}, keeping one mask
+    per realizer j < t (the objects under d_j..d_{t-1} and outside
+    d_0..d_{j-1}) and one for all later realizers (outside every d_i). A
+    prefix that leaves one of them empty has no completion and is dropped,
+    counting its perm(|pars| - t, m - t) lists as nodes, so the earliest
+    list and the budget marker are those of the plain enumeration. At the
+    last level each candidate column is one node, tested against the m masks.
+    """
     if m < 1:
         raise PreconditionError("m must be >= 1")
     if phi.r < 1 or phi.s < 1:
         raise PreconditionError("weak order search needs nonempty blocks")
-    limit = search_budget()
+    limit = max(search_budget(), 0)  # a negative budget stops at the first node too
     pars = sorted(M.tuples(phi.s))
     objs = sorted(M.tuples(phi.r))
-    cols = dict(zip(pars, SatTable(M, phi.swapped()).rows(pars, objs)))
-    full = (1 << len(objs)) - 1
+    cols = SatTable(M, phi).columns(objs, pars)
+    if m > len(pars):  # no list of m distinct tuples, so no node
+        return None
+    chosen: list[int] = []
     nodes = 0
-    for d in itertools.permutations(pars, m):
-        nodes += 1
-        if nodes > limit:
-            return BudgetExceeded(nodes)
-        realizers = []
-        ok = True
-        for j in range(m):
-            v = full
-            for i in range(m):
-                v &= cols[d[i]] if i >= j else (full & ~cols[d[i]])
-                if not v:
-                    break
-            if not v:
-                ok = False
-                break
-            realizers.append(objs[(v & -v).bit_length() - 1])
-        if ok:
-            return WeakOrderWitness(tuple(d), tuple(realizers))
-    return None
+
+    def extend(masks: list[int]) -> Union[WeakOrderWitness, None, BudgetExceeded]:
+        # masks[j]: the objects that can still be realizer j; masks[-1]
+        # serves every realizer from len(chosen) on
+        nonlocal nodes
+        last = len(chosen) == m - 1
+        drop = perm(len(pars) - len(chosen) - 1, m - len(chosen) - 1)
+        for i, col in enumerate(cols):
+            if i in chosen:
+                continue
+            if last:
+                nodes += 1
+                if nodes > limit:
+                    return BudgetExceeded(limit + 1)
+                cells = [mask & col for mask in masks]
+                if all(cells):
+                    return WeakOrderWitness(
+                        tuple(pars[c] for c in chosen) + (pars[i],),
+                        tuple(objs[(v & -v).bit_length() - 1] for v in cells))
+                continue
+            split = [mask & col for mask in masks] + [masks[-1] & ~col]
+            if all(split):
+                chosen.append(i)
+                got = extend(split)
+                if got is not None:
+                    return got
+                chosen.pop()
+            else:
+                nodes += drop
+                if nodes > limit:
+                    return BudgetExceeded(limit + 1)
+        return None
+
+    return extend([(1 << len(objs)) - 1])
 
 
 def verify_weak_order(M: Structure, phi: PartitionedFormula,
@@ -338,7 +418,9 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
     n = d, d+1, ..., each level in `itertools.combinations` order, one
     budget node each; past the budget the search returns BudgetExceeded.
     A leaf is a violation when its whole intersection is empty and each of
-    its (d-1)-subfamilies is satisfiable.
+    its (d-1)-subfamilies is satisfiable. The columns are
+    `SatTable.columns`: phi's table, which the other searches of a query
+    read too, transposed.
 
     Each level runs depth-first over prefixes. A prefix shorter than n is
     dropped with all its extensions, which still count as nodes
@@ -368,7 +450,7 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
     else:
         pars = sorted({tuple(t) for t in params})
     objs = sorted(M.tuples(phi.r))
-    cols = SatTable(M, phi.swapped()).rows(pars, objs)
+    cols = SatTable(M, phi).columns(objs, pars)
     full = (1 << len(objs)) - 1
     m = len(pars)
     # suffix[i]: the objects under every column from i on, for d >= 2

@@ -487,6 +487,19 @@ def _printable(v: int) -> int:
     return v
 
 
+def refuse_unprintable_power(factor: int, base: int, exponent: int) -> None:
+    """`_printable`'s TooLargeError for factor * base**exponent, raised
+    before the value is built, when its least possible bit count,
+    factor.bit_length() + exponent * (base.bit_length() - 1), passes 4 times
+    the print limit: it is then at least 16^limit. A value this leaves
+    alone has at most twice that many bits, so it is cheap to build, and
+    `_printable` decides it exactly."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and factor.bit_length() + exponent * (base.bit_length() - 1) > 4 * limit:
+        raise TooLargeError(f"a report value has more than {limit} digits, "
+                            "Python's limit for printing an integer")
+
+
 def reportable(value: Any) -> Any:
     """Convert a result value into deterministic JSON-ready data.
 

@@ -460,6 +460,28 @@ def test_report_value_too_long_to_print_is_usage_error(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ") and "digits" in captured.err
 
 
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="the cases sit around Python's default 4,300-digit limit")
+def test_independence_bound_refuses_exactly_the_rhs_that_cannot_print(tmp_path, capsys):
+    # on an 8-element A, rhs = 8^(k-1): 3,612 digits at k = 4000 prints,
+    # 4,334 at k = 4800 is built and refused, and k = 300000 is refused
+    # before it is built; 4 bits per factor would refuse k = 4000 too
+    s = tmp_path / "s8.fm"
+    s.write_text("signature: R/2\nuniverse: 8\nrelation R: (0,1) (1,0)\nset A: "
+                 + " ".join(f"({i})" for i in range(8)) + "\n")
+    f = tmp_path / "edge.fml"
+    f.write_text(EDGE_FML)
+    argv = ["types", "verify-independence-bound", "--structure", str(s),
+            "--formula", str(f), "--set", "A", "--k"]
+    code, out = run(capsys, argv + ["4000"])
+    assert code == 0 and json.loads(out)["report"]["rhs"] == 8 ** 3999
+    for k in ("4800", "300000"):
+        assert main(argv + [k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "digits" in captured.err
+
+
 def test_deep_formula_is_a_usage_error_and_the_limit_runs(tmp_path, capsys):
     s = tmp_path / "p3.fm"
     s.write_text(P3)
@@ -516,7 +538,13 @@ def test_runaway_inputs_end_in_one_error_line_under_a_memory_cap(p3_files, tmp_p
                     + f"\nuniverse: {MAX_UNIVERSE}\n")
     one = tmp_path / "one.fm"
     one.write_text(f"signature: R/2\nuniverse: {MAX_UNIVERSE}\nrelation R: (0,1) (1,0)\n")
+    twelve = tmp_path / "twelve.fm"
+    twelve.write_text("signature: R/2\nuniverse: 12\nrelation R: (0,1) (1,0)\nset A: "
+                      + " ".join(f"({i})" for i in range(12)) + "\n")
     refused = [
+        # once answered with "rhs": null, while --k 5000 was refused
+        ["types", "verify-independence-bound", "--structure", str(twelve),
+         "--formula", f, "--set", "A", "--k", "300000"],
         ["types", "verify-order-bound", "--structure", s, "--formula", f,
          "--set", "A", "--n", "100000"],
         ["indisc", "bounds", "--fn", "estimates", "--case", "4", "--m", "1",

@@ -15,10 +15,12 @@ from fmlab import (BudgetExceeded, CoverViolation, IndependenceWitness,
                    find_cover_violation, find_k_independence, find_n_order,
                    find_weak_m_order, parse_formula, splitting_order_witness,
                    splits, stirling_threshold, tp, verify_cover_violation,
-                   verify_independence, verify_order, verify_weak_order)
-from fmlab.core import And, Atom, Exists, Not, SatTable
+                   verify_independence, verify_order, verify_weak_order,
+                   WeakOrderWitness)
+from fmlab import core
+from fmlab.core import And, Atom, Exists, Implies, Not, SatTable
 from fmlab.detect import first_shattered
-from fmlab.util import TooLargeError, search_budget
+from fmlab.util import FmlabError, TooLargeError, search_budget
 
 from conftest import (EDGE, LESS, all_graphs, complete_graph, cycle_graph,
                       digraph, empty_graph, graph, induced, linear_order, outcome,
@@ -360,6 +362,85 @@ def test_weak_order_downward_closed():
             assert find_weak_m_order(M, LESS, m - 1) is not None
 
 
+def _weak_order_by_permutations(M, phi, m):
+    """find_weak_m_order before it pruned by prefix, kept literally: every
+    m-permutation of the parameters, one node each, over the rows of
+    phi.swapped()'s table."""
+    if m < 1:
+        raise PreconditionError("m must be >= 1")
+    if phi.r < 1 or phi.s < 1:
+        raise PreconditionError("weak order search needs nonempty blocks")
+    limit = search_budget()
+    pars = sorted(M.tuples(phi.s))
+    objs = sorted(M.tuples(phi.r))
+    cols = dict(zip(pars, SatTable(M, phi.swapped()).rows(pars, objs)))
+    full = (1 << len(objs)) - 1
+    nodes = 0
+    for d in itertools.permutations(pars, m):
+        nodes += 1
+        if nodes > limit:
+            return BudgetExceeded(nodes)
+        realizers = []
+        ok = True
+        for j in range(m):
+            v = full
+            for i in range(m):
+                v &= cols[d[i]] if i >= j else (full & ~cols[d[i]])
+                if not v:
+                    break
+            if not v:
+                ok = False
+                break
+            realizers.append(objs[(v & -v).bit_length() - 1])
+        if ok:
+            return WeakOrderWitness(tuple(d), tuple(realizers))
+    return None
+
+
+def test_weak_order_search_matches_the_permutation_loop(monkeypatch):
+    # witness, None, BudgetExceeded.nodes and the first error agree with the
+    # unpruned permutation loop on graphs, digraphs and linear orders of 1-9
+    # vertices: atomic and quantified formulas, their negations, and
+    # formulas that only scalar cells run
+    rng = SplitMix64(20261027)
+    makers = (seeded_graph, seeded_digraph, _seeded_order)
+    formulas = [EDGE, EDGE.negated(), DIST2, DIST2.negated()] + DEFERRED
+    seen = {"witness": 0, "none": 0, "budget": 0, "error": 0}
+    for case in range(144):
+        M = makers[case % 3](1 + rng.below(9), 9500 + case)
+        phi = formulas[case // 3 % 6]
+        for m in (1, 2, 3):
+            for limit in (1, 3, 10, 40, None):
+                if limit is None:
+                    monkeypatch.delenv("FMLAB_BUDGET", raising=False)
+                else:
+                    monkeypatch.setenv("FMLAB_BUDGET", str(limit))
+                want = outcome(lambda: _weak_order_by_permutations(M, phi, m))
+                assert outcome(lambda: find_weak_m_order(M, phi, m)) == want, (case, m, limit)
+                seen["witness" if isinstance(want, WeakOrderWitness) else
+                     "budget" if isinstance(want, BudgetExceeded) else
+                     "none" if want is None else "error"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_transposed_columns_keep_the_first_error():
+    # P and Q are not in the signature, so phi's vector compile defers and
+    # weak order and cover read phi.swapped()'s scalar table, column by
+    # column, which meets Q first; phi's own rows, row by row, meet P first
+    M = digraph(3, [(0, 1)])
+    fwd, back = Atom("R", ("x0", "y0")), Atom("R", ("y0", "x0"))
+    phi = PartitionedFormula(And(Implies(And(fwd, Not(back)), Atom("P", ("x0",))),
+                                 Implies(And(back, Not(fwd)), Atom("Q", ("x0",)))),
+                             ("x0",), ("y0",))
+    objs = sorted(M.tuples(1))
+    assert outcome(lambda: SatTable(M, phi).rows(objs, objs)) == \
+        (FmlabError, "unknown relation: P")
+    assert outcome(lambda: find_weak_m_order(M, phi, 2)) == \
+        (FmlabError, "unknown relation: Q")
+    assert outcome(lambda: find_cover_violation(M, phi, 2, 3)) == \
+        (FmlabError, "unknown relation: Q")
+
+
 # ---------------------------------------------------------------------------
 # cover
 # ---------------------------------------------------------------------------
@@ -535,6 +616,32 @@ def test_cover_search_ignores_repeated_parameters(monkeypatch):
     monkeypatch.setenv("FMLAB_BUDGET", "1")
     assert find_cover_violation(M, EDGE, 2, 4, params=[(0,), (0,), (2,), (3,)]) \
         == BudgetExceeded(2)
+
+
+def test_one_search_battery_compiles_one_table(monkeypatch):
+    # the five searches of one search-workload query read one memoised table
+    # of phi: order takes it as rows, weak order and cover as its transposed
+    # columns, and nothing compiles phi.swapped() to rows
+    shapes = []
+    compile_shape = core._compile_shape
+
+    def recording(sig, n, phi, vector):
+        shapes.append((phi, vector))
+        return compile_shape(sig, n, phi, vector)
+    monkeypatch.setattr(core, "_compile_shape", recording)
+    formulas = [EDGE, EDGE.negated(), DIST2, DIST2.negated()]
+    for case, phi in enumerate(formulas * 3):
+        M = (seeded_graph, seeded_digraph, _seeded_order)[case % 3](6 + case % 5, 9700 + case)
+        misses = core._sat_rows.cache_info().misses
+        find_k_independence(M, phi, 2)
+        find_k_independence(M, phi, 3)
+        find_n_order(M, phi, 3)
+        find_weak_m_order(M, phi, 2)
+        find_cover_violation(M, phi, 2, M.universe_size)
+        assert core._sat_rows.cache_info().misses == misses + 1, case
+    assert (EDGE, 1) in shapes
+    swapped = {phi.swapped() for phi in formulas}
+    assert not [(f, v) for f, v in shapes if f in swapped and v is not None]
 
 
 # ---------------------------------------------------------------------------
