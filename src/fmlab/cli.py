@@ -27,7 +27,8 @@ from .classify import (AmalgamConfig, average_type, delta_star, is_good,
                        symmetry_test, GoodnessRefutation)
 from .core import tp
 from .counting import (count_phi_types, find_shattered,
-                       verify_independence_bound, verify_order_bound)
+                       verify_independence_bound, verify_order_bound,
+                       verify_shattered)
 from .detect import (arrow_check, find_cover_violation,
                      find_k_independence, find_n_order, find_weak_m_order,
                      splits, verify_independence, verify_order,
@@ -163,6 +164,7 @@ def _cmd_types(args):
             report["found"] = "budget"
         elif wit is not None:
             report["witness"] = wit
+            report["verified"] = verify_shattered(wit, family)
         return report, 0
     doc, M, phi = _load(args)
     A = (sorted(_named(doc.sets, args.set, "set")) if args.set

@@ -435,7 +435,7 @@ class SatTable:
 
     `holds` is the compiled scalar cell function; it keeps no cell, so a
     search that re-reads cells keeps its own memo (`find_n_order` for
-    r = s > 1, or a formula that does not compile to rows). `rows`
+    r = s > 1, as on rho, or a formula that does not compile to rows). `rows`
     computes each row bit-parallel in vector mode, one formula pass per
     (object, parameter head), or takes the mask itself when the parameters
     are the whole universe in order; scalar cells run instead, with their
@@ -496,7 +496,7 @@ def _compile_shape(sig: Signature, n: int, phi: PartitionedFormula,
     the vector variable in `object_vars + param_vars`, a + b gives the
     other free variables' values in order, and bit u of the row is set iff
     phi holds with u in the vector's place: the last parameter for
-    `_sat_rows` and `find_n_order`, the candidate's variable for the greedy.
+    `_sat_rows`, the candidate's variable for the greedy.
 
     Both modes share every connective and quantifier, with the same
     short-circuit points: And at 0, Or at full, Implies at 0, Exists at

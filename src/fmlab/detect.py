@@ -221,33 +221,23 @@ def find_n_order(M: Structure, phi: PartitionedFormula, n: int
     Each object tried is one budget node, rejected ones too. With r = s = 1
     and a formula that compiles to rows, the search reads the memoised
     `SatTable` rows and columns, the table the other searches of a query
-    read, and takes each level as one mask (`_order_on_rows`). Otherwise,
-    for r = s > 1 (rho) or a formula that does not compile, cells are
-    read lazily and memoised, since the search re-reads them and, on the
-    3-block formula rho (`verify_order_bound`), reads far fewer than a table
-    holds: with s >= 1 and a formula that compiles to rows, holds(a, b) is
-    bit b[-1] of the row over the last parameter, computed once per (a,
-    b[:-1]); otherwise each cell is a scalar `SatTable.holds`, with its
-    first error.
+    read, and takes each level as one mask (`_order_on_rows`). Otherwise
+    (r = s > 1, as for rho in `verify_order_bound`, or a formula that does
+    not compile) each cell is a scalar `SatTable.holds`, with its first
+    error, memoised for the one search, since it re-reads cells and on rho
+    reads far fewer than a table holds.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
     if phi.r != phi.s:
         raise PreconditionError("order search requires l(x) = l(y)")
-    limit = max(search_budget(), 0)  # a negative budget stops at the first node too
+    limit = search_budget()
     objs = sorted(M.tuples(phi.r))
-    row = _compile(M, phi, 2 * phi.s - 1) if phi.s else None
-    if row is not None and phi.s == 1:
+    if phi.s == 1 and _compile(M, phi, 1) is not None:
         table = SatTable(M, phi)
         return _order_on_rows(objs, table.rows(objs, objs),
                               table.columns(objs, objs), n, limit)
-    if row is None:
-        holds = functools.cache(SatTable(M, phi).holds)
-    else:
-        row = functools.cache(row)
-
-        def holds(a, b):
-            return row(a, b[:-1]) >> b[-1] & 1
+    holds = functools.cache(SatTable(M, phi).holds)
     nodes = 0
     chosen: list[tuple[int, ...]] = []
 
@@ -350,7 +340,7 @@ def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int
         raise PreconditionError("m must be >= 1")
     if phi.r < 1 or phi.s < 1:
         raise PreconditionError("weak order search needs nonempty blocks")
-    limit = max(search_budget(), 0)  # a negative budget stops at the first node too
+    limit = search_budget()
     pars = sorted(M.tuples(phi.s))
     objs = sorted(M.tuples(phi.r))
     cols = SatTable(M, phi).columns(objs, pars)

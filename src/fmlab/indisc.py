@@ -496,7 +496,7 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
     """Key function for `greedy_end_extraction`: one mask over pool positions
     per (selection, parameter) cell, bit p set iff phi holds of the
     selection's entries, then candidate p's entry, then `suffix`, with that
-    parameter. Each selection's entries are flattened once per key function.
+    parameter. Each selection's entries are flattened once per call.
 
     When entries are single elements, and every entry, suffix element and
     parameter lies in the universe, each cell is one row of the compiled
@@ -515,7 +515,6 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
     phi's parameter arity."""
     concat = seq.concat
     entries = seq.tuples
-    heads: dict[tuple[int, ...], tuple[int, ...]] = {}
     M, phi = table._key
     at = phi.r - 1 - len(suffix)  # the candidate's variable
     row = None
@@ -533,16 +532,10 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
         shift, width = 8 * low, ((M.universe_size + 7) >> 3) - low
     everyone = [(1 << p, p) for p in range(len(entries))]  # (bit, position)s
 
-    def head_of(sel):
-        head = heads.get(sel)
-        if head is None:
-            head = heads[sel] = concat(sel)
-        return head
-
     def rows_key(sels: list[tuple[int, ...]], pool: int) -> list[int]:
         cells = []
         for sel in sels:
-            head = head_of(sel)
+            head = concat(sel)
             for tail in tails:
                 got = (row(head, tail) >> shift).to_bytes(width, "little")
                 cells.append(sum(map(getitem, tables, got)) & pool)
@@ -551,7 +544,7 @@ def _formula_key(seq: TupleSequence, table: SatTable, pars: list,
     def cells_key(sels: list[tuple[int, ...]], pool: int) -> list[int]:
         holds = table.holds
         cells = [0] * (len(sels) * len(pars))
-        objs = [head_of(sel) for sel in sels]
+        objs = [concat(sel) for sel in sels]
         for bit, p in [c for c in everyone if pool & c[0]]:
             tail = entries[p] + suffix
             i = 0

@@ -101,10 +101,10 @@ def coupon_q(n: int, m: int) -> Fraction:
     """Probability that n balls thrown uniformly into m boxes leave none empty.
 
     With fewer balls than boxes (n < m) some box stays empty, so 0 is
-    returned at once (S(n, m) = 0 agrees), and m = 1 gives 1. Otherwise the
-    value is computed by inclusion-exclusion as an exact rational and
-    cross-checked against the Stirling form m! * S(n, m) / m^n, after
-    `_power` has refused an m^n past the size guard.
+    returned at once (S(n, m) = 0 agrees), and m = 1 gives 1. Otherwise
+    the count of onto maps is summed by inclusion-exclusion in integers,
+    checked exactly against the Stirling form m! * S(n, m), and divided by
+    m^n once, after `_power` has refused an m^n past the size guard.
     """
     if n < 0 or m < 0:
         raise PreconditionError("coupon_q needs naturals")
@@ -115,14 +115,10 @@ def coupon_q(n: int, m: int) -> Fraction:
     if m == 1:  # S(n, 1) = 1
         return Fraction(1)
     m_to_n = _power(m, n)
-    total = Fraction(0)
-    for i in range(m + 1):
-        term = Fraction(m - i, m) ** n
-        total += (term if i % 2 == 0 else -term) * comb(m, i)
-    stirling_form = Fraction(factorial(m) * stirling2(n, m), m_to_n)
-    if total != stirling_form:
+    onto = sum([(-1) ** i * comb(m, i) * (m - i) ** n for i in range(m + 1)])
+    if onto != factorial(m) * stirling2(n, m):
         raise FmlabError("internal inconsistency between the two coupon forms")
-    return total
+    return Fraction(onto, m_to_n)
 
 
 def lambda_nk(n: int, k: int) -> float:

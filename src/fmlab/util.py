@@ -42,14 +42,18 @@ DEFAULT_BUDGET = 20_000_000
 
 def search_budget() -> int:
     """The node budget of every exhaustive search: the FMLAB_BUDGET
-    environment variable when set, else the package default."""
+    environment variable when set, else the package default. A value that
+    is not an integer, or is negative, is refused."""
     env = os.environ.get("FMLAB_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FmlabError(f"FMLAB_BUDGET is not an integer: {env!r}")
-    return DEFAULT_BUDGET
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
+        limit = int(env)
+    except ValueError:
+        raise FmlabError(f"FMLAB_BUDGET is not an integer: {env!r}")
+    if limit < 0:
+        raise FmlabError(f"FMLAB_BUDGET is negative: {env!r}")
+    return limit
 
 
 _MASK64 = (1 << 64) - 1

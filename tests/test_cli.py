@@ -128,7 +128,8 @@ def test_types_shatter(capsys):
                              "--member", "0", "--member", "1", "--member", "",
                              "--k", "2"])
     assert code == 0
-    assert json.loads(out)["found"] is True
+    report = json.loads(out)
+    assert report["found"] is True and report["verified"] is True
 
 
 def test_types_shatter_reports_a_spent_budget(capsys, monkeypatch):
@@ -140,6 +141,16 @@ def test_types_shatter_reports_a_spent_budget(capsys, monkeypatch):
     # no k-subset exists, so no node is spent and the search is exhausted
     code, out = run(capsys, ["types", "shatter", *family, "--k", str(10 ** 12)])
     assert code == 0 and json.loads(out)["found"] is False
+
+
+def test_negative_budget_is_a_usage_error(p3_files, capsys, monkeypatch):
+    s, f = p3_files
+    monkeypatch.setenv("FMLAB_BUDGET", "-5")
+    code = main(["detect", "--structure", s, "--formula", f,
+                 "--property", "independence", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: FMLAB_BUDGET is negative: '-5'\n"
 
 
 def test_indisc_check_and_extract(p3_files, capsys):

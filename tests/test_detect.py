@@ -13,7 +13,8 @@ from fmlab import (BudgetExceeded, CoverViolation, IndependenceWitness,
                    PreconditionError,
                    Signature, SplitMix64, Structure, arrow_check, build_rho,
                    find_cover_violation, find_k_independence, find_n_order,
-                   find_weak_m_order, parse_formula, splitting_order_witness,
+                   find_shattered, find_weak_m_order, kappa, parse_formula,
+                   splitting_order_witness,
                    splits, stirling_threshold, tp, verify_cover_violation,
                    verify_independence, verify_order, verify_weak_order,
                    WeakOrderWitness)
@@ -302,21 +303,29 @@ DEFERRED = [
 ]
 
 
+# pairs: x0 sees y0, and x1 has a neighbour that does not see y1
+PAIR_STEP = PartitionedFormula(
+    And(Atom("R", ("x0", "y0")),
+        Exists("z0", And(Atom("R", ("x1", "z0")), Not(Atom("R", ("z0", "y1")))))),
+    ("x0", "x1"), ("y0", "y1"))
+
+
 def test_order_search_on_rows_matches_the_scalar_search(monkeypatch):
     # witness, None, BudgetExceeded.nodes and the first error agree with
     # the scalar search on graphs, digraphs and linear orders: atomic and
     # quantified formulas and their negations, build_rho(EDGE) (the path
-    # verify_order_bound takes), and formulas that only scalar cells run
+    # verify_order_bound takes), a quantified formula on pairs, and
+    # formulas that only scalar cells run
     rng = SplitMix64(20261025)
     makers = (seeded_graph, seeded_digraph, _seeded_order)
     formulas = [EDGE, EDGE.negated(), DIST2, DIST2.negated()]
     rho = build_rho(EDGE)
     seen = {"witness": 0, "none": 0, "budget": 0, "error": 0}
-    for case in range(150):
-        pick = case % 6
-        size = 6 if pick == 4 else 9  # rho's blocks have three entries
+    for case in range(175):
+        pick = case % 7
+        size = 6 if pick in (4, 5) else 9  # rho's blocks have three entries
         M = makers[case % 3](rng.below(size), 9000 + case)
-        phi = (formulas + [rho] + [DEFERRED[case % 2]])[pick]
+        phi = (formulas + [rho, PAIR_STEP] + [DEFERRED[case % 2]])[pick]
         for n in range(1, 5):
             for limit in (1, 3, 10, 40, None):
                 if limit is None:
@@ -866,9 +875,21 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("FMLAB_BUDGET", "3")
     M = seeded_graph(6, 2)
     assert isinstance(find_k_independence(M, EDGE, 3), BudgetExceeded)
-    monkeypatch.setenv("FMLAB_BUDGET", "not-a-number")
-    with pytest.raises(Exception, match="FMLAB_BUDGET"):
-        find_k_independence(M, EDGE, 3)
+    P = path_graph(4)
+    searches = [lambda: find_k_independence(P, EDGE, 2),
+                lambda: find_n_order(P, EDGE, 2),
+                lambda: find_n_order(P, build_rho(EDGE), 2),
+                lambda: find_weak_m_order(P, EDGE, 2),
+                lambda: find_cover_violation(P, EDGE, 2, 4),
+                lambda: find_shattered([frozenset({0}), frozenset()], 1),
+                lambda: kappa(P, [EDGE, EDGE.negated()], 1)]
+    monkeypatch.setenv("FMLAB_BUDGET", "0")
+    assert [search() for search in searches] == [BudgetExceeded(1)] * len(searches)
+    for bad in ("not-a-number", "-5"):
+        monkeypatch.setenv("FMLAB_BUDGET", bad)
+        for search in searches:
+            with pytest.raises(FmlabError, match="FMLAB_BUDGET"):
+                search()
 
 
 def test_the_environment_is_the_only_budget():
