@@ -6,7 +6,8 @@ its symmetry test.
 Submodels are given as universe subsets, and every result names elements of
 the whole structure, so parameter tuples keep their meaning across a whole
 configuration. A submodel is always decided as the induced, relabelled
-structure `_induced` builds, and goodness witnesses are mapped back.
+structure `_induced` looks up by shape (one object per shape, so the memos
+keyed on it hit by identity), and goodness witnesses are mapped back.
 """
 
 from __future__ import annotations
@@ -282,16 +283,19 @@ _IS_GOOD_CACHE = 1024
 # distinct (structure, domain) relabellings kept by _induced: the goodness
 # and strong-submodel checks of one class relabel each member dozens of times
 _INDUCED_CACHE = 32
-# distinct induced substructures that _intern keeps one copy of
-_INTERN_CACHE = 512
+# distinct induced shapes that _shaped keeps one structure for
+_SHAPE_CACHE = 512
 
 
-@functools.lru_cache(maxsize=_INTERN_CACHE)
-def _intern(M: Structure) -> Structure:
-    """M, or an equal structure seen before it. Equal induced substructures
-    become one object, so a memo hit keyed on one compares it by identity
-    rather than relation by relation."""
-    return M
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _shaped(signature, size: int, shape: tuple) -> Structure:
+    """The structure whose relations have the shapes `_induced` computes,
+    built and validated once per shape: equal induced substructures are one
+    object, so a memo hit keyed on one compares it by identity."""
+    return Structure(signature, size, {
+        name: rel if ar != 2 else [(i, j) for i, row in enumerate(rel)
+                                   for j in range(size) if row >> j & 1]
+        for (name, ar), rel in zip(signature.relations, shape)})
 
 
 @functools.lru_cache(maxsize=_INDUCED_CACHE)
@@ -300,16 +304,31 @@ def _induced(M: Structure, domain: frozenset
     """(sub, dom, pos): the substructure induced on the domain, relabelled by
     the order-preserving map from 0..|domain|-1 onto dom = sorted(domain),
     and pos, that map's inverse. A domain element outside the universe
-    raises EvaluationError, the least one first."""
+    raises EvaluationError, the least one first. sub is looked up by its
+    shape before it is built (`_shaped`): a binary relation's bit rows
+    compressed onto dom, any other relation's relabelled tuples."""
     dom = tuple(sorted(domain))
     for e in dom:
         if not 0 <= e < M.universe_size:
             raise EvaluationError(f"element out of range: {e}")
     pos = {e: i for i, e in enumerate(dom)}
-    sub = Structure(M.signature, len(dom), {
-        name: [tuple(map(pos.__getitem__, t)) for t in rel if domain.issuperset(t)]
-        for name, rel in M.relations.items()})
-    return _intern(sub), dom, pos
+    runs = {}  # e - pos[e] -> the positions of its run of consecutive elements
+    for i, e in enumerate(dom):
+        runs[e - i] = runs.get(e - i, 0) | 1 << i
+    shape = []
+    for name, ar in M.signature.relations:
+        if ar != 2:
+            shape.append(frozenset(tuple(map(pos.__getitem__, t)) for t in
+                                   M.relations[name] if domain.issuperset(t)))
+            continue
+        rows = []
+        for e in dom:
+            row, sub_row = M._bitrows[name][e], 0
+            for shift, mask in runs.items():
+                sub_row |= row >> shift & mask
+            rows.append(sub_row)
+        shape.append(tuple(rows))
+    return _shaped(M.signature, len(dom), tuple(shape)), dom, pos
 
 
 def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,

@@ -41,7 +41,7 @@ from .indisc import (BoundParams, ConstantGrowth, PolynomialGrowth,
                      extract_indiscernible, f_star, g_func, ExtractionFailure)
 from .ramsey import (E_bound, ExperimentConfig, RGraph, bound_compare,
                      coupon_q, extract_homogeneous, independence_probability_mc,
-                     independence_trend)
+                     independence_trend, verify_homogeneous)
 from .util import BudgetExceeded, FmlabError
 
 
@@ -217,10 +217,15 @@ def _cmd_indisc(args):
         got = extract_indiscernible(I, phi, args.m, A, M, args.k)
     if isinstance(got, ExtractionFailure):
         return {"action": args.action, "failure": got}, 1
-    if args.action == "extract-end":
-        seq, trace = got
-        return {"action": "extract-end", "sequence": seq, "trace": trace}, 0
-    return {"action": "extract", "sequence": got}, 0
+    end = args.action == "extract-end"
+    seq = got[0] if end else got
+    # a sequence shorter than m has no m-selection: vacuously indiscernible
+    verified = len(seq) < args.m or check_indiscernible(
+        seq, [phi], args.m, A, M, mode="end" if end else "sequence").verified
+    report = {"action": args.action, "sequence": seq, "verified": verified}
+    if end:
+        report["trace"] = got[1]
+    return report, 0
 
 
 def _cmd_ramsey(args):
@@ -239,7 +244,8 @@ def _cmd_ramsey(args):
     if isinstance(got, ExtractionFailure):
         return {"action": "homogeneous", "failure": got}, 1
     vertices, tag = got
-    return {"action": "homogeneous", "vertices": sorted(vertices), "tag": tag}, 0
+    return {"action": "homogeneous", "vertices": sorted(vertices), "tag": tag,
+            "verified": verify_homogeneous(G, vertices, tag)}, 0
 
 
 def _cmd_experiment(args):

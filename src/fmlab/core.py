@@ -431,7 +431,7 @@ class SatTable:
     M |= phi[obj; par], quantifiers over the whole universe, read through
     the one formula compiler `_compile`, never through `evaluate`. To decide
     inside a submodel, build the table on the induced, relabelled structure
-    (`classify._induced`).
+    that `classify._induced` looks up by shape.
 
     `holds` is the compiled scalar cell function; it keeps no cell, so a
     search that re-reads cells keeps its own memo (`find_n_order` for

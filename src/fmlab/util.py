@@ -38,15 +38,20 @@ class BudgetExceeded:
 
 
 DEFAULT_BUDGET = 20_000_000
+# FMLAB_BUDGET as the mapping behind os.environ stores it
+_BUDGET_KEY = os.environ.encodekey("FMLAB_BUDGET")
 
 
 def search_budget() -> int:
     """The node budget of every exhaustive search: the FMLAB_BUDGET
     environment variable when set, else the package default. A value that
-    is not an integer, or is negative, is refused."""
-    env = os.environ.get("FMLAB_BUDGET")
-    if env is None:
+    is not an integer, or is negative, is refused. It is read on every call
+    from `os.environ._data`, which every write through `os.environ`
+    updates, without `os.environ.get`'s key encoding and KeyError."""
+    raw = os.environ._data.get(_BUDGET_KEY)
+    if raw is None:
         return DEFAULT_BUDGET
+    env = os.environ.decodevalue(raw)
     try:
         limit = int(env)
     except ValueError:

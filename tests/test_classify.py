@@ -799,6 +799,78 @@ def test_relation_memo_is_shared_by_ambients_of_one_induced_shape(monkeypatch):
     assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
 
+def _relabel_and_build(M, domain):
+    # the induced substructure built relation by relation, as _induced built
+    # it before it looked shapes up: range check, relabel, validate
+    dom = tuple(sorted(domain))
+    for e in dom:
+        if not 0 <= e < M.universe_size:
+            raise EvaluationError(f"element out of range: {e}")
+    pos = {e: i for i, e in enumerate(dom)}
+    sub = Structure(M.signature, len(dom), {
+        name: [tuple(map(pos.__getitem__, t)) for t in rel if domain.issuperset(t)]
+        for name, rel in M.relations.items()})
+    return sub, dom, pos
+
+
+def test_induced_shapes_match_relabelling_and_building():
+    # seeded structures over a unary, a binary (loops included) and a
+    # ternary relation; empty, full and proper domains, and domains holding
+    # -1 or n; each induced structure is also embedded in a second, larger
+    # parent, whose structure induced on the copy must be the same object
+    sig = Signature((("P", 1), ("R", 2), ("T", 3)))
+    rng = SplitMix64(20261020)
+    first = {}  # induced structure -> the object _induced gave for it first
+    seen = set()
+    for case in range(240):
+        n = rng.below(7)
+        rels = {"P": [(a,) for a in range(n) if rng.bit()],
+                "R": [t for t in itertools.product(range(n), repeat=2)
+                      if rng.below(3) == 0],
+                "T": [t for t in itertools.product(range(n), repeat=3)
+                      if rng.below(8) == 0]}
+        M = Structure(sig, n, rels)
+        kind = ("empty", "full", "proper", "bad")[case % 4]
+        if kind == "empty":
+            D = frozenset()
+        elif kind == "full":
+            D = frozenset(range(n))
+        else:
+            D = frozenset(e for e in range(n) if rng.bit())
+            if kind == "bad":
+                D |= {(-1, n)[rng.bit()]} | ({n + 2} if rng.bit() else set())
+        try:
+            want = _relabel_and_build(M, D)
+        except EvaluationError as e:
+            with pytest.raises(EvaluationError) as got:
+                fmlab.classify._induced(M, D)
+            assert str(got.value) == str(e)
+            seen.add(("refused", min(D) < 0))
+            continue
+        got = fmlab.classify._induced(M, D)
+        assert got == want, (M.relations, sorted(D))
+        assert [got[0].relations[name] for name, _ in sig.relations] == \
+            [want[0].relations[name] for name, _ in sig.relations]
+        assert first.setdefault(got[0], got[0]) is got[0]
+        # a second parent: the induced structure on every other element of
+        # a universe twice as large, padded with random tuples that touch
+        # an element outside the copy
+        m = len(want[1])
+        at = [2 * i + 1 for i in range(m)]
+        pad = {"P": [(0,)] if rng.bit() else [],
+               "R": [(0, at[-1])] if m and rng.bit() else [],
+               "T": [(at[0], 0, at[0])] if m and rng.bit() else []}
+        parent = Structure(sig, 2 * m + 1, {
+            name: [tuple(at[e] for e in t) for t in want[0].relations[name]]
+            + pad[name] for name, _ in sig.relations})
+        again = fmlab.classify._induced(parent, frozenset(at))
+        assert again[0] is got[0] and again[1] == tuple(at)
+        seen.add(kind)
+    assert seen == {"empty", "full", "proper",
+                    ("refused", True), ("refused", False)}
+    assert len(first) > 60
+
+
 def test_relation_memo_honours_a_budget_change(monkeypatch):
     # the configuration of test_condition2_counts_one_node_per_parameter_multiset
     M = graph(5, [(2, 0), (2, 1), (3, 0)])

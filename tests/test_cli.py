@@ -178,6 +178,55 @@ def test_extract_end_refuses_a_negative_length(p3_files, capsys):
     assert json.loads(out)["sequence"] == []
 
 
+def _spy(monkeypatch, name):
+    # wrap a checker the CLI imported, recording each call's arguments
+    calls = []
+    real = getattr(fmlab.cli, name)
+    monkeypatch.setattr(fmlab.cli, name,
+                        lambda *a, **kw: calls.append((a, kw)) or real(*a, **kw))
+    return calls
+
+
+G6 = """signature: R/2
+universe: 6
+relation R: (0,1) (1,0) (1,2) (2,1) (3,4) (4,3)
+set A: (5)
+seq I: (0) (1) (2) (3) (4) (5)
+"""
+
+
+def test_indisc_extract_reports_its_check(tmp_path, monkeypatch, capsys):
+    s, f = tmp_path / "g6.fm", tmp_path / "pair.fml"
+    s.write_text(G6)
+    f.write_text("phi(x0,x1; y0) := R(x0,x1)")
+    calls = _spy(monkeypatch, "check_indiscernible")
+    code, out = run(capsys, ["indisc", "extract", "--structure", str(s),
+                             "--formula", str(f), "--seq", "I", "--set", "A",
+                             "--m", "2", "--k", "3"])
+    report = json.loads(out)
+    assert code == 0 and report["verified"] is True
+    assert report["sequence"] == [[0], [2], [4]]
+    assert len(calls) == 1 and calls[-1][1] == {"mode": "sequence"}
+    assert [list(t) for t in calls[-1][0][0]] == report["sequence"]
+
+
+def test_indisc_extract_end_reports_its_check(p3_files, monkeypatch, capsys):
+    s, f = p3_files
+    calls = _spy(monkeypatch, "check_indiscernible")
+    argv = ["indisc", "extract-end", "--structure", s, "--formula", f,
+            "--seq", "I", "--set", "A", "--m", "1"]
+    code, out = run(capsys, argv)
+    report = json.loads(out)
+    assert code == 0 and report["verified"] is True
+    assert report["sequence"] == [[0], [2]]
+    assert len(calls) == 1 and calls[-1][1] == {"mode": "end"}
+    assert [list(t) for t in calls[-1][0][0]] == report["sequence"]
+    # an empty extraction has no selection to check: vacuously verified
+    calls.clear()
+    code, out = run(capsys, argv + ["--k", "0"])
+    assert code == 0 and json.loads(out)["verified"] is True and calls == []
+
+
 def test_ramsey_arrow_exit_codes(capsys):
     code, _ = run(capsys, ["ramsey", "arrow", "--x", "6", "--y", "3",
                            "--a", "2", "--b", "2"])
@@ -233,6 +282,23 @@ def test_ramsey_homogeneous_cli(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["tag"] == "empty" and len(report["vertices"]) == 3
+
+
+def test_ramsey_homogeneous_reports_its_check(tmp_path, monkeypatch, capsys):
+    # a complete 3-uniform relation on 6 vertices: a complete 4-set
+    s = tmp_path / "k6.fm"
+    triples = " ".join(f"({a},{b},{c})" for a in range(6) for b in range(6)
+                       for c in range(6) if len({a, b, c}) == 3)
+    s.write_text(f"signature: R/3\nuniverse: 6\nrelation R: {triples}\n")
+    calls = _spy(monkeypatch, "verify_homogeneous")
+    code, out = run(capsys, ["ramsey", "homogeneous", "--structure", str(s),
+                             "--n", "2", "--k", "4"])
+    report = json.loads(out)
+    assert code == 0 and report["verified"] is True
+    assert report["tag"] == "complete" and len(report["vertices"]) == 4
+    assert len(calls) == 1
+    _, vertices, tag = calls[0][0]
+    assert sorted(vertices) == report["vertices"] and tag == "complete"
 
 
 def test_classify_kappa(empty5_files, capsys):

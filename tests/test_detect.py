@@ -892,6 +892,43 @@ def test_budget_env_override(monkeypatch):
                 search()
 
 
+def test_search_budget_follows_every_change_to_the_environment(monkeypatch):
+    import os
+
+    from fmlab.util import DEFAULT_BUDGET
+    # record the variable's state first, so that teardown restores it
+    monkeypatch.setenv("FMLAB_BUDGET", "1")
+    monkeypatch.delenv("FMLAB_BUDGET")
+    assert search_budget() == DEFAULT_BUDGET
+    steps = [
+        (lambda: os.environ.__setitem__("FMLAB_BUDGET", "7"), 7),
+        (lambda: os.environ.__setitem__("FMLAB_BUDGET", "12"), 12),
+        (lambda: os.environ.__delitem__("FMLAB_BUDGET"), DEFAULT_BUDGET),
+        (lambda: os.environ.__setitem__("FMLAB_BUDGET", "0"), 0),
+        (lambda: monkeypatch.setenv("FMLAB_BUDGET", "5"), 5),
+        (lambda: monkeypatch.setenv("FMLAB_BUDGET", "6"), 6),
+        (lambda: monkeypatch.delenv("FMLAB_BUDGET"), DEFAULT_BUDGET),
+        (lambda: monkeypatch.setenv("FMLAB_BUDGET", "3"), 3),
+        (lambda: os.environ.pop("FMLAB_BUDGET"), DEFAULT_BUDGET),
+        (lambda: os.environ.update(FMLAB_BUDGET="１２"), 12),
+        (lambda: os.environ.__setitem__("FMLAB_BUDGET", " 8 "), 8),
+    ]
+    for change, want in steps:
+        change()
+        assert search_budget() == want
+    refusals = [("not-a-number", "FMLAB_BUDGET is not an integer: 'not-a-number'"),
+                ("-5", "FMLAB_BUDGET is negative: '-5'"),
+                ("é", "FMLAB_BUDGET is not an integer: 'é'")]
+    for bad, message in refusals:
+        for write in (os.environ.__setitem__, monkeypatch.setenv):
+            write("FMLAB_BUDGET", bad)
+            with pytest.raises(FmlabError) as got:
+                search_budget()
+            assert str(got.value) == message
+        del os.environ["FMLAB_BUDGET"]
+        assert search_budget() == DEFAULT_BUDGET
+
+
 def test_the_environment_is_the_only_budget():
     import dataclasses
     import inspect
