@@ -152,7 +152,7 @@ def _indiscernible_sequences(runs, oracle: TypeOracle, n: int, limit: int):
             for seq in itertools.permutations(source, length):
                 tried += 1
                 if tried > limit:
-                    yield BudgetExceeded(tried)
+                    yield BudgetExceeded(limit + 1)
                     return
                 mask = sum(bit[c] for c in seq)
                 if mask not in yielded and oracle.first_split(seq, sels) is None:
@@ -469,14 +469,14 @@ def _search_average_witness(ctx: ClassContext, oracle: TypeOracle, source: list,
     # constant sequences first: they are indiscernible outright
     for i, c in enumerate(source):
         if i >= limit:
-            return BudgetExceeded(i + 1)
+            return BudgetExceeded(limit + 1)
         if _average_matches((min_len * ((col >> i) & 1) for col in cols),
                             min_len, ctx.kappa_K, target):
             return TupleSequence.of([c] * min_len, ctx.phi.r)
     runs = [(source, range(min_len, min_len + 3))]
     for got in _indiscernible_sequences(runs, oracle, ctx.n, limit - len(source)):
         if isinstance(got, BudgetExceeded):
-            return BudgetExceeded(len(source) + got.nodes)
+            return BudgetExceeded(limit + 1)
         seq, mask = got
         if _average_matches(((col & mask).bit_count() for col in cols),
                             len(seq), ctx.kappa_K, target):
@@ -508,8 +508,9 @@ def _average_witnesses(M: Structure, ctx: ClassContext,
     return True, witnesses, None
 
 
-# distinct (induced ambient, context, budget) groups of reports kept by prec_K
-_PREC_CACHE = 256
+# distinct (induced ambient, N mask, context, budget) reports kept by prec_K:
+# a 512-item classify bench pool decides up to 1,397 of them
+_PREC_CACHE = 4096
 
 
 def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
@@ -535,11 +536,12 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
     Every object list, parameter list and candidate sequence keeps its order
     under that map, so the report and the budget's node counts are those of
     deciding inside M. A report names no element, so it is memoised by value
-    per (induced ambient, relabelled context, `util.search_budget()`), one
-    entry per relabelled N: pairs that induce the same ordered shape share
-    it, and a changed FMLAB_BUDGET is never served a report reached under
-    another budget. The argument checks and the goodness checks run on
-    every call, before the memo.
+    per (induced ambient, mask of the relabelled N, relabelled context,
+    `util.search_budget()`): pairs that induce the same ordered shape share
+    one entry, and a changed FMLAB_BUDGET is never served a report reached
+    under another budget. The argument checks and the goodness checks run
+    on every call, before the memo, and a memoised report is shared by
+    every caller.
     """
     phi, n, d = ctx.phi, ctx.n, ctx.d
     amb = frozenset(M.universe()) if ambient is None else frozenset(ambient)
@@ -558,26 +560,18 @@ def prec_K(M: Structure, N_dom: frozenset, ctx: ClassContext,
     sub, _, pos = _induced(M, amb)
     A = tuple(tuple(map(pos.__getitem__, t)) for t in ctx.A)
     rctx = ctx if A == ctx.A else replace(ctx, A=A)
-    reports = _prec_reports(sub, rctx, search_budget())
-    key = sum(1 << pos[e] for e in N_dom)
-    rep = reports.get(key)
-    if rep is None:
-        rep = reports[key] = _decide_prec(
-            sub, frozenset(pos[e] for e in N_dom), rctx)
-    return rep
+    return _decide_prec(sub, sum(1 << pos[e] for e in N_dom), rctx,
+                        search_budget())
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def _prec_reports(M: Structure, ctx: ClassContext, budget: int
-                  ) -> dict[int, PrecReport]:
-    """The reports decided so far in M under ctx, keyed by the mask of N.
-    `budget` only keys the memo; the searches read the same value themselves."""
-    return {}
-
-
-def _decide_prec(M: Structure, N_dom: frozenset, ctx: ClassContext) -> PrecReport:
-    """prec_K's three conditions, with the whole of M as the ambient, and
-    condition 1's columns in N read again on the structure induced on N."""
+def _decide_prec(M: Structure, N_mask: int, ctx: ClassContext, budget: int
+                 ) -> PrecReport:
+    """prec_K's three conditions, with the whole of M as the ambient and N
+    the elements whose bits are set in N_mask, and condition 1's columns in
+    N read again on the structure induced on N. `budget` only keys the memo;
+    the searches read the same value themselves."""
+    N_dom = frozenset(i for i in range(M.universe_size) if N_mask >> i & 1)
     phi, k = ctx.phi, ctx.k
     A_match = [b for b in ctx.A if len(b) == phi.s]
     objs_amb = list(M.tuples(phi.r))

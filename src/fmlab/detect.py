@@ -185,8 +185,8 @@ def find_k_independence(M: Structure, phi: PartitionedFormula, k: int
         raise PreconditionError("k must be >= 1")
     if phi.r < 1 or phi.s < 1:
         raise PreconditionError("independence search needs nonempty blocks")
-    objs = sorted(M.tuples(phi.r))
-    pars = sorted(M.tuples(phi.s))
+    objs = list(M.tuples(phi.r))
+    pars = list(M.tuples(phi.s))
     got = first_shattered(SatTable(M, phi).rows(objs, pars), k,
                           (1 << len(pars)) - 1, search_budget())
     if got is None or isinstance(got, BudgetExceeded):
@@ -232,7 +232,7 @@ def find_n_order(M: Structure, phi: PartitionedFormula, n: int
     if phi.r != phi.s:
         raise PreconditionError("order search requires l(x) = l(y)")
     limit = search_budget()
-    objs = sorted(M.tuples(phi.r))
+    objs = list(M.tuples(phi.r))
     if phi.s == 1 and _compile(M, phi, 1) is not None:
         table = SatTable(M, phi)
         return _order_on_rows(objs, table.rows(objs, objs),
@@ -248,7 +248,7 @@ def find_n_order(M: Structure, phi: PartitionedFormula, n: int
         for a in objs:
             nodes += 1
             if nodes > limit:
-                return BudgetExceeded(nodes)
+                return BudgetExceeded(limit + 1)
             if holds(a, a):
                 continue
             ok = True
@@ -341,8 +341,8 @@ def find_weak_m_order(M: Structure, phi: PartitionedFormula, m: int
     if phi.r < 1 or phi.s < 1:
         raise PreconditionError("weak order search needs nonempty blocks")
     limit = search_budget()
-    pars = sorted(M.tuples(phi.s))
-    objs = sorted(M.tuples(phi.r))
+    pars = list(M.tuples(phi.s))
+    objs = list(M.tuples(phi.r))
     cols = SatTable(M, phi).columns(objs, pars)
     if m > len(pars):  # no list of m distinct tuples, so no node
         return None
@@ -436,10 +436,10 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
         raise PreconditionError("n_max must be >= d")
     limit = search_budget()
     if params is None:
-        pars = sorted(M.tuples(phi.s))
+        pars = list(M.tuples(phi.s))
     else:
         pars = sorted({tuple(t) for t in params})
-    objs = sorted(M.tuples(phi.r))
+    objs = list(M.tuples(phi.r))
     cols = SatTable(M, phi).columns(objs, pars)
     full = (1 << len(objs)) - 1
     m = len(pars)
@@ -457,7 +457,7 @@ def find_cover_violation(M: Structure, phi: PartitionedFormula, d: int, n_max: i
         if need == 0:
             nodes += 1
             if nodes > limit:
-                return BudgetExceeded(nodes)
+                return BudgetExceeded(limit + 1)
             if meet:
                 return None
             # smaller subfamilies are implied satisfiable by monotonicity
@@ -610,7 +610,7 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
             for B in itertools.combinations(elems, size):
                 nodes += 1
                 if nodes > limit:
-                    return BudgetExceeded(nodes)
+                    return BudgetExceeded(limit + 1)
                 pars = sorted(M.tuples(s, domain=B))
                 types_M = {tp(delta_phi, a, pars, M) for a in M.tuples(r)}
                 types_next = {tp(delta_phi, a, pars, M)
@@ -628,7 +628,7 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
             for B in itertools.combinations(elems, size):
                 nodes += 1
                 if nodes > limit:
-                    return BudgetExceeded(nodes)
+                    return BudgetExceeded(limit + 1)
                 pars_B = sorted(set(M.tuples(s, domain=B))
                                 | set(M.tuples(r, domain=B)))
                 ok, _ = splits(restricted, pars_B, delta_phi, delta_psi, M)
@@ -657,7 +657,7 @@ def splitting_order_witness(M: Structure, phi: PartitionedFormula,
         for cand in M.tuples(r, domain=sets[2 * j + 2]):
             nodes += 1
             if nodes > limit:
-                return BudgetExceeded(nodes)
+                return BudgetExceeded(limit + 1)
             if tp(delta_phi, cand, pars_s, M) == target:
                 c_j = cand
                 break

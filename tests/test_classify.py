@@ -762,7 +762,7 @@ def test_relation_on_the_induced_ambient_matches_deciding_inside_M(monkeypatch):
                     refused += 1
     assert holds == {True, False, "budget"}
     assert refused
-    assert fmlab.classify._prec_reports.cache_info().hits
+    assert fmlab.classify._decide_prec.cache_info().hits
 
 
 def test_relation_memo_is_shared_by_ambients_of_one_induced_shape(monkeypatch):
@@ -787,16 +787,18 @@ def test_relation_memo_is_shared_by_ambients_of_one_induced_shape(monkeypatch):
     b = prec_K(second, N2, ctx2, ambient=amb2)
     assert a == b
     assert calls == []
-    info = fmlab.classify._prec_reports.cache_info()
+    info = fmlab.classify._decide_prec.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     # and the two relabelled ambients are one object
     induced = fmlab.classify._induced
     assert induced(first, frozenset(range(5)))[0] is induced(second, amb2)[0]
-    # another N in the same ambient is another report in the same entry
+    # another N in the same ambient is an entry of its own
     c = prec_K(second, amb2, ctx2, ambient=amb2)
     assert c.holds is True
-    info = fmlab.classify._prec_reports.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    info = fmlab.classify._decide_prec.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    # a warm call hands out the memoised report itself
+    assert prec_K(first, N1, ctx1) is a
 
 
 def _relabel_and_build(M, domain):
@@ -883,7 +885,7 @@ def test_relation_memo_honours_a_budget_change(monkeypatch):
             monkeypatch.setenv("FMLAB_BUDGET", budget)
         rep = prec_K(M, N, ctx, check_good=False)
         assert rep.cond2 == ("budget" if budget else True)
-    info = fmlab.classify._prec_reports.cache_info()
+    info = fmlab.classify._decide_prec.cache_info()
     assert (info.hits, info.misses) == (2, 2)
 
 
@@ -906,4 +908,4 @@ def test_relation_refusals_come_in_order_before_the_memo():
                 prec_K(M, N, ctx, ambient=amb, check_good=check_good)
             assert outcome(lambda: _prec_K_inside_M(M, N, ctx, amb, check_good)) \
                 == (error, message)
-    assert fmlab.classify._prec_reports.cache_info().misses == 0
+    assert fmlab.classify._decide_prec.cache_info().misses == 0

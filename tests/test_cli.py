@@ -178,11 +178,11 @@ def test_extract_end_refuses_a_negative_length(p3_files, capsys):
     assert json.loads(out)["sequence"] == []
 
 
-def _spy(monkeypatch, name):
-    # wrap a checker the CLI imported, recording each call's arguments
+def _spy(monkeypatch, module, name):
+    # wrap a checker as the module calls it, recording each call's arguments
     calls = []
-    real = getattr(fmlab.cli, name)
-    monkeypatch.setattr(fmlab.cli, name,
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
                         lambda *a, **kw: calls.append((a, kw)) or real(*a, **kw))
     return calls
 
@@ -199,7 +199,7 @@ def test_indisc_extract_reports_its_check(tmp_path, monkeypatch, capsys):
     s, f = tmp_path / "g6.fm", tmp_path / "pair.fml"
     s.write_text(G6)
     f.write_text("phi(x0,x1; y0) := R(x0,x1)")
-    calls = _spy(monkeypatch, "check_indiscernible")
+    calls = _spy(monkeypatch, fmlab.indisc, "check_indiscernible")
     code, out = run(capsys, ["indisc", "extract", "--structure", str(s),
                              "--formula", str(f), "--seq", "I", "--set", "A",
                              "--m", "2", "--k", "3"])
@@ -212,7 +212,7 @@ def test_indisc_extract_reports_its_check(tmp_path, monkeypatch, capsys):
 
 def test_indisc_extract_end_reports_its_check(p3_files, monkeypatch, capsys):
     s, f = p3_files
-    calls = _spy(monkeypatch, "check_indiscernible")
+    calls = _spy(monkeypatch, fmlab.indisc, "check_indiscernible")
     argv = ["indisc", "extract-end", "--structure", s, "--formula", f,
             "--seq", "I", "--set", "A", "--m", "1"]
     code, out = run(capsys, argv)
@@ -290,7 +290,7 @@ def test_ramsey_homogeneous_reports_its_check(tmp_path, monkeypatch, capsys):
     triples = " ".join(f"({a},{b},{c})" for a in range(6) for b in range(6)
                        for c in range(6) if len({a, b, c}) == 3)
     s.write_text(f"signature: R/3\nuniverse: 6\nrelation R: {triples}\n")
-    calls = _spy(monkeypatch, "verify_homogeneous")
+    calls = _spy(monkeypatch, fmlab.cli, "verify_homogeneous")
     code, out = run(capsys, ["ramsey", "homogeneous", "--structure", str(s),
                              "--n", "2", "--k", "4"])
     report = json.loads(out)

@@ -745,7 +745,9 @@ def test_constructive_witness_obeys_the_budget(monkeypatch):
     monkeypatch.setenv("FMLAB_BUDGET", "0")
     assert splitting_order_witness(M, LESS, LEM1_CHAIN, p, 2) == BudgetExceeded(1)
     # both hypotheses examine the 1 + 4 + 16 + 64 subsets of levels 0-3,
-    # then the construction tries 3 candidates c_j
+    # then the construction tries 3 candidates c_j; node 101 is in hypothesis 2
+    monkeypatch.setenv("FMLAB_BUDGET", "100")
+    assert splitting_order_witness(M, LESS, LEM1_CHAIN, p, 2) == BudgetExceeded(101)
     monkeypatch.setenv("FMLAB_BUDGET", "172")
     assert splitting_order_witness(M, LESS, LEM1_CHAIN, p, 2) == BudgetExceeded(173)
     monkeypatch.setenv("FMLAB_BUDGET", "173")
@@ -885,6 +887,15 @@ def test_budget_env_override(monkeypatch):
                 lambda: kappa(P, [EDGE, EDGE.negated()], 1)]
     monkeypatch.setenv("FMLAB_BUDGET", "0")
     assert [search() for search in searches] == [BudgetExceeded(1)] * len(searches)
+    # under a nonzero budget each marker names the node one past it; the
+    # cover search at d = 1 runs out at a leaf, not at a pruned subtree
+    monkeypatch.setenv("FMLAB_BUDGET", "3")
+    longer = searches[:3] + [
+        lambda: find_weak_m_order(P, EDGE, 3),
+        lambda: find_cover_violation(P, EDGE, 1, 4),
+        lambda: find_shattered([frozenset({i}) for i in range(5)], 2),
+        searches[-1]]
+    assert [search() for search in longer] == [BudgetExceeded(4)] * len(longer)
     for bad in ("not-a-number", "-5"):
         monkeypatch.setenv("FMLAB_BUDGET", bad)
         for search in searches:
