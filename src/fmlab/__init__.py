@@ -12,7 +12,8 @@ from .detect import (CoverViolation, IndependenceWitness, SplittingChainFailure,
                      build_rho, find_cover_violation, find_k_independence,
                      find_n_order, find_weak_m_order, splitting_order_witness,
                      splits, stirling_threshold, verify_cover_violation,
-                     verify_independence, verify_order, verify_weak_order)
+                     verify_independence, verify_order, verify_split,
+                     verify_weak_order)
 from .counting import (BoundReport, ShatterWitness, chained_inequality,
                        count_phi_types, exponent_dominates, find_shattered,
                        no_order_exponent, sauer_bound, verify_independence_bound,

@@ -32,7 +32,7 @@ from .counting import (count_phi_types, find_shattered,
 from .detect import (arrow_check, find_cover_violation,
                      find_k_independence, find_n_order, find_weak_m_order,
                      splits, verify_independence, verify_order,
-                     verify_weak_order)
+                     verify_split, verify_weak_order)
 from .formats import (ParseError, emit_report, parse_formula, parse_structure,
                       refuse_unprintable_power, reportable)
 from .indisc import (BoundParams, ConstantGrowth, PolynomialGrowth,
@@ -152,6 +152,7 @@ def _cmd_detect(args):
         report = {"property": "splitting", "splits": ok}
         if wit is not None:
             report["witness"] = wit
+            report["verified"] = verify_split(M, p, B, delta, delta, wit)
     return report, 0
 
 

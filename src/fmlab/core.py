@@ -445,13 +445,13 @@ class SatTable:
     a hit compiles nothing; an error is never stored, and each caller gets
     a fresh list. `columns` transposes those rows when they come from the
     vector compile, memoised in `_sat_columns`, so the searches of one
-    query compile one table.
+    query compile, and bind, one table.
 
     Search-side only: the witness checkers, `check_indiscernible` and `tp`
-    stay on `evaluate`, so a fault here cannot hide from them. The
-    exceptions, `verify_independence_bound` and `verify_order_bound`, count
-    types with `count_phi_types`; a seeded differential test against
-    `realized_types`, and the bench's brute-force recount, guard them.
+    stay on `evaluate`, so a fault here cannot hide from them. The exceptions,
+    `verify_independence_bound` and `verify_order_bound`, count types with
+    `count_phi_types` (the first reads a memoised verdict); a seeded test
+    against `realized_types`, and the bench's recount, guard them.
     """
 
     __slots__ = ("_key",)
@@ -673,24 +673,24 @@ def _compile_shape(sig: Signature, n: int, phi: PartitionedFormula,
     return bind
 
 
-def _row_function(M: Structure, phi: PartitionedFormula, objs, pars):
-    """The vector-mode row(a, head) that `_sat_rows` reads the table of
-    objs x pars through, or None when it runs scalar cells instead."""
-    fits = (phi.s and {len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
-            and set(itertools.chain(*objs, *pars)).issubset(range(M.universe_size)))
-    return _compile(M, phi, phi.r + phi.s - 1) if fits else None
+def _row_shape(M: Structure, phi: PartitionedFormula, objs, pars):
+    """The shape test of `_sat_rows`: the vector-mode bind(M) it calls on a miss
+    for the table of objs x pars, or a false value for scalar cells. Binds nothing."""
+    return (phi.s and {len(a) for a in objs} <= {phi.r} and {len(b) for b in pars} <= {phi.s}
+            and set(itertools.chain(*objs, *pars)).issubset(range(M.universe_size))
+            and _compile_shape(M.signature, M.universe_size, phi, phi.r + phi.s - 1))
 
 
 @functools.lru_cache(maxsize=64)
 def _sat_rows(M: Structure, phi: PartitionedFormula,
               objs: tuple, pars: tuple) -> tuple[int, ...]:
-    universe = range(M.universe_size)
-    row = _row_function(M, phi, objs, pars)
-    if row is None:
+    bind = _row_shape(M, phi, objs, pars)
+    if not bind:
         run = _compile(M, phi, None)
         return tuple([sum([1 << j for j, b in enumerate(pars) if run(a, b)])
                       for a in objs])
-    if pars == tuple(zip(universe)):
+    row = bind(M)
+    if pars == tuple(zip(range(M.universe_size))):
         # every search over the whole universe: the row is the mask itself
         return tuple([row(a, ()) for a in objs])
     # otherwise one pass per (object, head), and bit u of the mask is cell j
@@ -710,7 +710,7 @@ def _sat_columns(M: Structure, phi: PartitionedFormula,
     # phi's memoised rows, transposed, when they come from the vector
     # compile, where no cell can raise; otherwise phi.swapped()'s rows, whose
     # scalar cells run column by column and so keep that order's first error
-    if _row_function(M, phi, objs, pars) is None:
+    if not _row_shape(M, phi, objs, pars):
         return _sat_rows(M, phi.swapped(), pars, objs)
     cols = [0] * len(pars)
     for i, row in enumerate(_sat_rows(M, phi, objs, pars)):

@@ -120,7 +120,8 @@ def verify_order_bound(M: Structure, phi: PartitionedFormula,
 
 def verify_independence_bound(M: Structure, phi: PartitionedFormula,
                               A: Iterable[tuple[int, ...]], k: int) -> BoundReport:
-    """Check |S_phi(A,M)| <= |A|^(s(k-1)) under the no-independence hypothesis."""
+    """Check |S_phi(A,M)| <= |A|^(s(k-1)) under the no-independence hypothesis,
+    read from `find_k_independence`'s memoised verdict, so no search re-runs."""
     A = sorted(tuple(b) for b in A)
     if len(A) < 2:
         raise PreconditionError("requires |A| >= 2")

@@ -18,10 +18,10 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (Iff, PartitionedFormula, PhiType, SatTable, Structure,
-                   _compile, rename_free, tp)
+                   _row_shape, rename_free, tp)
 from .formats import subset_key
-from .util import (BudgetExceeded, PreconditionError, TooLargeError,
-                   search_budget)
+from .util import (BudgetExceeded, FmlabError, PreconditionError,
+                   TooLargeError, search_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +176,29 @@ def find_k_independence(M: Structure, phi: PartitionedFormula, k: int
                         ) -> Union[IndependenceWitness, None, BudgetExceeded]:
     """Lexicographically first independence witness of size k, or None.
 
-    None certifies exhaustion of the whole search space. Object tuples are
-    tried as k-combinations, one budget node each: any permutation of a
-    witness is a witness, so the first combination is also the first ordered
-    k-tuple.
+    None certifies exhaustion of the search space. Object tuples are tried as
+    k-combinations, one budget node each: any permutation of a witness is a
+    witness, so the first combination is also the first ordered k-tuple. The
+    verdict is memoised per (structure, formula, k, budget).
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if phi.r < 1 or phi.s < 1:
         raise PreconditionError("independence search needs nonempty blocks")
-    objs = list(M.tuples(phi.r))
-    pars = list(M.tuples(phi.s))
+    try:
+        limit = search_budget()
+    except FmlabError:  # cells that fail raise before an invalid budget does
+        SatTable(M, phi).rows(list(M.tuples(phi.r)), list(M.tuples(phi.s)))
+        raise
+    return _independence(M, phi, k, limit)
+
+
+@functools.lru_cache(maxsize=64)
+def _independence(M: Structure, phi: PartitionedFormula, k: int, limit: int
+                  ) -> Union[IndependenceWitness, None, BudgetExceeded]:
+    objs, pars = list(M.tuples(phi.r)), list(M.tuples(phi.s))
     got = first_shattered(SatTable(M, phi).rows(objs, pars), k,
-                          (1 << len(pars)) - 1, search_budget())
+                          (1 << len(pars)) - 1, limit)
     if got is None or isinstance(got, BudgetExceeded):
         return got
     combo, least = got
@@ -233,7 +243,7 @@ def find_n_order(M: Structure, phi: PartitionedFormula, n: int
         raise PreconditionError("order search requires l(x) = l(y)")
     limit = search_budget()
     objs = list(M.tuples(phi.r))
-    if phi.s == 1 and _compile(M, phi, 1) is not None:
+    if phi.s == 1 and _row_shape(M, phi, objs, objs):
         table = SatTable(M, phi)
         return _order_on_rows(objs, table.rows(objs, objs),
                               table.columns(objs, objs), n, limit)
@@ -527,6 +537,28 @@ def splits(p: PhiType, B: Iterable[tuple[int, ...]],
                 if type_cache[b] == type_cache[c]:
                     return True, SplitWitness(f, b, c)
     return False, None
+
+
+def verify_split(M: Structure, p: PhiType, B: Iterable[tuple[int, ...]],
+                 delta0: Sequence[PartitionedFormula],
+                 delta1: Sequence[PartitionedFormula], w: SplitWitness) -> bool:
+    """Re-check a split witness without `tp`: w.formula lies in delta0, p
+    holds it at w.b and refutes it at w.c, and w.b and w.c, taken as object
+    tuples, agree on every delta1 instance over B (at the empty parameter
+    tuple for a parameter-free formula), each side evaluated by
+    `PartitionedFormula.holds`."""
+    b, c = w.b, w.c
+    if (w.formula not in delta0 or p.sign(w.formula, b) is not True
+            or p.sign(w.formula, c) is not False or len(b) != len(c)):
+        return False
+    B = [tuple(e) for e in B]
+    for f in delta1:
+        if f.r != len(b):
+            continue
+        for e in [()] if f.s == 0 else [e for e in B if len(e) == f.s]:
+            if f.holds(M, b, e) != f.holds(M, c, e):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,25 @@ def test_ramsey_homogeneous_reports_its_check(tmp_path, monkeypatch, capsys):
     assert sorted(vertices) == report["vertices"] and tag == "complete"
 
 
+def test_detect_splitting_reports_its_check(p3_files, monkeypatch, capsys):
+    # the type of 0 over A = {1, 2} in P3 holds R at 1 and not at 2: a split
+    # over the empty base, where 1 and 2 have equal types, but none over A
+    s, f = p3_files
+    calls = _spy(monkeypatch, fmlab.cli, "verify_split")
+    argv = ["detect", "--structure", s, "--formula", f, "--property",
+            "splitting", "--object", "0"]
+    code, out = run(capsys, argv)
+    report = json.loads(out)
+    assert code == 0 and report["splits"] is True and report["verified"] is True
+    assert report["witness"]["b"] == [1] and report["witness"]["c"] == [2]
+    _, _, B, delta0, delta1, _ = calls[0][0]
+    assert len(calls) == 1 and B == [] and delta0 == delta1
+    code, out = run(capsys, argv + ["--base-set", "A"])
+    report = json.loads(out)
+    assert code == 0 and report["splits"] is False
+    assert "verified" not in report and len(calls) == 1
+
+
 def test_classify_kappa(empty5_files, capsys):
     s, f = empty5_files
     code, out = run(capsys, ["classify", "kappa", "--structure", s,

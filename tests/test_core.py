@@ -13,7 +13,7 @@ from fmlab import (EvaluationError, FmlabError, PartitionedFormula,
                    verify_cover_violation, verify_homogeneous,
                    verify_independence, verify_independence_bound,
                    verify_order, verify_order_bound, verify_shattered,
-                   verify_weak_order)
+                   verify_split, verify_weak_order)
 from fmlab.core import (And, Atom, Exists, Forall, Iff, Implies, Not, Or,
                         SatTable, _compile, _compile_shape, _sat_rows)
 from fmlab.classify import _induced
@@ -694,7 +694,8 @@ def _names(code):
 def test_checkers_never_read_satisfaction_tables():
     checkers = [verify_independence, verify_order, verify_weak_order,
                 verify_cover_violation, verify_homogeneous, verify_shattered,
-                check_indiscernible, TypeOracle.key, TypeOracle.first_split]
+                check_indiscernible, TypeOracle.key, TypeOracle.first_split,
+                verify_split]
     for checker in checkers:
         names = _names(checker.__code__)
         assert "SatTable" not in names, checker.__qualname__
@@ -721,7 +722,7 @@ def test_reference_path_never_reaches_the_compiler():
     reference = [evaluate, PartitionedFormula.holds, tp, TypeOracle.key,
                  TypeOracle.first_split, verify_independence, verify_order,
                  verify_weak_order, verify_cover_violation, verify_homogeneous,
-                 verify_shattered, check_indiscernible]
+                 verify_shattered, check_indiscernible, verify_split]
     for fn in reference:
         names = _reachable_names(fn, set())
         assert "_compile" not in names, fn.__qualname__

@@ -14,16 +14,17 @@ from fmlab import (BudgetExceeded, CoverViolation, IndependenceWitness,
                    Signature, SplitMix64, Structure, arrow_check, build_rho,
                    find_cover_violation, find_k_independence, find_n_order,
                    find_shattered, find_weak_m_order, kappa, parse_formula,
-                   splitting_order_witness,
+                   SplitWitness, emit_report, splitting_order_witness,
                    splits, stirling_threshold, tp, verify_cover_violation,
-                   verify_independence, verify_order, verify_weak_order,
-                   WeakOrderWitness)
-from fmlab import core
+                   verify_independence, verify_independence_bound,
+                   verify_order, verify_split, verify_weak_order,
+                   WeakOrderWitness, count_phi_types)
+from fmlab import core, detect
 from fmlab.core import And, Atom, Exists, Implies, Not, SatTable
 from fmlab.detect import first_shattered
 from fmlab.util import FmlabError, TooLargeError, search_budget
 
-from conftest import (EDGE, LESS, all_graphs, complete_graph, cycle_graph,
+from conftest import (EDGE, EDGE_PAIR, LESS, all_graphs, complete_graph, cycle_graph,
                       digraph, empty_graph, graph, induced, linear_order, outcome,
                       path_graph, seeded_digraph, seeded_graph, star_graph)
 
@@ -628,29 +629,117 @@ def test_cover_search_ignores_repeated_parameters(monkeypatch):
 
 
 def test_one_search_battery_compiles_one_table(monkeypatch):
-    # the five searches of one search-workload query read one memoised table
+    # the seven calls of one search-workload query read one memoised table
     # of phi: order takes it as rows, weak order and cover as its transposed
-    # columns, and nothing compiles phi.swapped() to rows
-    shapes = []
+    # columns, and nothing compiles phi.swapped() to rows. phi's closures
+    # are bound to M once, when the table is built: deciding whether it
+    # compiles to rows reads the shape memo and binds nothing
+    shapes, binds = [], []
     compile_shape = core._compile_shape
 
     def recording(sig, n, phi, vector):
         shapes.append((phi, vector))
-        return compile_shape(sig, n, phi, vector)
+        bind = compile_shape(sig, n, phi, vector)
+        return bind and (lambda M: binds.append((phi, vector)) or bind(M))
     monkeypatch.setattr(core, "_compile_shape", recording)
     formulas = [EDGE, EDGE.negated(), DIST2, DIST2.negated()]
     for case, phi in enumerate(formulas * 3):
         M = (seeded_graph, seeded_digraph, _seeded_order)[case % 3](6 + case % 5, 9700 + case)
+        A = [(b,) for b in range(M.universe_size)]
         misses = core._sat_rows.cache_info().misses
+        binds.clear()
         find_k_independence(M, phi, 2)
         find_k_independence(M, phi, 3)
         find_n_order(M, phi, 3)
         find_weak_m_order(M, phi, 2)
         find_cover_violation(M, phi, 2, M.universe_size)
+        count_phi_types(M, phi, A)
+        verify_independence_bound(M, phi, A, 2)
         assert core._sat_rows.cache_info().misses == misses + 1, case
+        assert binds == [(phi, 1)], case
     assert (EDGE, 1) in shapes
     swapped = {phi.swapped() for phi in formulas}
     assert not [(f, v) for f, v in shapes if f in swapped and v is not None]
+
+
+def _independence_unmemoised(M, phi, k):
+    """`find_k_independence` as it ran before its verdict was memoised: the
+    table is read, then the budget, and the kernel runs on every call."""
+    if k < 1:
+        raise PreconditionError("k must be >= 1")
+    if phi.r < 1 or phi.s < 1:
+        raise PreconditionError("independence search needs nonempty blocks")
+    objs = list(M.tuples(phi.r))
+    pars = list(M.tuples(phi.s))
+    got = first_shattered(SatTable(M, phi).rows(objs, pars), k,
+                          (1 << len(pars)) - 1, search_budget())
+    if got is None or isinstance(got, BudgetExceeded):
+        return got
+    combo, least = got
+    return IndependenceWitness(tuple(objs[i] for i in combo),
+                               {w: pars[j] for w, j in least.items()})
+
+
+def test_independence_verdict_memo_matches_the_unmemoised_search(monkeypatch):
+    # witness, None, BudgetExceeded.nodes and the first error agree with the
+    # unmemoised search at k = 1, 2, 3 on graphs and digraphs, for atomic
+    # and quantified formulas and one that only scalar cells run, with the
+    # budget unset, 0, small and invalid; each verdict is asked for twice,
+    # so the second answer is a memo hit, and the budget changes between
+    # the calls on one (structure, formula, k), so a hit served under
+    # another budget would show. Under an invalid budget a formula whose
+    # cells fail raises the cells' error, since the table is read first
+    rng = SplitMix64(20261031)
+    makers = (seeded_graph, seeded_digraph)
+    formulas = [EDGE, EDGE.negated(), DIST2, DEFERRED[0]]
+    seen = {"witness": 0, "none": 0, "budget": 0, "budget error": 0,
+            "cell error": 0, "cell error, invalid budget": 0}
+    for case in range(40):
+        M = makers[case % 2](3 + rng.below(5), 31000 + case)
+        phi = formulas[case // 2 % len(formulas)]
+        for limit in (None, "0", "2", "7", "not-a-number", None, "-5", "2"):
+            if limit is None:
+                monkeypatch.delenv("FMLAB_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("FMLAB_BUDGET", limit)
+            for k in (1, 2, 3):
+                want = outcome(lambda: _independence_unmemoised(M, phi, k))
+                for _ in range(2):
+                    assert outcome(lambda: find_k_independence(M, phi, k)) == want, \
+                        (case, limit, k)
+                if isinstance(want, tuple) and "FMLAB_BUDGET" not in want[1]:
+                    invalid = limit in ("-5", "not-a-number")
+                    kind = "cell error" + ", invalid budget" * invalid
+                else:
+                    kind = ("witness" if isinstance(want, IndependenceWitness) else
+                            "budget" if isinstance(want, BudgetExceeded) else
+                            "none" if want is None else "budget error")
+                seen[kind] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_the_bound_reads_the_verdict_its_query_reached(monkeypatch):
+    # after find_k_independence(M, phi, 2) the bound runs no search of its
+    # own, and its report bytes equal those of a run with an empty memo
+    kernel, ks = detect.first_shattered, []
+    monkeypatch.setattr(detect, "first_shattered",
+                        lambda rows, k, *rest: ks.append(k) or kernel(rows, k, *rest))
+    formulas = [EDGE, EDGE.negated(), DIST2, DIST2.negated()]
+    outcomes = set()
+    for case, phi in enumerate(formulas * 3):
+        M = (seeded_graph, seeded_digraph, _seeded_order)[case % 3](6 + case % 5, 9800 + case)
+        A = [(b,) for b in range(M.universe_size)]
+        detect._independence.cache_clear()
+        cold = emit_report(verify_independence_bound(M, phi, A, 2))
+        assert ks == [2], case
+        ks.clear()
+        detect._independence.cache_clear()
+        wit = find_k_independence(M, phi, 2)
+        warm = emit_report(verify_independence_bound(M, phi, A, 2))
+        assert ks == [2] and warm == cold, case
+        ks.clear()
+        outcomes.add(wit is None)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +792,41 @@ def test_split_monotone_under_base_shrinking():
 # ---------------------------------------------------------------------------
 # the comparison formula and its constructive witness
 # ---------------------------------------------------------------------------
+
+
+def test_split_checker_matches_the_type_definition():
+    # verify_split accepts (f, b, c) exactly when f is in delta0, p holds f
+    # at b and refutes it at c, and tp(delta1, b, B) == tp(delta1, c, B);
+    # delta1 mixes a quantified formula, its negation and a parameter-free
+    # one, so types over the empty set still tell elements apart
+    HAS_EDGE = PartitionedFormula(Exists("z0", Atom("R", ("x0", "z0"))), ("x0",), ())
+    deltas = [([EDGE, EDGE.negated()], [EDGE, EDGE.negated()]),
+              ([EDGE], [DIST2, DIST2.negated(), HAS_EDGE])]
+    dom = [(i,) for i in range(4)]
+    accepted = rejected = 0
+    for g, M in enumerate(all_graphs(4)):
+        delta0, delta1 = deltas[g % 2]
+        p = tp([EDGE, EDGE.negated()], (g % 4,), dom, M)
+        for B in [[], [(g % 3,)], [(1,), (3,)]]:
+            ok, wit = splits(p, B, delta0, delta1, M)
+            if ok:
+                assert verify_split(M, p, B, delta0, delta1, wit)
+            for f in [EDGE, EDGE.negated(), DIST2]:
+                for b in dom:
+                    for c in dom:
+                        want = (f in delta0 and p.sign(f, b) is True
+                                and p.sign(f, c) is False
+                                and tp(delta1, b, B, M) == tp(delta1, c, B, M))
+                        got = verify_split(M, p, B, delta0, delta1, SplitWitness(f, b, c))
+                        assert got == want, (g, B, f, b, c)
+                        accepted += want
+                        rejected += not want
+    assert accepted >= 50 and rejected >= 50, (accepted, rejected)
+
+
+def test_split_checker_calls_neither_tp_nor_the_search():
+    names = set(verify_split.__code__.co_names)
+    assert not names & {"tp", "splits", "realized_types"}, names
 
 
 def test_build_rho_pads_blocks_to_equal_length():
