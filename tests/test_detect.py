@@ -24,7 +24,7 @@ from fmlab.core import And, Atom, Exists, Implies, Not, SatTable
 from fmlab.detect import first_shattered
 from fmlab.util import FmlabError, TooLargeError, search_budget
 
-from conftest import (EDGE, EDGE_PAIR, LESS, all_graphs, complete_graph, cycle_graph,
+from conftest import (EDGE, LESS, all_graphs, complete_graph, cycle_graph,
                       digraph, empty_graph, graph, induced, linear_order, outcome,
                       path_graph, seeded_digraph, seeded_graph, star_graph)
 
@@ -708,8 +708,8 @@ def test_independence_verdict_memo_matches_the_unmemoised_search(monkeypatch):
                     assert outcome(lambda: find_k_independence(M, phi, k)) == want, \
                         (case, limit, k)
                 if isinstance(want, tuple) and "FMLAB_BUDGET" not in want[1]:
-                    invalid = limit in ("-5", "not-a-number")
-                    kind = "cell error" + ", invalid budget" * invalid
+                    kind = ("cell error, invalid budget" if limit in ("-5", "not-a-number")
+                            else "cell error")
                 else:
                     kind = ("witness" if isinstance(want, IndependenceWitness) else
                             "budget" if isinstance(want, BudgetExceeded) else
