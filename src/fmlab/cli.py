@@ -46,15 +46,22 @@ from .util import BudgetExceeded, FmlabError
 
 
 def _read(path, flag):
+    """A UTF-8 file's text, with CRLF and a lone CR read as LF, as in text mode."""
     if path is None:
         raise FmlabError(f"--{flag} is required for this subcommand")
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        if isinstance(e, FileNotFoundError):
+            raise
+        raise FmlabError(f"cannot read --{flag} file {path}: "
+                         f"{getattr(e, 'strerror', None) or e}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _load(args):
-    """The structure file, its structure, and the formula parsed over its
-    signature."""
+    """The structure file, its structure, and the formula over its signature."""
     doc = parse_structure(_read(args.structure, "structure"))
     M = doc.structure
     phi = parse_formula(_read(args.formula, "formula"), M.signature).formula

@@ -41,9 +41,6 @@ class Signature:
                 return ar
         raise FmlabError(f"unknown relation: {name}")
 
-    def has(self, name: str) -> bool:
-        return any(n == name for n, _ in self.relations)
-
 
 class Structure:
     """A finite relational model: universe {0..N-1} plus named tuple sets.
@@ -61,18 +58,21 @@ class Structure:
             raise FmlabError("universe size must be a natural number")
         frozen: dict[str, frozenset[tuple[int, ...]]] = {}
         for name, ar in signature.relations:
-            tuples = frozenset(tuple(t) for t in relations.get(name, ()))
-            for t in tuples:
-                if len(t) != ar:
-                    raise FmlabError(
-                        f"arity mismatch: relation {name} expects {ar}-tuples, got {t}")
-                for e in t:
-                    if not (0 <= e < universe_size):
+            tuples = frozenset(map(tuple, relations.get(name, ())))
+            elements = set(itertools.chain.from_iterable(tuples))
+            if (set(map(len, tuples)) - {ar}
+                    or elements and not (0 <= min(elements) and max(elements) < universe_size)):
+                for t in tuples:  # name the first offending tuple
+                    if len(t) != ar:
                         raise FmlabError(
-                            f"element out of range: {e} in relation {name}")
+                            f"arity mismatch: relation {name} expects {ar}-tuples, got {t}")
+                    for e in t:
+                        if not (0 <= e < universe_size):
+                            raise FmlabError(
+                                f"element out of range: {e} in relation {name}")
             frozen[name] = tuples
         for name in relations:
-            if not signature.has(name):
+            if name not in frozen:
                 raise FmlabError(f"unknown relation: {name}")
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "universe_size", universe_size)

@@ -25,6 +25,10 @@ relations times the universe size is at most `MAX_BINARY_ROWS`, and a formula
 nests at most `MAX_FORMULA_DEPTH` connectives, negations and quantifiers deep
 and at most that many parentheses deep; past any of these the parse fails
 with a ParseError.
+
+Each reader scans its input once: a `.fm` tuple body is one regex match and
+one split, a `.fml` text one `finditer` pass into (kind, value, offset)
+tokens, and an offset becomes line:column only when a ParseError is raised.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Any, Optional
 
 from .core import (And, Atom, Exists, Forall, Formula, Iff, Implies, Not, Or,
@@ -47,9 +52,7 @@ class ParseError(FmlabError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col = message, line, col
 
 
 @dataclass
@@ -78,24 +81,29 @@ MAX_UNIVERSE = 1 << 16
 # The most such rows the binary relations of one structure may keep together.
 MAX_BINARY_ROWS = 1 << 20
 
-_TUPLE_RE = re.compile(r"\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)")
-# the longest prefix of whitespace and tuples; a body is valid iff it is all
-_TUPLES_RE = re.compile(r"\s*(?:" + _TUPLE_RE.pattern + r"\s*)*")
+# the longest prefix of whitespace and tuples like (0,1); a valid body is all
+_TUPLES_RE = re.compile(r"\s*(?:\(\s*-?\d+(?:\s*,\s*-?\d+)*\s*\)\s*)*")
+# a valid body with its brackets and commas blanked is its elements, split
+_BLANK = str.maketrans("(),", "   ")
+_SHAPE = str.maketrans("", "", "0123456789- \t\n\r\x0b\x0c")  # drops ASCII digits and blanks
 
 
-def _strip_comment(line: str) -> str:
-    idx = line.find("#")
-    return line if idx < 0 else line[:idx]
-
-
-def _parse_tuples(body: str, lineno: int, col0: int) -> list[tuple[int, ...]]:
+def _parse_tuples(body: str, lineno: int, col0: int) -> tuple[list, list[int]]:
+    """The tuples of a section body in order, and their elements in order."""
     end = _TUPLES_RE.match(body).end()
     if end < len(body):
         raise ParseError("expected a tuple like (0,1)", lineno, col0 + end + 1)
     try:
-        return [tuple(map(int, t.split(","))) for t in _TUPLE_RE.findall(body)]
+        elements = list(map(int, body.translate(_BLANK).split()))
     except ValueError:  # an element with more digits than int() converts
         raise ParseError("element out of range", lineno, col0 + 1)
+    count = body.count("(")
+    width = len(elements) // count if count else 1
+    if body.translate(_SHAPE) == ("(" + "," * (width - 1) + ")") * count:  # all of one width
+        return list(zip(*[iter(elements)] * width)), elements
+    rest = iter(elements)
+    return [tuple(islice(rest, c + 1))
+            for c in map(str.count, body.split("(")[1:], repeat(","))], elements
 
 
 def parse_structure(text: str) -> StructureDocument:
@@ -109,7 +117,7 @@ def parse_structure(text: str) -> StructureDocument:
     warnings: list[str] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = raw.partition("#")[0]
         if not line.strip():
             continue
         if ":" not in line:
@@ -126,17 +134,18 @@ def parse_structure(text: str) -> StructureDocument:
             raise ParseError(f"repeated {keyword} line", lineno, 1)
         if keyword == "signature":
             decls = []
-            for part in body.split():
+            for m in re.finditer(r"\S+", body):
+                part, col = m.group(), col0 + m.start() + 1
                 if "/" not in part:
                     raise ParseError(f"bad relation declaration {part!r}, expected name/arity",
-                                     lineno, line.index(part) + 1)
+                                     lineno, col)
                 name, _, ar = part.partition("/")
                 if not name.isidentifier():
-                    raise ParseError(f"bad relation name {name!r}", lineno, line.index(part) + 1)
+                    raise ParseError(f"bad relation name {name!r}", lineno, col)
                 try:
                     arity = int(ar)
                 except ValueError:
-                    raise ParseError(f"bad arity {ar!r}", lineno, line.index(part) + 1)
+                    raise ParseError(f"bad arity {ar!r}", lineno, col)
                 decls.append((name, arity))
             try:
                 signature = Signature(tuple(decls))
@@ -159,33 +168,35 @@ def parse_structure(text: str) -> StructureDocument:
             if len(rest) != 1:
                 raise ParseError(f"{keyword} line needs a name", lineno, 1)
             name = rest[0]
-            arity = None
-            if keyword == "relation":
-                if not signature.has(name):
-                    raise ParseError(f"unknown relation: {name}", lineno, 1)
-                arity = signature.arity(name)
+            arity = dict(signature.relations).get(name) if keyword == "relation" else None
+            if keyword == "relation" and arity is None:
+                raise ParseError(f"unknown relation: {name}", lineno, 1)
             if keyword != "submodel":
-                tuples = _parse_tuples(body, lineno, col0)
+                tuples, elements = _parse_tuples(body, lineno, col0)
             else:  # vertices, range-checked in sorted order
                 try:
-                    tuples = [(v,) for v in sorted({int(x) for x in body.split()})]
+                    elements = sorted(set(map(int, body.split())))
                 except ValueError:
                     raise ParseError("submodel expects whitespace-separated vertices",
                                      lineno, col0 + 1)
-            for t in tuples:
-                if arity not in (None, len(t)):
-                    raise ParseError(f"arity mismatch: {name} expects {arity}-tuples, got {t}",
-                                     lineno, col0 + 1)
-                for e in t:
-                    if not (0 <= e < universe):
-                        raise ParseError(f"element out of range: {e}", lineno, col0 + 1)
+                tuples = list(zip(elements))
+            lengths = set(map(len, tuples))
+            if (arity is not None and lengths - {arity}
+                    or elements and not (0 <= min(elements) and max(elements) < universe)):
+                for t in tuples:  # name the first offending tuple
+                    if arity not in (None, len(t)):
+                        raise ParseError(f"arity mismatch: {name} expects {arity}-tuples, "
+                                         f"got {t}", lineno, col0 + 1)
+                    for e in t:
+                        if not (0 <= e < universe):
+                            raise ParseError(f"element out of range: {e}", lineno, col0 + 1)
             if keyword == "seq":
                 seq = seqs.setdefault(name, [])
-                if len({len(t) for t in seq[:1] + tuples}) > 1:
+                if len(lengths | set(map(len, seq[:1]))) > 1:
                     raise ParseError("sequence entries must share one arity", lineno, col0 + 1)
                 seq.extend(tuples)
             elif keyword == "submodel":
-                submodels[name] = tuple(t[0] for t in tuples)
+                submodels[name] = tuple(elements)
             else:
                 bucket = (relations if keyword == "relation" else sets).setdefault(name, {})
                 for t in tuples:
@@ -267,108 +278,95 @@ _PAR_VAR = re.compile(r"y(\d+)$")
 _BOUND_VAR = re.compile(r"z(\d+)$")
 
 
-@dataclass
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of `offset` in `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        value = m.group(0)
-        kind = m.lastgroup or ""
-        if kind != "ws":
-            tokens.append(_Token(kind, value, line, col))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, offset) per token of `text`, then ("eof", "", len(text))."""
+    tokens, end = [], 0
+    for m in _TOKEN_RE.finditer(text):
+        start, stop = m.span()
+        if start != end:
+            break
+        end = stop
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, text[start:stop], start))
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", *_position(text, end))
+    tokens.append(("eof", "", end))
     return tokens
 
 
 class _FormulaParser:
-    """Recursive descent over the token list; precedence ~ > & > | > -> > <->."""
+    """Recursive descent over (kind, value, offset) tokens; precedence ~ > & > | > -> > <->."""
 
-    def __init__(self, tokens: list[_Token], signature: Optional[Signature]):
-        self.toks = tokens
+    def __init__(self, text: str, signature: Optional[Signature]):
+        self.text = text
+        self.toks = _tokenize(text)
         self.i = 0
-        self.signature = signature
+        self.arities = None if signature is None else dict(signature.relations)  # None: any
         self.declared: set[str] = set()
         self.bound: list[str] = []
         self.depth = 0  # syntax-tree levels open around the next token
         self.parens = 0  # parentheses open around the next token
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
+    def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
+        return ParseError(message, *_position(self.text, tok[2]))
 
-    def take(self, value: Optional[str] = None, kind: Optional[str] = None) -> _Token:
+    def take(self, value: Optional[str] = None, kind: Optional[str] = None) -> tuple:
         tok = self.toks[self.i]
-        if value is not None and tok.value != value:
-            raise ParseError(f"expected {value!r}", tok.line, tok.col)
-        if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind}", tok.line, tok.col)
+        if value is not None and tok[1] != value:
+            raise self.error(f"expected {value!r}", tok)
+        if kind is not None and tok[0] != kind:
+            raise self.error(f"expected {kind}", tok)
         self.i += 1
         return tok
 
     def parse_declaration(self) -> FormulaSource:
         """The head `name(x0,...; y0,...) :=`, then the body over its variables."""
-        name = self.take(kind="name").value
+        name = self.take(kind="name")[1]
         self.take("(")
-        object_vars = self.head_block(";", _OBJ_VAR,
-                                      "object variables must be x0..x{r-1}")
+        object_vars = self.head_block(";", _OBJ_VAR, "object variables must be x0..x{r-1}")
         self.take(";")
-        param_vars = self.head_block(")", _PAR_VAR,
-                                     "parameter variables must be y0..y{s-1}")
+        param_vars = self.head_block(")", _PAR_VAR, "parameter variables must be y0..y{s-1}")
         self.take(")")
         self.take(":=")
         if not object_vars:
-            tok = self.peek()
-            raise ParseError("at least one object variable is required", tok.line, tok.col)
+            raise self.error("at least one object variable is required", self.toks[self.i])
         self.declared = set(object_vars) | set(param_vars)
         formula = PartitionedFormula(self.parse(), tuple(object_vars), tuple(param_vars))
         return FormulaSource(name, formula)
 
     def head_block(self, end: str, pattern: re.Pattern, rule: str) -> list[str]:
         names: list[str] = []
-        while self.peek().value != end:
+        while self.toks[self.i][1] != end:
             tok = self.take(kind="name")
-            m = pattern.match(tok.value)
+            m = pattern.match(tok[1])
             if not m or int(m.group(1)) != len(names):
-                raise ParseError(f"{rule} in order, got {tok.value!r}", tok.line, tok.col)
-            names.append(tok.value)
-            if self.peek().value == ",":
+                raise self.error(f"{rule} in order, got {tok[1]!r}", tok)
+            names.append(tok[1])
+            if self.toks[self.i][1] == ",":
                 self.take(",")
         return names
 
     def parse(self) -> Formula:
         f, _ = self.parse_binary()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.col)
+        tok = self.toks[self.i]
+        if tok[0] != "eof":
+            raise self.error(f"unexpected {tok[1]!r}", tok)
         return f
 
-    def nest(self, height: int, tok: _Token) -> int:
+    def nest(self, height: int, tok: tuple[str, str, int]) -> int:
         """height + 1: the levels of the node at `tok` over a formula of
         `height` levels. A ParseError at `tok` when these and the levels
         already open pass MAX_FORMULA_DEPTH."""
         if self.depth + height >= MAX_FORMULA_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels",
-                             tok.line, tok.col)
+            raise self.error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", tok)
         return height + 1
 
-    def enter(self, tok: _Token) -> None:
+    def enter(self, tok: tuple[str, str, int]) -> None:
         self.nest(0, tok)
         self.depth += 1
 
@@ -381,7 +379,7 @@ class _FormulaParser:
         level on the right. `first`, when given, is the left operand, already
         parsed."""
         left, height = first or self.parse_unary()
-        while (op := self.peek().value) in _BINARY and _BINARY[op][0] >= level:
+        while (op := self.toks[self.i][1]) in _BINARY and _BINARY[op][0] >= level:
             op_level, node = _BINARY[op]
             tok = self.take(op)
             self.enter(tok)
@@ -395,75 +393,69 @@ class _FormulaParser:
         """A run of `~` and quantifier prefixes, read in one loop, then what
         they apply to: a parenthesised formula or an atom, and after the last
         quantifier the rest of the binary formula too (maximal scope)."""
-        prefixes: list[_Token] = []
-        while (tok := self.peek()).value in ("~", "exists", "forall"):
-            self.take(tok.value)
+        prefixes: list[str] = []
+        while (tok := self.toks[self.i])[1] in ("~", "exists", "forall"):
+            self.take()
             self.enter(tok)
-            prefixes.append(tok)
-            if tok.value == "~":
+            prefixes.append(tok[1])
+            if tok[1] == "~":
                 continue
             var = self.take(kind="name")
-            if not _BOUND_VAR.match(var.value):
-                raise ParseError("bound variables must be named z0, z1, ...",
-                                 var.line, var.col)
-            if var.value in self.bound or var.value in self.declared:
-                raise ParseError(f"variable {var.value} shadows an outer variable",
-                                 var.line, var.col)
+            if not _BOUND_VAR.match(var[1]):
+                raise self.error("bound variables must be named z0, z1, ...", var)
+            if var[1] in self.bound or var[1] in self.declared:
+                raise self.error(f"variable {var[1]} shadows an outer variable", var)
             self.take(".")
-            self.bound.append(var.value)
-        tok = self.peek()
-        if tok.value == "(":
-            self.take("(")
+            self.bound.append(var[1])
+        tok = self.toks[self.i]
+        if tok[1] == "(":
+            self.take()
             if self.parens == MAX_FORMULA_DEPTH:
-                raise ParseError("parentheses nested deeper than "
-                                 f"{MAX_FORMULA_DEPTH} levels", tok.line, tok.col)
+                raise self.error(f"parentheses nested deeper than {MAX_FORMULA_DEPTH} levels", tok)
             self.parens += 1
             f, height = self.parse_binary()
             self.take(")")
             self.parens -= 1
         else:
             f, height = self.parse_atom(), 0
-        for tok in reversed(prefixes):
-            if tok.value == "~":
+        for prefix in reversed(prefixes):
+            if prefix == "~":
                 f = Not(f)
             else:
                 f, height = self.parse_binary(first=(f, height))
-                f = (Exists if tok.value == "exists" else Forall)(self.bound.pop(), f)
+                f = (Exists if prefix == "exists" else Forall)(self.bound.pop(), f)
             self.depth -= 1
             height += 1
         return f, height
 
     def parse_atom(self) -> Formula:
-        name = self.peek()
-        if name.kind != "name":
-            raise ParseError(f"unexpected {name.value!r}" if name.value
-                             else "unexpected end of input", name.line, name.col)
+        name = self.toks[self.i]
+        if name[0] != "name":
+            raise self.error(f"unexpected {name[1]!r}" if name[1]
+                             else "unexpected end of input", name)
         self.take()
-        if self.signature is not None and not self.signature.has(name.value):
-            raise ParseError(f"unknown relation: {name.value}", name.line, name.col)
+        if self.arities is not None and name[1] not in self.arities:
+            raise self.error(f"unknown relation: {name[1]}", name)
         self.take("(")
         args = []
         while True:
             var = self.take(kind="name")
-            if var.value not in self.declared and var.value not in self.bound:
-                raise ParseError(f"undeclared variable: {var.value}", var.line, var.col)
-            args.append(var.value)
-            if self.peek().value == ",":
-                self.take(",")
-                continue
-            break
+            if var[1] not in self.declared and var[1] not in self.bound:
+                raise self.error(f"undeclared variable: {var[1]}", var)
+            args.append(var[1])
+            if self.toks[self.i][1] != ",":
+                break
+            self.take()
         self.take(")")
-        if self.signature is not None and self.signature.arity(name.value) != len(args):
-            raise ParseError(
-                f"arity mismatch: {name.value} expects "
-                f"{self.signature.arity(name.value)} arguments, got {len(args)}",
-                name.line, name.col)
-        return Atom(name.value, tuple(args))
+        if self.arities is not None and self.arities[name[1]] != len(args):
+            raise self.error(f"arity mismatch: {name[1]} expects "
+                             f"{self.arities[name[1]]} arguments, got {len(args)}", name)
+        return Atom(name[1], tuple(args))
 
 
 def parse_formula(text: str, signature: Optional[Signature] = None) -> FormulaSource:
     """Parse a declaration `name(x...; y...) := body` into a PartitionedFormula."""
-    return _FormulaParser(_tokenize(text), signature).parse_declaration()
+    return _FormulaParser(text, signature).parse_declaration()
 
 
 def serialize_formula(src: FormulaSource) -> str:

@@ -84,6 +84,37 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+def test_unreadable_input_is_one_error_line(p3_files, tmp_path, capsys):
+    # a directory and bytes that are not UTF-8 once ended in a traceback
+    s, f = p3_files
+    undecodable = tmp_path / "undecodable.fm"
+    undecodable.write_bytes(P3.encode() + b"# \xff\n")
+    for structure, reason in ((tmp_path, "Is a directory"),
+                              (undecodable, "can't decode byte 0xff")):
+        assert main(["detect", "--structure", str(structure), "--formula", f,
+                     "--property", "independence", "--k", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and reason in err
+        assert err.startswith(f"error: cannot read --structure file {structure}: ")
+    main(["detect", "--structure", str(tmp_path / "absent.fm"), "--formula", f,
+          "--property", "independence", "--k", "1"])
+    assert capsys.readouterr().err == f"missing file: {tmp_path / 'absent.fm'}\n"
+
+
+def test_line_ends_are_read_as_in_text_mode(tmp_path, capsys):
+    # \r\n and a lone \r end a line, so positions do not move
+    s = tmp_path / "p3.fm"
+    s.write_text(P3)
+    errors = []
+    for end in ("\n", "\r\n", "\r"):
+        f = tmp_path / "bad.fml"
+        f.write_bytes(("phi(x0; y0) :=" + end + "  R(x0,$)" + end).encode())
+        assert main(["detect", "--structure", str(s), "--formula", str(f),
+                     "--property", "order", "--n", "2"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["parse error: 2:8: unexpected character '$'\n"] * 3
+
+
 def test_parse_error_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.fm"
     bad.write_text("universe: 2\n")
@@ -637,7 +668,14 @@ def test_runaway_inputs_end_in_one_error_line_under_a_memory_cap(p3_files, tmp_p
     twelve = tmp_path / "twelve.fm"
     twelve.write_text("signature: R/2\nuniverse: 12\nrelation R: (0,1) (1,0)\nset A: "
                       + " ".join(f"({i})" for i in range(12)) + "\n")
+    undecodable = tmp_path / "undecodable.fm"
+    undecodable.write_bytes(b"signature: R/2\nuniverse: 2\nrelation R: (0,1) \xff\n")
     refused = [
+        # an input that is a directory, or not UTF-8, once ended in a traceback
+        ["detect", "--structure", str(tmp_path), "--formula", f,
+         "--property", "independence", "--k", "1"],
+        ["detect", "--structure", str(undecodable), "--formula", f,
+         "--property", "independence", "--k", "1"],
         # once answered with "rhs": null, while --k 5000 was refused
         ["types", "verify-independence-bound", "--structure", str(twelve),
          "--formula", f, "--set", "A", "--k", "300000"],
