@@ -58,18 +58,15 @@ class Structure:
             raise FmlabError("universe size must be a natural number")
         frozen: dict[str, frozenset[tuple[int, ...]]] = {}
         for name, ar in signature.relations:
-            tuples = frozenset(map(tuple, relations.get(name, ())))
-            elements = set(itertools.chain.from_iterable(tuples))
-            if (set(map(len, tuples)) - {ar}
-                    or elements and not (0 <= min(elements) and max(elements) < universe_size)):
-                for t in tuples:  # name the first offending tuple
-                    if len(t) != ar:
+            tuples = frozenset(tuple(t) for t in relations.get(name, ()))
+            for t in tuples:
+                if len(t) != ar:
+                    raise FmlabError(
+                        f"arity mismatch: relation {name} expects {ar}-tuples, got {t}")
+                for e in t:
+                    if not (0 <= e < universe_size):
                         raise FmlabError(
-                            f"arity mismatch: relation {name} expects {ar}-tuples, got {t}")
-                    for e in t:
-                        if not (0 <= e < universe_size):
-                            raise FmlabError(
-                                f"element out of range: {e} in relation {name}")
+                            f"element out of range: {e} in relation {name}")
             frozen[name] = tuples
         for name in relations:
             if name not in frozen:

@@ -52,7 +52,9 @@ class ParseError(FmlabError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
-        self.message, self.line, self.col = message, line, col
+        self.message = message
+        self.line = line
+        self.col = col
 
 
 @dataclass
@@ -85,7 +87,6 @@ MAX_BINARY_ROWS = 1 << 20
 _TUPLES_RE = re.compile(r"\s*(?:\(\s*-?\d+(?:\s*,\s*-?\d+)*\s*\)\s*)*")
 # a valid body with its brackets and commas blanked is its elements, split
 _BLANK = str.maketrans("(),", "   ")
-_SHAPE = str.maketrans("", "", "0123456789- \t\n\r\x0b\x0c")  # drops ASCII digits and blanks
 
 
 def _parse_tuples(body: str, lineno: int, col0: int) -> tuple[list, list[int]]:
@@ -97,11 +98,7 @@ def _parse_tuples(body: str, lineno: int, col0: int) -> tuple[list, list[int]]:
         elements = list(map(int, body.translate(_BLANK).split()))
     except ValueError:  # an element with more digits than int() converts
         raise ParseError("element out of range", lineno, col0 + 1)
-    count = body.count("(")
-    width = len(elements) // count if count else 1
-    if body.translate(_SHAPE) == ("(" + "," * (width - 1) + ")") * count:  # all of one width
-        return list(zip(*[iter(elements)] * width)), elements
-    rest = iter(elements)
+    rest = iter(elements)  # tuple i takes one more element than it has commas
     return [tuple(islice(rest, c + 1))
             for c in map(str.count, body.split("(")[1:], repeat(","))], elements
 
@@ -315,6 +312,9 @@ class _FormulaParser:
     def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
         return ParseError(message, *_position(self.text, tok[2]))
 
+    def peek(self) -> tuple[str, str, int]:
+        return self.toks[self.i]
+
     def take(self, value: Optional[str] = None, kind: Optional[str] = None) -> tuple:
         tok = self.toks[self.i]
         if value is not None and tok[1] != value:
@@ -334,26 +334,26 @@ class _FormulaParser:
         self.take(")")
         self.take(":=")
         if not object_vars:
-            raise self.error("at least one object variable is required", self.toks[self.i])
+            raise self.error("at least one object variable is required", self.peek())
         self.declared = set(object_vars) | set(param_vars)
         formula = PartitionedFormula(self.parse(), tuple(object_vars), tuple(param_vars))
         return FormulaSource(name, formula)
 
     def head_block(self, end: str, pattern: re.Pattern, rule: str) -> list[str]:
         names: list[str] = []
-        while self.toks[self.i][1] != end:
+        while self.peek()[1] != end:
             tok = self.take(kind="name")
             m = pattern.match(tok[1])
             if not m or int(m.group(1)) != len(names):
                 raise self.error(f"{rule} in order, got {tok[1]!r}", tok)
             names.append(tok[1])
-            if self.toks[self.i][1] == ",":
+            if self.peek()[1] == ",":
                 self.take(",")
         return names
 
     def parse(self) -> Formula:
         f, _ = self.parse_binary()
-        tok = self.toks[self.i]
+        tok = self.peek()
         if tok[0] != "eof":
             raise self.error(f"unexpected {tok[1]!r}", tok)
         return f
@@ -379,7 +379,7 @@ class _FormulaParser:
         level on the right. `first`, when given, is the left operand, already
         parsed."""
         left, height = first or self.parse_unary()
-        while (op := self.toks[self.i][1]) in _BINARY and _BINARY[op][0] >= level:
+        while (op := self.peek()[1]) in _BINARY and _BINARY[op][0] >= level:
             op_level, node = _BINARY[op]
             tok = self.take(op)
             self.enter(tok)
@@ -394,7 +394,7 @@ class _FormulaParser:
         they apply to: a parenthesised formula or an atom, and after the last
         quantifier the rest of the binary formula too (maximal scope)."""
         prefixes: list[str] = []
-        while (tok := self.toks[self.i])[1] in ("~", "exists", "forall"):
+        while (tok := self.peek())[1] in ("~", "exists", "forall"):
             self.take()
             self.enter(tok)
             prefixes.append(tok[1])
@@ -407,7 +407,7 @@ class _FormulaParser:
                 raise self.error(f"variable {var[1]} shadows an outer variable", var)
             self.take(".")
             self.bound.append(var[1])
-        tok = self.toks[self.i]
+        tok = self.peek()
         if tok[1] == "(":
             self.take()
             if self.parens == MAX_FORMULA_DEPTH:
@@ -429,7 +429,7 @@ class _FormulaParser:
         return f, height
 
     def parse_atom(self) -> Formula:
-        name = self.toks[self.i]
+        name = self.peek()
         if name[0] != "name":
             raise self.error(f"unexpected {name[1]!r}" if name[1]
                              else "unexpected end of input", name)
@@ -443,7 +443,7 @@ class _FormulaParser:
             if var[1] not in self.declared and var[1] not in self.bound:
                 raise self.error(f"undeclared variable: {var[1]}", var)
             args.append(var[1])
-            if self.toks[self.i][1] != ",":
+            if self.peek()[1] != ",":
                 break
             self.take()
         self.take(")")

@@ -208,22 +208,33 @@ def test_signature_declaration_errors_point_at_the_declaration():
         "bad relation declaration 's', expected name/arity", 1, 16)
 
 
-def test_positions_stay_linear_on_long_inputs():
-    # a position found by walking the text from its start at each token, or
-    # a walk per tuple that grows with the line, would be quadratic; the
-    # readers take about 1.5 s here on a 2-core x86 box (2.4 s before they
-    # were rewritten to scan once)
-    start = time.perf_counter()
-    text = "phi(x0;) := R(" + "x0,\n" * 300000 + "x0) $"
+def _long_formula_error(lines):
+    text = "phi(x0;) := R(" + "x0,\n" * lines + "x0) $"
     with pytest.raises(ParseError) as err:
         parse_formula(text)
-    assert str(err.value) == "300001:5: unexpected character '$'"
-    body = " ".join(f"({i % 1000},{i // 1000})" for i in range(200000))
+    assert str(err.value) == f"{lines + 1}:5: unexpected character '$'"
+
+
+def _long_relation_line(count):
+    body = " ".join(f"({i % 1000},{i // 1000})" for i in range(count))
     text = f"signature: R/2\nuniverse: 1000\nrelation R: {body}\n"
-    assert len(parse_structure(text).structure.relations["R"]) == 200000
+    assert len(parse_structure(text).structure.relations["R"]) == count
     assert _parse_error_at(text[:-1] + " (0,1000)\n") == (
         "element out of range: 1000", 3, 12)
-    assert time.perf_counter() - start < 3
+
+
+@pytest.mark.parametrize("read, size", [(_long_formula_error, 300000),
+                                        (_long_relation_line, 200000)])
+def test_positions_stay_linear_on_long_inputs(read, size):
+    # a position found by walking the text from its start at each token, or
+    # a walk per tuple that grows with the line, makes four times the input
+    # cost about sixteen times the time; a linear reader takes about four
+    seconds = []
+    for n in (size // 4, size):
+        start = time.perf_counter()
+        read(n)
+        seconds.append(time.perf_counter() - start)
+    assert seconds[1] < 10 * seconds[0]
 
 
 def test_universe_past_the_ceiling_is_refused_before_any_structure(monkeypatch):
