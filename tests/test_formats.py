@@ -202,7 +202,7 @@ def test_element_too_long_to_convert_is_a_positioned_error():
 
 
 def test_signature_declaration_errors_point_at_the_declaration():
-    # the column was once the first place the same text occurs on the line
+    # each column is its declaration's own, not where the same text first occurs
     assert _parse_error_at("signature: R/2 R/\n") == ("bad arity ''", 1, 16)
     assert _parse_error_at("signature: s/1 s\n") == (
         "bad relation declaration 's', expected name/arity", 1, 16)
@@ -223,18 +223,17 @@ def _long_relation_line(count):
         "element out of range: 1000", 3, 12)
 
 
-@pytest.mark.parametrize("read, size", [(_long_formula_error, 300000),
-                                        (_long_relation_line, 200000)])
-def test_positions_stay_linear_on_long_inputs(read, size):
+def test_positions_stay_linear_on_long_inputs():
     # a position found by walking the text from its start at each token, or
     # a walk per tuple that grows with the line, makes four times the input
     # cost about sixteen times the time; a linear reader takes about four
-    seconds = []
-    for n in (size // 4, size):
-        start = time.perf_counter()
-        read(n)
-        seconds.append(time.perf_counter() - start)
-    assert seconds[1] < 10 * seconds[0]
+    for read, size in ((_long_formula_error, 300000), (_long_relation_line, 200000)):
+        seconds = []
+        for n in (size // 4, size):
+            start = time.perf_counter()
+            read(n)
+            seconds.append(time.perf_counter() - start)
+        assert seconds[1] < 10 * seconds[0], read.__name__
 
 
 def test_universe_past_the_ceiling_is_refused_before_any_structure(monkeypatch):
