@@ -423,7 +423,8 @@ def greedy_end_extraction(length: int, m: int,
     The pool is an int mask over positions. `key_of(sels, pool)` returns one
     int mask over positions per cell, a (selection, parameter) pair, in bit
     order: selections outer, parameters inner. Bit p of a cell is set iff
-    candidate p has the cell; bits outside the pool are ignored. The
+    candidate p has the cell; bits outside the pool are ignored. A key may
+    leave out cells that are empty, as they split nothing. The
     classes are the non-empty blocks of refining the pool by every cell
     (partition refinement, Paige & Tarjan 1987), which are the classes of
     the candidates' tuples of cell values, so the choices and the trace are
@@ -431,7 +432,8 @@ def greedy_end_extraction(length: int, m: int,
     is empty or the whole pool once restricted to it splits no block and is
     skipped, and refinement stops once every block is a single candidate;
     `key_of` has returned every cell by then, so neither changes which
-    cells are evaluated or the first error raised.
+    cells are evaluated or the first error raised. A step that ends with
+    one block takes that block.
 
     The surviving pool already agrees on every selection without the newest
     chosen position, so `key_of` is passed only the selections that can
@@ -464,7 +466,8 @@ def greedy_end_extraction(length: int, m: int,
             blocks = split
             if len(blocks) == singletons:
                 break
-        best = max(blocks, key=lambda b: (b.bit_count(), -(b & -b)))
+        best = (blocks[0] if len(blocks) == 1 else
+                max(blocks, key=lambda b: (b.bit_count(), -(b & -b))))
         steps.append((len(chosen), len(blocks), best.bit_count()))
         new = (best & -best).bit_length() - 1
         sels = ([s + (new,) for s in itertools.combinations(chosen, m - 2)]

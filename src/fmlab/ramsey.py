@@ -22,7 +22,8 @@ from .detect import first_shattered
 from .indisc import (BoundParams, ExtractionFailure, HypergraphBoundedGrowth,
                      HypergraphWorstGrowth, _power, ceil_log2, f_star,
                      greedy_end_extraction)
-from .util import FmlabError, PreconditionError, SplitMix64, mix_seed
+from .util import (FmlabError, PreconditionError, SplitMix64, TooLargeError,
+                   mix_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +83,29 @@ class RGraph:
 # ---------------------------------------------------------------------------
 
 
+# the cost of `stirling2`'s recurrence in bit-steps: n x m steps on integers
+# of up to n * bit_length(m) bits. S(2359, 1024), the largest coupon value
+# `independence_trend` asks for, is 2^35.9 of them and about a second on a
+# 2-core x86 box; at m = 2 the guard admits n up to 131,072
+_STIRLING_MAX_BIT_STEPS = 1 << 36
+
+
 def stirling2(n: int, m: int) -> int:
-    """Stirling number of the second kind by the standard recurrence."""
+    """Stirling number of the second kind by the standard recurrence.
+
+    S(n, m) = 0 for m > n at once; otherwise TooLargeError before the first
+    step when the recurrence would take more than `_STIRLING_MAX_BIT_STEPS`
+    bit-steps.
+    """
     if n < 0 or m < 0:
         raise PreconditionError("stirling2 needs naturals")
     if m == 0:
         return 1 if n == 0 else 0
+    if m > n:
+        return 0
+    if n * m * n * m.bit_length() > _STIRLING_MAX_BIT_STEPS:
+        raise TooLargeError(f"the Stirling recurrence for S({n}, {m}) exceeds "
+                            f"2^{_STIRLING_MAX_BIT_STEPS.bit_length() - 1} bit-steps")
     prev = [1] + [0] * m
     for _ in range(n):
         cur = [0] * (m + 1)
@@ -104,7 +122,8 @@ def coupon_q(n: int, m: int) -> Fraction:
     returned at once (S(n, m) = 0 agrees), and m = 1 gives 1. Otherwise
     the count of onto maps is summed by inclusion-exclusion in integers,
     checked exactly against the Stirling form m! * S(n, m), and divided by
-    m^n once, after `_power` has refused an m^n past the size guard.
+    m^n once. `_power` refuses an m^n past the size guard and `stirling2`
+    a recurrence past its cost guard, both before the sum.
     """
     if n < 0 or m < 0:
         raise PreconditionError("coupon_q needs naturals")
@@ -115,8 +134,9 @@ def coupon_q(n: int, m: int) -> Fraction:
     if m == 1:  # S(n, 1) = 1
         return Fraction(1)
     m_to_n = _power(m, n)
+    stirling = stirling2(n, m)
     onto = sum([(-1) ** i * comb(m, i) * (m - i) ** n for i in range(m + 1)])
-    if onto != factorial(m) * stirling2(n, m):
+    if onto != factorial(m) * stirling:
         raise FmlabError("internal inconsistency between the two coupon forms")
     return Fraction(onto, m_to_n)
 
@@ -342,26 +362,31 @@ def verify_homogeneous(G: RGraph, vertices: Iterable[int], tag: str) -> bool:
     return True
 
 
-def _halving_chain(G: RGraph, vertices: Sequence[int], k: int
+def _halving_chain(G: RGraph, k: int
                    ) -> Union[tuple[frozenset[int], str], ExtractionFailure]:
     """Classical halving for 2-graphs: follow the larger adjacency side of the
     least remaining vertex, then keep the majority color along the chain.
 
-    Ties prefer the non-edge side and the empty tag; the last chain vertex
-    joins either color class.
+    The remaining vertices are one int mask and `rows[v]` holds the
+    neighbours of v above it, so a step splits the rest by one row. Ties
+    prefer the non-edge side and the empty tag; the last chain vertex joins
+    either color class.
     """
-    S = sorted(vertices)
+    rows = [0] * G.n
+    for v, u in G.edges:
+        rows[v] |= 1 << u
+    S = (1 << G.n) - 1
     chain: list[tuple[int, Optional[int]]] = []
     while S:
-        v = S[0]
-        rest = S[1:]
+        low = S & -S
+        v = low.bit_length() - 1
+        rest = S ^ low
         if not rest:
             chain.append((v, None))
             break
-        # v = S[0] < u, so (v, u) is already a sorted edge
-        nb = [u for u in rest if (v, u) in G.edges]
-        nn = [u for u in rest if (v, u) not in G.edges]
-        if len(nb) > len(nn):
+        nb = rest & rows[v]
+        nn = rest ^ nb
+        if nb.bit_count() > nn.bit_count():
             chain.append((v, 1))
             S = nb
         else:
@@ -385,11 +410,12 @@ def extract_homogeneous(G: RGraph, n: int, k: int
                         ) -> Union[tuple[frozenset[int], str], ExtractionFailure]:
     """A k-set of vertices inducing a complete or empty sub-r-graph.
 
-    r = 2 uses the halving chain; r >= 3 extracts an end-homogeneous vertex
-    sequence by the largest-class greedy, freezes the last vertex v into the
-    link relation R'(X) <=> R(X + {v}) on the rest, recurses at r-1 for k-1,
-    and appends v. Every output is re-verified; a failure names the uniformity
-    level at which the recursion stalled.
+    r = 1 takes the larger vertex class (pigeonhole), r = 2 uses the halving
+    chain; r >= 3 extracts an end-homogeneous vertex sequence by the
+    largest-class greedy, freezes the last vertex v into the link relation
+    R'(X) <=> R(X + {v}) on the rest, recurses at r-1 for k-1, and appends
+    v. Every output is re-verified; a failure names the uniformity level at
+    which the recursion stalled.
     """
     if k < 0:
         raise PreconditionError("k must be a natural")
@@ -402,8 +428,16 @@ def extract_homogeneous(G: RGraph, n: int, k: int
         return frozenset(range(k)), "empty"
     if G.n < k:
         return ExtractionFailure(G.r, f"only {G.n} vertices for target {k}")
+    if G.r == 1:
+        # pigeonhole: the larger vertex class, ties to the empty side
+        ones = sorted(v for v, in G.edges)
+        zeros = [v for v in range(G.n) if (v,) not in G.edges]
+        members, tag = (ones, "complete") if len(ones) > len(zeros) else (zeros, "empty")
+        if len(members) < k:
+            return ExtractionFailure(1, f"the larger vertex class has only {len(members)} < {k}")
+        return frozenset(members[:k]), tag
     if G.r == 2:
-        return _halving_chain(G, range(G.n), k)
+        return _halving_chain(G, k)
 
     # link[h] has bit u iff h + (u,) is an edge, so the cell of a selection
     # is its link mask; positions are chosen in increasing order, so every
@@ -413,7 +447,8 @@ def extract_homogeneous(G: RGraph, n: int, k: int
         link[e[:-1]] = link.get(e[:-1], 0) | 1 << e[-1]
 
     def key_of(sels: list[tuple[int, ...]], pool: int) -> list[int]:
-        return [link.get(sel, 0) for sel in sels]
+        # only the cells that exist: the greedy skips an empty one anyway
+        return list(filter(None, map(link.get, sels)))
 
     chosen, _ = greedy_end_extraction(G.n, G.r, key_of, target=None)
     if len(chosen) < G.r:

@@ -315,6 +315,18 @@ def test_ramsey_homogeneous_cli(tmp_path, capsys):
     assert report["tag"] == "empty" and len(report["vertices"]) == 3
 
 
+def test_ramsey_homogeneous_on_a_unary_relation(tmp_path, capsys):
+    # R/1 once raised "need r >= 1 and n >= 0" building a 0-graph and
+    # exited 2; three marked vertices of seven: the four unmarked win
+    s = tmp_path / "unary.fm"
+    s.write_text("signature: R/1\nuniverse: 7\nrelation R: (1) (4) (5)\n")
+    code, out = run(capsys, ["ramsey", "homogeneous", "--structure", str(s),
+                             "--k", "3"])
+    report = json.loads(out)
+    assert code == 0 and report["verified"] is True
+    assert (report["vertices"], report["tag"]) == ([0, 2, 3], "empty")
+
+
 def test_ramsey_homogeneous_reports_its_check(tmp_path, monkeypatch, capsys):
     # a complete 3-uniform relation on 6 vertices: a complete 4-set
     s = tmp_path / "k6.fm"
@@ -700,6 +712,7 @@ def test_runaway_inputs_end_in_one_error_line_under_a_memory_cap(p3_files, tmp_p
         ["experiment", "independence-mc", "--n", "200", "--k", "150", "--trials", "1"],
         ["experiment", "thmg1", "--k-list", "2000", "--trials", "1"],
         ["experiment", "coupon", "--n", "1000000000000", "--m", "2"],
+        ["experiment", "coupon", "--n", "3000000", "--m", "2"],
         ["detect", "--structure", str(many), "--formula", f,
          "--property", "independence", "--k", "1"],
         ["classify", "delta-star", "--formula", f, "--n", "30"],

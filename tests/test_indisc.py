@@ -15,7 +15,6 @@ from fmlab import (BoundParams, ConstantGrowth, ExtractionFailure,
 from fmlab import indisc
 from fmlab.indisc import (_EVAL_GUARD, _end_need, _formula_key, bound_step,
                           greedy_end_extraction)
-from fmlab.ramsey import _halving_chain
 from fmlab.util import (SIZE_GUARD_BITS, EvaluationError, SplitMix64,
                         TooLargeError, mix_seed)
 
@@ -617,9 +616,49 @@ def _tuple_formula_key(seq, table, pars, suffix=()):
     return key_of
 
 
+def _list_halving_chain(G, vertices, k, ties=None):
+    """The halving chain for 2-graphs as it was written on lists, one edge
+    lookup per remaining vertex, kept as the reference. `ties`, when given,
+    gets one entry per step whose two sides tie and one when the two colours
+    tie along the chain."""
+    S = sorted(vertices)
+    chain = []
+    while S:
+        v = S[0]
+        rest = S[1:]
+        if not rest:
+            chain.append((v, None))
+            break
+        nb = [u for u in rest if (v, u) in G.edges]
+        nn = [u for u in rest if (v, u) not in G.edges]
+        if ties is not None and len(nb) == len(nn):
+            ties.append("side")
+        if len(nb) > len(nn):
+            chain.append((v, 1))
+            S = nb
+        else:
+            chain.append((v, 0))
+            S = nn
+    last = chain[-1][0] if chain else None
+    ones = [v for v, c in chain if c == 1]
+    zeros = [v for v, c in chain if c == 0]
+    if ties is not None and len(ones) == len(zeros):
+        ties.append("colour")
+    if len(ones) > len(zeros):
+        members, tag = ones, "complete"
+    else:
+        members, tag = zeros, "empty"
+    if last is not None:
+        members = members + [last]
+    if len(members) < k:
+        return ExtractionFailure(2, f"halving chain supports only {len(members)} < {k}")
+    return frozenset(members[:k]), tag
+
+
 def _tuple_key_homogeneous(G, n, k):
-    """`extract_homogeneous` with the tuple key and the `has_edge` link graph
-    it had before its keys became bitmasks, kept as the reference."""
+    """`extract_homogeneous` with the tuple key, the `has_edge` link graph
+    and the list-based halving chain it had before its keys and its chain
+    became bitmasks, kept as the reference."""
     if k < 0:
         raise PreconditionError("k must be a natural")
     if k == 0:
@@ -631,7 +670,7 @@ def _tuple_key_homogeneous(G, n, k):
     if G.n < k:
         return ExtractionFailure(G.r, f"only {G.n} vertices for target {k}")
     if G.r == 2:
-        return _halving_chain(G, range(G.n), k)
+        return _list_halving_chain(G, range(G.n), k)
 
     edges = G.edges
 
@@ -964,3 +1003,67 @@ def test_bitmask_homogeneous_key_matches_the_tuple_key():
             else:
                 found += 1
     assert found > 100 and failed > 100
+
+
+def test_bitmask_halving_chain_matches_the_list_chain():
+    # seeded 2-graphs of every density, every target size; some get a first
+    # vertex adjacent to exactly half of the others, so its sides tie
+    rng = SplitMix64(1433)
+    ties = []
+    found = failed = 0
+    for trial in range(240):
+        n = rng.below(24)
+        density = trial % 9  # 0/8 .. 8/8
+        edges = {e for e in itertools.combinations(range(n), 2)
+                 if rng.below(8) < density}
+        if trial % 3 == 0 and n % 2:
+            edges = {e for e in edges if e[0]} | {(0, u) for u in range(1, n, 2)}
+        G = RGraph.of(n, 2, edges)
+        _list_halving_chain(G, range(n), 0, ties)
+        for k in range(n + 2):
+            got = extract_homogeneous(G, 2, k)
+            assert got == _tuple_key_homogeneous(G, 2, k), (trial, k)
+            if isinstance(got, ExtractionFailure):
+                failed += 1
+            else:
+                found += 1
+                assert verify_homogeneous(G, *got), (trial, k)
+    assert found > 500 and failed > 200
+    assert ties.count("side") > 50 and ties.count("colour") > 20
+
+
+def _full_and_sparse_link_keys(G):
+    """The greedy key of `extract_homogeneous` in two forms: one link mask
+    per selection, 0 for a selection in no edge, and only the masks that
+    exist."""
+    link = {}
+    for e in G.edges:
+        link[e[:-1]] = link.get(e[:-1], 0) | 1 << e[-1]
+
+    def full(sels, pool):
+        return [link.get(s, 0) for s in sels]
+
+    def sparse(sels, pool):
+        return list(filter(None, map(link.get, sels)))
+
+    return full, sparse
+
+
+def test_greedy_with_empty_cells_left_out_matches_the_full_cell_key():
+    # seeded 3-graphs and 4-graphs of every density and target: leaving the
+    # empty cells out changes neither the choices nor the trace, on steps
+    # that end in one block and on steps that split
+    rng = SplitMix64(1434)
+    blocks = set()
+    for trial in range(200):
+        r = 3 + trial % 2
+        n = rng.below(16 if r == 3 else 11)
+        density = rng.below(9)
+        G = RGraph.of(n, r, [e for e in itertools.combinations(range(n), r)
+                             if rng.below(8) < density])
+        target = None if rng.bit() else rng.below(n + 2)
+        full, sparse = _full_and_sparse_link_keys(G)
+        got = greedy_end_extraction(n, r, sparse, target)
+        assert got == greedy_end_extraction(n, r, full, target), (trial, target)
+        blocks.update(min(c, 2) for _, c, _ in got[1].steps)
+    assert blocks == {1, 2}

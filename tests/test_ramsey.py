@@ -67,6 +67,32 @@ def test_coupon_with_one_box_is_one_at_once():
     assert time.perf_counter() - start < 0.1
 
 
+def test_stirling_cross_check_past_its_cost_guard_is_refused_before_summing(monkeypatch):
+    # the n x m recurrence is quadratic in n: coupon_q(400000, 2) took 4 s,
+    # and n up to about 4M passes the size guard of 2^n
+    def no_sum(*args):
+        raise AssertionError("the inclusion-exclusion sum ran")
+    monkeypatch.setattr(ramsey, "comb", no_sum)
+    for n in (131073, 400000, 3000000):
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match=f"^the Stirling recurrence for S\\({n}, 2\\)"):
+            coupon_q(n, 2)
+        assert time.perf_counter() - start < 0.5
+    # 131072^2 * 2 * bit_length(2) is the guard itself
+    with pytest.raises(TooLargeError):
+        stirling2(131073, 2)
+    with pytest.raises(TooLargeError):
+        stirling2(10 ** 6, 10 ** 5)
+
+
+def test_stirling_with_more_boxes_than_balls_is_zero_at_once():
+    # the recurrence once built a row of m + 1 zeros first
+    start = time.perf_counter()
+    assert stirling2(5, 10 ** 12) == 0
+    assert stirling2(0, 10 ** 12) == 0
+    assert time.perf_counter() - start < 0.1
+
+
 def test_stirling_recurrence_values():
     assert stirling2(0, 0) == 1
     assert stirling2(4, 2) == 7
@@ -354,6 +380,35 @@ def test_lacks_independence_edge_numbered_realizers_match_generic():
                 generic = find_k_independence(G.to_structure(), phi, k) is None
                 assert rgraph_lacks_independence(G, k) == generic, (r, seed, k)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_unary_extraction_takes_the_larger_vertex_class():
+    # r = 1 once recursed into a 0-graph and raised; a set is homogeneous
+    # iff it lies in one class, so the brute-force largest set is the larger
+    # class, ties to the empty side, and its first k vertices come back
+    rng = SplitMix64(1435)
+    seen = set()
+    for trial in range(120):
+        n = rng.below(10)
+        density = trial % 9
+        G = RGraph.of(n, 1, [(v,) for v in range(n) if rng.below(8) < density])
+        ones = sorted(v for v, in G.edges)
+        zeros = [v for v in range(n) if (v,) not in G.edges]
+        for k in range(n + 2):
+            got = extract_homogeneous(G, 2, k)
+            exists = {tag for c in itertools.combinations(range(n), k)
+                      for tag in ("complete", "empty") if verify_homogeneous(G, c, tag)}
+            if isinstance(got, ExtractionFailure):
+                assert got.level == 1 and not exists, (trial, k)
+                seen.add("failure")
+                continue
+            vs, tag = got
+            assert len(vs) == k and tag in exists, (trial, k)
+            if k:
+                side = ones if len(ones) > len(zeros) else zeros
+                assert (sorted(vs), tag) == (side[:k], "complete" if side is ones else "empty")
+                seen.add((tag, len(ones) == len(zeros)))
+    assert seen == {"failure", ("complete", False), ("empty", False), ("empty", True)}
 
 
 def test_extraction_failure_is_reported_not_faked():
