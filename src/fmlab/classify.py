@@ -345,9 +345,11 @@ def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
     With a domain, goodness is decided on the substructure induced on it,
     relabelled by the order-preserving map from 0..|domain|-1 onto
     sorted(domain) (`_induced`), and a refutation's witness tuples are
-    mapped back. Quantifiers then range over the domain alone, and the map
-    keeps the lexicographic order of tuples that every search walks, so
-    the earliest witness mapped back is the earliest over the domain.
+    mapped back; when sorted(domain) is 0..|domain|-1 that map is the
+    identity, and the memoised refutation itself is returned. Quantifiers
+    then range over the domain alone, and the map keeps the lexicographic
+    order of tuples that every search walks, so the earliest witness
+    mapped back is the earliest over the domain.
 
     The verdict is pure in the structure it is decided on and the budget, so
     it is memoised by value per (induced substructure, phi, n, d,
@@ -361,7 +363,8 @@ def is_good(M: Structure, phi: PartitionedFormula, n: int, d: int,
         return _is_good(M, phi, n, d, search_budget())
     sub, dom, _ = _induced(M, frozenset(domain))
     got = _is_good(sub, phi, n, d, search_budget())
-    if isinstance(got, GoodnessContext) or isinstance(got.witness, BudgetExceeded):
+    if (isinstance(got, GoodnessContext) or isinstance(got.witness, BudgetExceeded)
+            or not dom or dom[-1] == len(dom) - 1):  # dom is 0..|dom|-1: no relabelling
         return got
 
     def back(t):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import getitem
+from operator import add, getitem
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (PartitionedFormula, SatTable, Structure, TupleSequence,
@@ -470,7 +470,9 @@ def greedy_end_extraction(length: int, m: int,
                 max(blocks, key=lambda b: (b.bit_count(), -(b & -b))))
         steps.append((len(chosen), len(blocks), best.bit_count()))
         new = (best & -best).bit_length() - 1
-        sels = ([s + (new,) for s in itertools.combinations(chosen, m - 2)]
+        # the selections ending in `new`, each head + (new,), made at C level
+        sels = (list(map(add, itertools.combinations(chosen, m - 2),
+                         itertools.repeat((new,))))
                 if m >= 2 else [])
         chosen.append(new)
         pool = best & (best - 1)

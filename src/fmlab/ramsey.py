@@ -353,8 +353,10 @@ def E_bound(p: int, j: int, x: int) -> int:
 
 
 def verify_homogeneous(G: RGraph, vertices: Iterable[int], tag: str) -> bool:
+    """Do the vertices, all in 0..G.n-1, induce a complete or an empty
+    sub-r-graph as `tag` says?"""
     vs = sorted(set(vertices))
-    if tag not in ("complete", "empty"):
+    if tag not in ("complete", "empty") or (vs and not 0 <= vs[0] <= vs[-1] < G.n):
         return False
     for sub in itertools.combinations(vs, G.r):
         if (sub in G.edges) != (tag == "complete"):
@@ -485,6 +487,16 @@ def rgraph_lacks_independence(G: RGraph, n: int) -> bool:
     no edge and the tuples with a repeated entry (r >= 3) lie in no vertex's
     mask, so they only ever fill the all-negative cell: one extra realizer
     stands for all of them when there are any.
+
+    For n >= 2 only the vertices that share a realizer with another vertex
+    are searched. Two members i and j of a shattered set need a realizer in
+    the cell where both are positive, which lies in masks[i] & masks[j]
+    (every pair inside a shattered set is shattered: Apriori's downward
+    closure, Agrawal & Srikant 1994). So a vertex whose mask shares no bit
+    with any other is in no witness. Its bits lie in no other mask, so
+    dropping it changes no other vertex's shared realizers, and one pass
+    suffices. The answer is a bool, so renumbering the kept vertices
+    changes nothing a caller sees.
     """
     if G.r < 2:
         raise PreconditionError("needs r >= 2")
@@ -492,9 +504,16 @@ def rgraph_lacks_independence(G: RGraph, n: int) -> bool:
     # bit of p in masks[v] iff p together with v is an edge
     masks = [0] * G.n
     for e in G.edges:
-        for i, v in enumerate(e):
-            masks[v] |= 1 << index.setdefault(e[:i] + e[i + 1:], len(index))
+        # combinations drop e's entries from the last one back
+        for v, p in zip(reversed(e), itertools.combinations(e, G.r - 1)):
+            masks[v] |= 1 << index.setdefault(p, len(index))
     extra = 1 if G.r >= 3 or len(index) < comb(G.n, G.r - 1) else 0
+    if n >= 2:
+        once = twice = 0  # realizers in at least one, at least two masks
+        for row in masks:
+            twice |= once & row
+            once |= row
+        masks = [row for row in masks if row & twice]
     return first_shattered(masks, n, (1 << (len(index) + extra)) - 1) is None
 
 

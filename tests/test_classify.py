@@ -434,6 +434,41 @@ def test_goodness_on_a_domain_matches_the_restricted_searches(monkeypatch):
     assert kinds == {"good", "independence", "cover", "budget"}
 
 
+def test_refutation_on_an_identity_domain_is_the_memoised_one():
+    # every domain of seeded 3-6 vertex graphs: a refutation's witness is the
+    # memoised one mapped back by hand, and when sorted(domain) is
+    # 0..|domain|-1 (the empty domain included) it is the memo's own object
+    seen = set()
+    for size, seed, (n, d) in itertools.product(range(3, 7), range(3), ((1, 2), (2, 3))):
+        M = seeded_graph(size, 9300 + 10 * size + seed)
+        for bits in range(1 << size):
+            domain = frozenset(e for e in range(size) if bits >> e & 1)
+            got = is_good(M, EDGE, n, d, domain=domain)
+            sub, dom, _ = fmlab.classify._induced(M, domain)
+            memo = fmlab.classify._is_good(sub, EDGE, n, d, search_budget())
+            identity = dom == tuple(range(len(dom)))
+            if (isinstance(memo, GoodnessContext)
+                    or isinstance(memo.witness, BudgetExceeded)):
+                assert got is memo
+                continue
+
+            def back(t):
+                return tuple(dom[i] for i in t)
+
+            wit = memo.witness
+            if isinstance(wit, IndependenceWitness):
+                wit = IndependenceWitness(tuple(map(back, wit.a)),
+                                          {w: back(b) for w, b in wit.b.items()})
+            else:
+                wit = CoverViolation(wit.n, tuple(map(back, wit.b)))
+            assert got == GoodnessRefutation(memo.kind, memo.formula, wit), (size, domain)
+            if identity:
+                assert got is memo, (size, domain)
+            seen.add((memo.kind, identity))
+    assert seen == {("independence", True), ("independence", False),
+                    ("cover", True), ("cover", False)}
+
+
 # ---------------------------------------------------------------------------
 # the strong-submodel relation
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from fmlab.core import Signature, Structure, atom_formula
 from fmlab.indisc import _EVAL_GUARD, bound_step, ceil_log2
 from fmlab.util import SIZE_GUARD_BITS, SplitMix64, TooLargeError, mix_seed
 
-from conftest import (outcome, per_candidate_greedy,
-                      seeded_3graphs_lacking_independence, sparse_3graph)
+from conftest import (heavy_pair_3graph, linear_pack_3graph, outcome,
+                      per_candidate_greedy, seeded_3graphs_lacking_independence,
+                      sparse_3graph)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +381,121 @@ def test_lacks_independence_edge_numbered_realizers_match_generic():
                 generic = find_k_independence(G.to_structure(), phi, k) is None
                 assert rgraph_lacks_independence(G, k) == generic, (r, seed, k)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _unfiltered_masks(G):
+    """The realizer masks and the full mask `rgraph_lacks_independence` built
+    before it searched only the vertices that share a realizer."""
+    index = {}
+    masks = [0] * G.n
+    for e in G.edges:
+        for i, v in enumerate(e):
+            masks[v] |= 1 << index.setdefault(e[:i] + e[i + 1:], len(index))
+    extra = 1 if G.r >= 3 or len(index) < math.comb(G.n, G.r - 1) else 0
+    return masks, (1 << (len(index) + extra)) - 1
+
+
+def _unfiltered_lacks_independence(G, n):
+    """`rgraph_lacks_independence` as it was, searching every vertex."""
+    masks, full = _unfiltered_masks(G)
+    return ramsey.first_shattered(masks, n, full) is None
+
+
+def _shared_rows(G):
+    """The unfiltered masks of the vertices whose mask shares a bit with
+    another vertex's."""
+    masks, _ = _unfiltered_masks(G)
+    return [a for i, a in enumerate(masks)
+            if any(a & b for j, b in enumerate(masks) if j != i)]
+
+
+def _overlaps(rows):
+    """The realizer counts of every pair of rows, diagonal included: the
+    rows up to a renumbering of the realizers."""
+    return [[(a & b).bit_count() for b in rows] for a in rows]
+
+
+def _spy_first_shattered(monkeypatch):
+    calls = []
+    real = ramsey.first_shattered
+
+    def spy(rows, k, full, limit=None):
+        calls.append((list(rows), k, full))
+        return real(rows, k, full, limit)
+
+    monkeypatch.setattr(ramsey, "first_shattered", spy)
+    return calls
+
+
+def test_shared_realizer_filter_matches_the_unfiltered_check(monkeypatch):
+    # seeded r = 2, 3, 4 graphs, the three structured 3-graph families at
+    # n = 30-40, and graphs where the filter leaves no row, fewer than k
+    # rows and exactly k rows: the verdict is the unfiltered check's, and
+    # the kernel sees the shared vertices' rows and the unfiltered `full`
+    calls = _spy_first_shattered(monkeypatch)
+    rng = SplitMix64(1436)
+    graphs = [RGraph.of(7, 3, []), RGraph.of(7, 3, [(0, 1, 2)]),
+              RGraph.of(7, 3, [(0, 1, 2), (0, 1, 3)]),
+              RGraph.of(7, 3, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+              RGraph.of(6, 2, [(0, 1), (2, 3)]), RGraph.of(6, 2, [(0, 1), (1, 2)])]
+    for trial in range(180):
+        r = 2 + trial % 3
+        n = r + rng.below(9 - r)
+        density = rng.below(9)
+        graphs.append(RGraph.of(n, r, [e for e in itertools.combinations(range(n), r)
+                                       if rng.below(8) < density]))
+    for i, family in enumerate((sparse_3graph, heavy_pair_3graph, linear_pack_3graph)):
+        for j in range(12):
+            graphs.append(family(30 + (5 * i + j) % 11, mix_seed(1436, 12 * i + j)))
+    kept = set()
+    for G in graphs:
+        for k in (1, 2, 3):
+            calls.clear()
+            got = rgraph_lacks_independence(G, k)
+            assert got == _unfiltered_lacks_independence(G, k), (G, k)
+            (rows, _, full), _ = calls  # the library's search, then the copy's
+            masks, want_full = _unfiltered_masks(G)
+            assert full == want_full, (G, k)
+            want = masks if k == 1 else _shared_rows(G)
+            assert _overlaps(rows) == _overlaps(want), (G, k)
+            if k >= 2:
+                left = ("none" if not rows else "fewer" if len(rows) < k else
+                        "k" if len(rows) == k else "more")
+                kept.add((G.r, k, left, got))
+    assert kept >= ({(r, k, "none", True) for r in (2, 3, 4) for k in (2, 3)}
+                    | {(r, 3, "fewer", True) for r in (2, 3, 4)}
+                    | {(r, 2, "k", v) for r in (3, 4) for v in (True, False)}
+                    | {(r, 2, "more", v) for r in (2, 3, 4) for v in (True, False)})
+
+
+def test_shattering_search_sees_only_the_vertices_that_share_a_realizer(monkeypatch):
+    # a linear 3-graph (no two edges share a pair) hands the kernel no row;
+    # a heavy-pair 3-graph hands it the n - 2 vertices outside the pair,
+    # whose one realizer each is the pair
+    calls = _spy_first_shattered(monkeypatch)
+    for seed in range(4):
+        G = linear_pack_3graph(30 + seed, mix_seed(1437, seed))
+        assert G.edges
+        assert rgraph_lacks_independence(G, 2)
+        assert calls == [([], 2, (1 << (3 * len(G.edges) + 1)) - 1)], seed
+        calls.clear()
+        H = heavy_pair_3graph(30 + seed, mix_seed(1438, seed))
+        pair = set.intersection(*map(set, H.edges))
+        assert rgraph_lacks_independence(H, 2)
+        ((rows, k, _),) = calls
+        assert k == 2 and len(rows) == H.n - 2 and set(rows) == {rows[0]}, seed
+        assert rows[0].bit_count() == 1 and len(pair) == 2, seed
+        calls.clear()
+
+
+def test_homogeneous_check_refuses_vertices_outside_the_universe():
+    G = RGraph.of(5, 3, [(0, 1, 2)])
+    assert verify_homogeneous(G, [0, 3, 4], "empty")
+    assert verify_homogeneous(G, [0, 1, 2], "complete")
+    for vs in ([7, 8, 9], [-3, 0, 4], [0, 1, 5], [-1], [5]):
+        assert not verify_homogeneous(G, vs, "empty"), vs
+        assert not verify_homogeneous(G, vs, "complete"), vs
+    assert verify_homogeneous(G, [4], "complete") and verify_homogeneous(G, [], "empty")
 
 
 def test_unary_extraction_takes_the_larger_vertex_class():
